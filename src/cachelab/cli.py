@@ -119,7 +119,6 @@ def _run_policy(name, trace, geometry, args, abrs):
         policy,
         seed=args.seed,
         classify=classify,
-        interval=args.interval,
     )
 
 
@@ -280,8 +279,6 @@ def build_parser():
     p.add_argument("--policy", help=", ".join(POLICY_NAMES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--abr", action="append", help="hinted region start:end (repeatable)")
-    p.add_argument("--interval", type=int, default=None,
-                   help="accesses between policy interval callbacks")
 
     p = add("compare", cmd_compare, help="miss table for several policies")
     _add_source(p)
@@ -291,7 +288,6 @@ def build_parser():
     p.add_argument("--baseline", default="lru")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--abr", action="append")
-    p.add_argument("--interval", type=int, default=None)
 
     p = add("gen-trace", cmd_gen_trace, help="write a synthetic or graph trace")
     p.add_argument("--pattern", help="e.g. recency:k=8,n=4")

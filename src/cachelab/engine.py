@@ -77,13 +77,12 @@ class CacheGeometry:
 class BlockSlot:
     """One way of one set.  `state` is owned by the active policy."""
 
-    __slots__ = ("valid", "tag", "state", "pinned")
+    __slots__ = ("valid", "tag", "state")
 
     def __init__(self):
         self.valid = False
         self.tag = 0
         self.state = None
-        self.pinned = False
 
 
 class SetView:
@@ -97,9 +96,6 @@ class SetView:
         self.ways = ways
         self.access_index = 0
 
-    def valid_ways(self):
-        return [w for w, s in enumerate(self.slots) if s.valid]
-
 
 class Policy:
     """Replacement policy contract.
@@ -108,12 +104,11 @@ class Policy:
     in trace order.  choose_victim is called only when an insertion
     needs a full set; the policy may read the victim slot's state there
     (the engine clears it afterwards) and sets `predicted_dead` to True
-    when the victim was taken from a predicted-dead set.
-    `bypasses` advertises whether decide_insert ever returns False.
+    when the victim was taken from a predicted-dead set.  on_interval
+    observes the run's counters and must not change any later decision.
     """
 
     name = "policy"
-    bypasses = False
     flags_dead = False
     predicted_dead = False
 
@@ -251,7 +246,8 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
 
     classify: optional address -> int used purely for per-class
     hit-rate accounting (the policy never sees it).
-    interval: optional access count between policy.on_interval calls.
+    interval: optional access count between policy.on_interval calls,
+    which observe the counters without changing any decision.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
@@ -322,7 +318,6 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
                     del lookup[si][vslot.tag]
                     vslot.valid = False
                     vslot.state = None
-                    vslot.pinned = False
                 slot = slots[way]
                 slot.valid = True
                 slot.tag = tag

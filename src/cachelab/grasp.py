@@ -93,29 +93,28 @@ class GraspPolicy(DrripPolicy):
         if hint == ReuseHint.DEFAULT:
             super().on_insert(view, way, access)
             return
+        rrpv_max = self.a.rrpv_max
         if self.variant == "hints":
             # high-reuse near the eviction point, other hinted blocks at it
             if hint == ReuseHint.HIGH:
-                view.slots[way].state = self.rrpv_max - 1
+                view.slots[way].state = rrpv_max - 1
             else:
-                view.slots[way].state = self.rrpv_max
+                view.slots[way].state = rrpv_max
             return
         if hint == ReuseHint.HIGH:
             view.slots[way].state = 0
         elif hint == ReuseHint.MODERATE:
-            view.slots[way].state = self.rrpv_max - 1
+            view.slots[way].state = rrpv_max - 1
         else:
-            view.slots[way].state = self.rrpv_max
+            view.slots[way].state = rrpv_max
 
     def on_hit(self, view, way, access):
         if self.variant != "full":
             super().on_hit(view, way, access)
             return
         hint = self._hint(access)
+        old = view.slots[way].state
+        super().on_hit(view, way, access)
         if hint in (ReuseHint.MODERATE, ReuseHint.LOW):
-            if self.duel.shadow:
-                self._shadow_access(view, access)
-            if view.slots[way].state > 0:
-                view.slots[way].state -= 1
-        else:
-            super().on_hit(view, way, access)
+            # one step toward the top instead of the base's jump to 0
+            view.slots[way].state = max(old - 1, 0)

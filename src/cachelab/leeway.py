@@ -17,6 +17,7 @@ stored distance of 0 is reserved for blocks never re-referenced.
 """
 
 from cachelab.engine import Policy
+from cachelab.policies import LruPolicy, NruPolicy, SetDuel
 
 BOP = 0  # bypass-oriented: raising the distance needs 7 confirmations
 ROP = 1  # reuse-oriented: lowering the distance needs 7 confirmations
@@ -31,20 +32,16 @@ DUEL_INTERVAL = 100000  # sampler accesses between dueling decisions
 _MODES = ("dynamic", "static-bop", "static-rop", "static-vtt7")
 
 
-class _Slot:
-    __slots__ = ("pos", "pld", "ld", "pc")
-
-    def __init__(self, pos, pld, pc):
-        self.pos = pos
-        self.pld = pld
-        self.ld = 0
-        self.pc = pc
-
-
 class LeewayPolicy(Policy):
-    """Dead-block predicting replacement with per-PC live distances."""
+    """Dead-block predicting replacement with per-PC live distances.
 
-    bypasses = True
+    Wraps a base LRU or NRU policy, which owns slot.state, promotion,
+    the fallback victim and each way's depth.  Leeway's own state per
+    (set, way) is the entry [predicted, observed, pc]: the block's
+    predicted live distance, its deepest depth seen at a sampler hit,
+    and its fill signature.
+    """
+
     flags_dead = True
 
     def __init__(
@@ -60,8 +57,7 @@ class LeewayPolicy(Policy):
             raise ValueError("base must be 'lru' or 'nru'")
         if mode not in _MODES:
             raise ValueError("mode must be one of %s" % (_MODES,))
-        self.base = base
-        self.nru_bits = nru_bits
+        self.base = LruPolicy() if base == "lru" else NruPolicy(nru_bits)
         self.mode = mode
         self.entries = ldpt_entries
         self.sampler_cfg = sampler_sets
@@ -92,10 +88,12 @@ class LeewayPolicy(Policy):
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        if self.base == "lru":
+        self.base.reset(geometry, rng)
+        if isinstance(self.base, LruPolicy):
             self.maxpos = geometry.ways
         else:
-            self.maxpos = (1 << self.nru_bits) - 1
+            self.maxpos = self.base.class_max
+        self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: stable distance starts at the ceiling so an
         # untrained PC is never bypassed and never flags blocks dead
         self.stable = [[self.maxpos] * self.entries for _ in range(self.banks)]
@@ -104,16 +102,12 @@ class LeewayPolicy(Policy):
         self.sampler_bank = {}
         num_sets = geometry.num_sets
         if self.banks == 2:
-            n = min(self.sampler_cfg, num_sets // 2)
-            if n >= 1:
-                stride = num_sets // (2 * n)
-                for i in range(n):
-                    self.sampler_bank[2 * i * stride] = BOP
-                    self.sampler_bank[(2 * i + 1) * stride] = ROP
-                self.duel_enabled = True
-            else:
+            layout = SetDuel(num_sets, self.sampler_cfg)
+            for set_index, side in layout.kind.items():
+                self.sampler_bank[set_index] = BOP if side == "a" else ROP
+            self.duel_enabled = not layout.shadow
+            if layout.shadow:
                 self.sampler_bank[0] = BOP  # single set: train BOP only
-                self.duel_enabled = False
         else:
             n = min(self.sampler_cfg, num_sets)
             stride = max(1, num_sets // n)
@@ -158,50 +152,10 @@ class LeewayPolicy(Policy):
             self._duel()
 
     def _duel(self):
-        if not self.duel_enabled:
-            return
         challenger = 1 - self.winner
         if self.sampler_misses[challenger] < self.sampler_misses[self.winner]:
             self.winner = challenger
         self.sampler_misses = [0, 0]
-
-    def on_interval(self, counters):
-        self._duel()
-
-    # -- position bookkeeping ---------------------------------------------
-
-    def _depth(self, slot_state):
-        if self.base == "lru":
-            return slot_state.pos + 1
-        return slot_state.pos
-
-    def _promote(self, view, way):
-        slots = view.slots
-        if self.base == "lru":
-            pos = slots[way].state.pos
-            for s in slots:
-                if s.valid and s.state.pos < pos:
-                    s.state.pos += 1
-            slots[way].state.pos = 0
-        else:
-            slots[way].state.pos = 0
-
-    def _base_victim(self, view):
-        slots = view.slots
-        if self.base == "lru":
-            best, best_pos = 0, -1
-            for w, s in enumerate(slots):
-                if s.state.pos > best_pos:
-                    best_pos = s.state.pos
-                    best = w
-            return best
-        class_max = self.maxpos
-        while True:
-            at_max = [w for w, s in enumerate(slots) if s.state.pos == class_max]
-            if at_max:
-                return at_max[0] if len(at_max) == 1 else self.rng.choice(at_max)
-            for s in slots:
-                s.state.pos += 1
 
     # -- policy hooks ------------------------------------------------------
 
@@ -224,42 +178,35 @@ class LeewayPolicy(Policy):
         return True
 
     def on_insert(self, view, way, access):
-        slots = view.slots
-        new = _Slot(0, self._pending_pld, access.pc_signature)
-        if self.base == "lru":
-            others = sorted(
-                (s.state.pos, w) for w, s in enumerate(slots) if s.valid and w != way
-            )
-            for rank, (_, w) in enumerate(others):
-                slots[w].state.pos = rank + 1
-        slots[way].state = new
+        self.blocks[view.set_index][way] = [self._pending_pld, 0, access.pc_signature]
+        self.base.on_insert(view, way, access)
 
     def on_hit(self, view, way, access):
-        if view.set_index in self.sampler_bank:
+        sampler = view.set_index in self.sampler_bank
+        if sampler:
             self._sampler_tick()
-        st = view.slots[way].state
-        depth = self._depth(st)
-        if view.set_index in self.sampler_bank and depth > st.ld:
-            st.ld = depth
-        if depth > st.pld:
-            st.pld = depth
-        self._promote(view, way)
+        entry = self.blocks[view.set_index][way]
+        depth = self.base.depth(view, way)
+        if sampler and depth > entry[1]:
+            entry[1] = depth
+        if depth > entry[0]:
+            entry[0] = depth
+        self.base.on_hit(view, way, access)
 
     def choose_victim(self, view, access):
-        slots = view.slots
+        blocks = self.blocks[view.set_index]
         dead = []
-        for w, s in enumerate(slots):
-            depth = self._depth(s.state)
-            if depth > s.state.pld:
+        for w, depth in enumerate(self.base.depths(view)):
+            if depth > blocks[w][0]:
                 # min predicted distance first, then deepest, then lowest way
-                dead.append((s.state.pld, -depth, w))
+                dead.append((blocks[w][0], -depth, w))
         if dead:
             way = min(dead)[2]
             self.predicted_dead = True
         else:
-            way = self._base_victim(view)
+            way = self.base.choose_victim(view, access)
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
-            vstate = slots[way].state
-            self._ldpt_update(bank_here, vstate.pc, vstate.ld)
+            _, observed, pc = blocks[way]
+            self._ldpt_update(bank_here, pc, observed)
         return way

@@ -31,7 +31,6 @@ class OptPolicy(Policy):
     def __init__(self, trace, geometry, allow_bypass=False):
         self.next_use = next_use_index(trace, geometry)
         self.allow_bypass = allow_bypass
-        self.bypasses = allow_bypass
         self.name = "opt-bypass" if allow_bypass else "opt"
 
     def decide_insert(self, view, access):

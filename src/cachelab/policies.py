@@ -1,10 +1,12 @@
 """Baseline replacement policies and the policy name registry.
 
 Families:
-  recency   LRU, LIP, BIP, DIP (insertion-position variants over a true
-            recency stack; DIP set-duels LRU against BIP)
+  recency   LRU, LIP, BIP (insertion-position variants over a true
+            recency stack)
   nru       k-bit Not-Recently-Used classes with aging
-  rrip      SRRIP, BRRIP, DRRIP over m-bit re-reference prediction values
+  rrip      SRRIP, BRRIP over m-bit re-reference prediction values
+  duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP), one
+            set-dueling wrapper over two base policies
   ship-mem  RRIP with memory-region reuse counters trained on sampler sets
   pin       reserves ways for high-reuse-hinted blocks over a base policy
   random    uniform random victim
@@ -20,9 +22,9 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 32-block loop in one 16-way set.
 """
 
-from collections import OrderedDict
+from copy import copy
 
-from cachelab.engine import Policy, SplitMix64
+from cachelab.engine import BlockSlot, CacheGeometry, Policy, SetView, SplitMix64
 from cachelab.trace import ReuseHint
 
 BIP_EPSILON = 1.0 / 32.0
@@ -37,7 +39,7 @@ class SetDuel:
     constituency's policy; a miss in a leader set votes against that
     constituency.  Followers run the current winner.  A single-set
     cache has no room for disjoint leaders, so `shadow` is set and the
-    owning policy duels with shadow tag directories instead.
+    owning policy duels on shadow sets instead.
     """
 
     def __init__(self, num_sets, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
@@ -78,151 +80,49 @@ class SetDuel:
         return self.kind.get(set_index) or self.winner()
 
 
-class _ShadowLru:
-    """Tag-only LRU directory used for shadow dueling."""
+class LruPolicy(Policy):
+    """True LRU, and the base of the stack family, by recency stamps.
 
-    def __init__(self, ways):
-        self.ways = ways
-        self.tags = OrderedDict()
+    slot.state is the engine's access index at the block's last hit or
+    MRU fill; an insertion at the LRU end stamps -index-1, below every
+    other stamp in the set.  The victim is the smallest stamp, and stamp
+    order is stack order, so no way is ever re-ranked.
+    """
 
-    def access(self, tag):
-        if tag in self.tags:
-            self.tags.move_to_end(tag)
-            return True
-        self.tags[tag] = True
-        if len(self.tags) > self.ways:
-            self.tags.popitem(last=False)
-        return False
-
-
-class _ShadowBip:
-    """Tag-only directory under bimodal insertion (MRU with prob epsilon)."""
-
-    def __init__(self, ways, epsilon, rng):
-        self.ways = ways
-        self.epsilon = epsilon
-        self.rng = rng
-        self.order = []  # index 0 = MRU
-
-    def access(self, tag):
-        if tag in self.order:
-            self.order.remove(tag)
-            self.order.insert(0, tag)
-            return True
-        if len(self.order) >= self.ways:
-            self.order.pop()
-        if self.rng.random() < self.epsilon:
-            self.order.insert(0, tag)
-        else:
-            self.order.append(tag)
-        return False
-
-
-class _ShadowRrip:
-    """Tag-only m-bit RRIP directory; brrip_epsilon None means static insertion."""
-
-    def __init__(self, ways, rrpv_max, brrip_epsilon, rng):
-        self.ways = ways
-        self.rrpv_max = rrpv_max
-        self.brrip_epsilon = brrip_epsilon
-        self.rng = rng
-        self.tags = []
-        self.rrpv = []
-
-    def access(self, tag):
-        if tag in self.tags:
-            self.rrpv[self.tags.index(tag)] = 0
-            return True
-        if len(self.tags) >= self.ways:
-            while True:
-                victim = next(
-                    (i for i, r in enumerate(self.rrpv) if r == self.rrpv_max), None
-                )
-                if victim is not None:
-                    break
-                self.rrpv = [r + 1 for r in self.rrpv]
-            self.tags.pop(victim)
-            self.rrpv.pop(victim)
-        if self.brrip_epsilon is None:
-            rrpv = self.rrpv_max - 1
-        else:
-            rrpv = self.rrpv_max - 1 if self.rng.random() < self.brrip_epsilon else self.rrpv_max
-        self.tags.append(tag)
-        self.rrpv.append(rrpv)
-        return False
-
-
-def _fork_rng(rng):
-    # decouple shadow-directory draws from the main decision stream
-    return SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
-
-
-class RecencyPolicy(Policy):
-    """Common machinery for the LRU stack family; slot.state = recency
-    position, 0 meaning most recently used."""
-
-    def _normalize_insert(self, view, way, at_mru):
-        slots = view.slots
-        new = slots[way]
-        others = sorted(
-            (s.state, i) for i, s in enumerate(slots) if s.valid and s is not new
-        )
-        if at_mru:
-            new.state = 0
-            for rank, (_, i) in enumerate(others):
-                slots[i].state = rank + 1
-        else:
-            for rank, (_, i) in enumerate(others):
-                slots[i].state = rank
-            new.state = len(others)
-
-    def _promote(self, view, way):
-        slots = view.slots
-        pos = slots[way].state
-        for s in slots:
-            if s.valid and s.state < pos:
-                s.state += 1
-        slots[way].state = 0
-
-    def _deepest(self, view, among=None):
-        slots = view.slots
-        ways = among if among is not None else range(view.ways)
-        best = None
-        best_pos = -1
-        for w in ways:
-            s = slots[w]
-            if s.valid and s.state > best_pos:
-                best_pos = s.state
-                best = w
-        return best
-
-    def on_hit(self, view, way, access):
-        self._promote(view, way)
-
-    def choose_victim(self, view, access):
-        return self._deepest(view)
-
-    def choose_victim_among(self, view, ways_subset, access):
-        return self._deepest(view, ways_subset)
-
-
-class LruPolicy(RecencyPolicy):
     name = "lru"
 
     def on_insert(self, view, way, access):
-        self._normalize_insert(view, way, at_mru=True)
+        view.slots[way].state = view.access_index
+
+    def on_hit(self, view, way, access):
+        view.slots[way].state = view.access_index
+
+    def choose_victim(self, view, access):
+        stamps = [s.state for s in view.slots]
+        return stamps.index(min(stamps))
+
+    def depth(self, view, way):
+        """Stack depth of a valid way, 1 for the most recently used."""
+        stamp = view.slots[way].state
+        return 1 + sum([s.state > stamp for s in view.slots if s.valid])
+
+    def depths(self, view):
+        """depth() of every way of a full set."""
+        stamps = [s.state for s in view.slots]
+        rank = {stamp: d for d, stamp in enumerate(sorted(stamps, reverse=True), 1)}
+        return [rank[stamp] for stamp in stamps]
 
 
-class LipPolicy(RecencyPolicy):
+class LipPolicy(LruPolicy):
     """LRU Insertion Policy: new blocks start at the bottom of the stack."""
 
     name = "lip"
 
     def on_insert(self, view, way, access):
-        self._normalize_insert(view, way, at_mru=False)
+        view.slots[way].state = -view.access_index - 1
 
 
-class BipPolicy(RecencyPolicy):
+class BipPolicy(LruPolicy):
     """Bimodal insertion: MRU with probability epsilon, else bottom."""
 
     name = "bip"
@@ -231,57 +131,109 @@ class BipPolicy(RecencyPolicy):
         self.epsilon = epsilon
 
     def on_insert(self, view, way, access):
-        self._normalize_insert(view, way, at_mru=self.rng.random() < self.epsilon)
+        i = view.access_index
+        view.slots[way].state = i if self.rng.random() < self.epsilon else -i - 1
 
 
-class DipPolicy(RecencyPolicy):
-    """Dynamic Insertion Policy: set-duels LRU (a) against BIP (b)."""
+class _ShadowSet:
+    """One-set, tag-only cache run by its own policy instance.
 
-    name = "dip"
+    A victim's slot is removed and each fill is appended, so slot order
+    is fill order.  RRIP victim ties therefore go to the oldest fill, not
+    to the lowest way as in the real cache, so shadow SRRIP/BRRIP are not
+    exactly the policies they shadow.  Every single-set DRRIP result
+    recorded so far depends on this order; breaking ties by way instead
+    moves drrip3 on thrash:k=32,n=64 over 1x16 (seed 7) from 1,118 to
+    1,108 misses.
+    """
 
-    def __init__(self, epsilon=BIP_EPSILON, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
-        self.epsilon = epsilon
+    def __init__(self, policy, geometry, rng):
+        self.policy = policy
+        policy.reset(CacheGeometry(1, geometry.ways, geometry.block_bytes), rng)
+        self.tags = []
+        self.view = SetView([], 0, geometry.ways)
+
+    def access(self, tag, access_index, access):
+        """Run one access; True on a hit."""
+        view = self.view
+        view.access_index = access_index
+        tags = self.tags
+        if tag in tags:
+            self.policy.on_hit(view, tags.index(tag), access)
+            return True
+        if len(tags) < view.ways:
+            slot = BlockSlot()
+            slot.valid = True
+        else:
+            way = self.policy.choose_victim(view, access)
+            slot = view.slots.pop(way)
+            del tags[way]
+        view.slots.append(slot)
+        tags.append(tag)
+        self.policy.on_insert(view, len(tags) - 1, access)
+        return False
+
+
+class DuelPolicy(Policy):
+    """Set dueling between policies a and b that differ in insertion.
+
+    Hits promote and victims are chosen as a does; each fill is inserted
+    by the side governing its set.  A cache too small for leader sets
+    runs a copy of each side on a shadow set instead, drawing from a
+    generator forked off the run's generator at reset; each shadow miss
+    votes against its side.
+    """
+
+    def __init__(self, a, b, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
+        self.a, self.b = a, b
         self.leaders = leaders
         self.psel_bits = psel_bits
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
+        self.a.reset(geometry, rng)
+        self.b.reset(geometry, rng)
         self.duel = SetDuel(geometry.num_sets, self.leaders, self.psel_bits)
-        self._shadow_a = self._shadow_b = None
-        if self.duel.shadow:
-            shadow_rng = _fork_rng(rng)
-            self._shadow_a = [_ShadowLru(geometry.ways) for _ in range(geometry.num_sets)]
-            self._shadow_b = [
-                _ShadowBip(geometry.ways, self.epsilon, shadow_rng)
-                for _ in range(geometry.num_sets)
-            ]
+        self.shadows = None
+        if self.duel.shadow:  # one set: the only set index is 0
+            shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
+            self.shadows = [_ShadowSet(copy(p), geometry, shadow_rng) for p in (self.a, self.b)]
 
     def _shadow_access(self, view, access):
-        si = view.set_index
         tag = self.geometry.tag(access.address)
-        if not self._shadow_a[si].access(tag):
+        shadow_a, shadow_b = self.shadows
+        if not shadow_a.access(tag, view.access_index, access):
             self.duel.vote_against_a()
-        if not self._shadow_b[si].access(tag):
+        if not shadow_b.access(tag, view.access_index, access):
             self.duel.vote_against_b()
 
-    def on_hit(self, view, way, access):
-        if self.duel.shadow:
-            self._shadow_access(view, access)
-        self._promote(view, way)
-
     def decide_insert(self, view, access):
-        if self.duel.shadow:
+        if self.shadows:
             self._shadow_access(view, access)
         else:
             self.duel.record_leader_miss(view.set_index)
         return True
 
+    def on_hit(self, view, way, access):
+        if self.shadows:
+            self._shadow_access(view, access)
+        self.a.on_hit(view, way, access)
+
+    def choose_victim(self, view, access):
+        return self.a.choose_victim(view, access)
+
     def on_insert(self, view, way, access):
-        if self.duel.governing(view.set_index) == "a":
-            at_mru = True
-        else:
-            at_mru = self.rng.random() < self.epsilon
-        self._normalize_insert(view, way, at_mru=at_mru)
+        side = self.a if self.duel.governing(view.set_index) == "a" else self.b
+        side.on_insert(view, way, access)
+
+
+class DipPolicy(DuelPolicy):
+    """Dynamic Insertion Policy: set-duels LRU (a) against BIP (b)."""
+
+    name = "dip"
+
+    def __init__(self, epsilon=BIP_EPSILON, **duel):
+        super().__init__(LruPolicy(), BipPolicy(epsilon), **duel)
 
 
 class RandomPolicy(Policy):
@@ -317,6 +269,13 @@ class NruPolicy(Policy):
             for s in slots:
                 if s.valid:
                     s.state += 1
+
+    def depth(self, view, way):
+        """A way's class value, the depth Leeway counts live distances in."""
+        return view.slots[way].state
+
+    def depths(self, view):
+        return [s.state for s in view.slots]
 
 
 def rrip_victim(slots, ways_subset, rrpv_max):
@@ -359,9 +318,6 @@ class SrripPolicy(Policy):
     def choose_victim(self, view, access):
         return rrip_victim(view.slots, range(view.ways), self.rrpv_max)
 
-    def choose_victim_among(self, view, ways_subset, access):
-        return rrip_victim(view.slots, ways_subset, self.rrpv_max)
-
 
 class BrripPolicy(SrripPolicy):
     """Bimodal RRIP: insert at rrpv_max except with probability epsilon."""
@@ -371,64 +327,17 @@ class BrripPolicy(SrripPolicy):
         self.epsilon = epsilon
         self.name = "brrip%d" % m
 
-    def _bimodal_rrpv(self):
-        if self.rng.random() < self.epsilon:
-            return self.rrpv_max - 1
-        return self.rrpv_max
-
     def on_insert(self, view, way, access):
-        view.slots[way].state = self._bimodal_rrpv()
+        near = self.rng.random() < self.epsilon
+        view.slots[way].state = self.rrpv_max - 1 if near else self.rrpv_max
 
 
-class DrripPolicy(BrripPolicy):
+class DrripPolicy(DuelPolicy):
     """Dynamic RRIP: set-duels SRRIP insertion (a) against BRRIP (b)."""
 
-    def __init__(self, m=2, epsilon=BIP_EPSILON, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
-        super().__init__(m, epsilon)
-        self.leaders = leaders
-        self.psel_bits = psel_bits
+    def __init__(self, m=2, epsilon=BIP_EPSILON, **duel):
+        super().__init__(SrripPolicy(m), BrripPolicy(m, epsilon), **duel)
         self.name = "drrip%d" % m
-
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
-        self.duel = SetDuel(geometry.num_sets, self.leaders, self.psel_bits)
-        self._shadow_a = self._shadow_b = None
-        if self.duel.shadow:
-            shadow_rng = _fork_rng(rng)
-            self._shadow_a = [
-                _ShadowRrip(geometry.ways, self.rrpv_max, None, shadow_rng)
-                for _ in range(geometry.num_sets)
-            ]
-            self._shadow_b = [
-                _ShadowRrip(geometry.ways, self.rrpv_max, self.epsilon, shadow_rng)
-                for _ in range(geometry.num_sets)
-            ]
-
-    def _shadow_access(self, view, access):
-        si = view.set_index
-        tag = self.geometry.tag(access.address)
-        if not self._shadow_a[si].access(tag):
-            self.duel.vote_against_a()
-        if not self._shadow_b[si].access(tag):
-            self.duel.vote_against_b()
-
-    def on_hit(self, view, way, access):
-        if self.duel.shadow:
-            self._shadow_access(view, access)
-        view.slots[way].state = 0
-
-    def decide_insert(self, view, access):
-        if self.duel.shadow:
-            self._shadow_access(view, access)
-        else:
-            self.duel.record_leader_miss(view.set_index)
-        return True
-
-    def on_insert(self, view, way, access):
-        if self.duel.governing(view.set_index) == "a":
-            view.slots[way].state = self.rrpv_max - 1
-        else:
-            view.slots[way].state = self._bimodal_rrpv()
 
 
 class ShipMemPolicy(SrripPolicy):
@@ -496,18 +405,17 @@ class ShipMemPolicy(SrripPolicy):
 class PinPolicy(Policy):
     """Reserve a share of each set's ways for High-Reuse-hinted blocks.
 
-    Pinned blocks are never victim candidates.  When every way of a set
-    is pinned, further insertions are bypassed.  Unhinted traffic is
-    managed by the base policy on the unpinned ways.
+    Pinned blocks are never victim candidates, so a way stays pinned for
+    the rest of the run.  When every way of a set is pinned, further
+    insertions are bypassed.  Unhinted traffic is managed by DRRIP-3 on
+    the unpinned ways.
     """
 
-    bypasses = True
-
-    def __init__(self, percent, base=None):
+    def __init__(self, percent):
         if not 0 <= percent <= 100:
             raise ValueError("pin percentage must be 0..100")
         self.percent = percent
-        self.base = base if base is not None else DrripPolicy(m=3)
+        self.base = DrripPolicy(m=3)
         self.name = "pin%d" % percent
         self._pin_next = False
 
@@ -515,15 +423,13 @@ class PinPolicy(Policy):
         super().reset(geometry, rng)
         self.base.reset(geometry, rng)
         self.reserved = round(geometry.ways * self.percent / 100.0)
-
-    def _pinned_count(self, view):
-        return sum(1 for s in view.slots if s.valid and s.pinned)
+        self.pinned = [set() for _ in range(geometry.num_sets)]  # ways, per set
 
     def decide_insert(self, view, access):
         self._pin_next = False
         self.base.decide_insert(view, access)  # keep base dueling trained
         hint = access.reuse_hint if access.hint_valid else ReuseHint.DEFAULT
-        pinned = self._pinned_count(view)
+        pinned = len(self.pinned[view.set_index])
         if hint == ReuseHint.HIGH and pinned < self.reserved:
             self._pin_next = True
             return True
@@ -532,13 +438,14 @@ class PinPolicy(Policy):
         return True
 
     def choose_victim(self, view, access):
-        unpinned = [w for w, s in enumerate(view.slots) if not s.pinned]
-        return self.base.choose_victim_among(view, unpinned, access)
+        pinned = self.pinned[view.set_index]
+        unpinned = [w for w in range(view.ways) if w not in pinned]
+        return rrip_victim(view.slots, unpinned, self.base.a.rrpv_max)
 
     def on_insert(self, view, way, access):
         self.base.on_insert(view, way, access)
         if self._pin_next:
-            view.slots[way].pinned = True
+            self.pinned[view.set_index].add(way)
 
     def on_hit(self, view, way, access):
         self.base.on_hit(view, way, access)

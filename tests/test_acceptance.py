@@ -87,8 +87,8 @@ def test_ac01_live_distance_replay():
                 self.outcomes = []
 
             def on_hit(self, view, way, access):
-                st = view.slots[way].state
-                self.hit_depths.append((view.slots[way].tag, self._depth(st)))
+                depth = self.base.depth(view, way)
+                self.hit_depths.append((view.slots[way].tag, depth))
                 self.outcomes.append(True)
                 super().on_hit(view, way, access)
 
@@ -98,9 +98,8 @@ def test_ac01_live_distance_replay():
 
             def choose_victim(self, view, access):
                 way = super().choose_victim(view, access)
-                self.evictions.append(
-                    (view.slots[way].tag, view.slots[way].state.ld)
-                )
+                _, observed, _ = self.blocks[view.set_index][way]
+                self.evictions.append((view.slots[way].tag, observed))
                 return way
 
         pol = Recorder(base="lru", mode="static-bop")

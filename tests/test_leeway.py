@@ -4,7 +4,7 @@ dead-first victim selection, sampler/follower split, and dueling."""
 import pytest
 
 from cachelab.engine import BlockSlot, CacheGeometry, SetView, SplitMix64, simulate
-from cachelab.leeway import BOP, ROP, LeewayPolicy, _Slot
+from cachelab.leeway import BOP, ROP, LeewayPolicy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
 
@@ -14,13 +14,16 @@ def leeway(mode="static-bop", base="lru", sets=1, ways=4, **kw):
     return pol
 
 
-def make_view(slot_states, set_index=0):
+def make_view(pol, blocks, set_index=0):
+    """A full LRU-based set; blocks holds (stack position, predicted
+    distance, pc) per way, position 0 being the most recently used."""
     slots = []
-    for st in slot_states:
+    for way, (pos, pld, pc) in enumerate(blocks):
         s = BlockSlot()
         s.valid = True
-        s.state = st
+        s.state = -1 - pos  # recency stamp: larger is more recent
         slots.append(s)
+        pol.blocks[set_index][way] = [pld, 0, pc]
     return SetView(slots, set_index, len(slots))
 
 
@@ -103,8 +106,8 @@ def test_stable_distance_starts_at_the_ceiling():
 
 def test_dead_block_wins_over_the_base_victim():
     pol = leeway("static-bop", ways=4)
-    view = make_view([
-        _Slot(3, 0, 99), _Slot(2, 3, 99), _Slot(1, 3, 99), _Slot(0, 3, 99),
+    view = make_view(pol, [
+        (3, 0, 99), (2, 3, 99), (1, 3, 99), (0, 3, 99),
     ])
     pol.predicted_dead = False
     assert pol.choose_victim(view, MemoryAccess(0)) == 0
@@ -115,21 +118,21 @@ def test_dead_tie_breaks_on_lowest_predicted_then_deepest():
     pol = leeway("static-bop", ways=4)
     # way 0 depth 4 > pld 1, way 1 depth 3 > pld 1: same predicted
     # distance, the deeper block goes first
-    view = make_view([
-        _Slot(3, 1, 99), _Slot(2, 1, 99), _Slot(1, 3, 99), _Slot(0, 3, 99),
+    view = make_view(pol, [
+        (3, 1, 99), (2, 1, 99), (1, 3, 99), (0, 3, 99),
     ])
     assert pol.choose_victim(view, MemoryAccess(0)) == 0
     # a strictly smaller predicted distance wins even when shallower
-    view = make_view([
-        _Slot(3, 2, 99), _Slot(2, 0, 99), _Slot(1, 3, 99), _Slot(0, 3, 99),
+    view = make_view(pol, [
+        (3, 2, 99), (2, 0, 99), (1, 3, 99), (0, 3, 99),
     ])
     assert pol.choose_victim(view, MemoryAccess(0)) == 1
 
 
 def test_no_dead_block_falls_back_to_base_lru_depth():
     pol = leeway("static-bop", ways=4)
-    view = make_view([
-        _Slot(1, 9, 99), _Slot(3, 9, 99), _Slot(0, 9, 99), _Slot(2, 9, 99),
+    view = make_view(pol, [
+        (1, 9, 99), (3, 9, 99), (0, 9, 99), (2, 9, 99),
     ])
     pol.predicted_dead = False
     assert pol.choose_victim(view, MemoryAccess(0)) == 1  # deepest position
@@ -138,10 +141,10 @@ def test_no_dead_block_falls_back_to_base_lru_depth():
 
 def test_victim_feedback_trains_the_predictor():
     pol = leeway("static-bop", ways=4)
-    view = make_view([
-        _Slot(3, 9, 11), _Slot(2, 9, 99), _Slot(1, 9, 99), _Slot(0, 9, 99),
+    view = make_view(pol, [
+        (3, 9, 11), (2, 9, 99), (1, 9, 99), (0, 9, 99),
     ])
-    view.slots[0].state.ld = 2
+    pol.blocks[0][0][1] = 2  # observed live distance of way 0
     pol.choose_victim(view, MemoryAccess(0))
     # observed live distance 2 under a fresh ceiling of 4: one
     # observation is enough in the lowering direction
@@ -158,7 +161,7 @@ def test_hit_depth_is_counted_from_one():
             self.depths = []
 
         def on_hit(self, view, way, access):
-            self.depths.append(self._depth(view.slots[way].state))
+            self.depths.append(self.base.depth(view, way))
             super().on_hit(view, way, access)
 
     pol = DepthProbe(base="lru", mode="static-bop")
@@ -172,14 +175,15 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
     assert pol.sampler_bank == {0: BOP, 2: ROP}
     for set_index, expect_ld in ((0, 3), (1, 0)):
         view = make_view(
-            [_Slot(2, 1, 5), _Slot(0, 9, 99), _Slot(1, 9, 99), _Slot(3, 9, 99)],
+            pol,
+            [(2, 1, 5), (0, 9, 99), (1, 9, 99), (3, 9, 99)],
             set_index=set_index,
         )
         pol.on_hit(view, 0, MemoryAccess(0, pc_signature=5))
-        st = view.slots[0].state
-        assert st.ld == expect_ld  # live distance trains on samplers only
-        assert st.pld == 3  # per-block predicted distance grows everywhere
-        assert st.pos == 0  # promoted to the top of the stack
+        pld, ld, _ = pol.blocks[set_index][0]
+        assert ld == expect_ld  # live distance trains on samplers only
+        assert pld == 3  # per-block predicted distance grows everywhere
+        assert pol.base.depth(view, 0) == 1  # promoted to the top of the stack
 
 
 # -- insertion and bypass ------------------------------------------------------
@@ -187,23 +191,23 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
 
 def test_insert_places_the_block_on_top_and_renumbers():
     pol = leeway("static-bop", ways=4)
-    view = make_view([_Slot(0, 9, 1), _Slot(1, 9, 2), _Slot(2, 9, 3), _Slot(0, 9, 4)])
+    view = make_view(pol, [(0, 9, 1), (1, 9, 2), (2, 9, 3), (0, 9, 4)])
     pol._pending_pld = 2
     pol.on_insert(view, 3, MemoryAccess(0, pc_signature=7))
-    st = view.slots[3].state
-    assert (st.pos, st.pld, st.pc) == (0, 2, 7)
-    assert sorted(s.state.pos for s in view.slots) == [0, 1, 2, 3]
+    pld, _, pc = pol.blocks[0][3]
+    assert (pol.base.depth(view, 3), pld, pc) == (1, 2, 7)
+    assert sorted(pol.base.depths(view)) == [1, 2, 3, 4]
 
 
 def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 0
     pol.winner = BOP
-    follower = make_view([_Slot(0, 9, 9)] * 4, set_index=1)
+    follower = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert not pol.decide_insert(follower, MemoryAccess(0, pc_signature=7))
     # a sampler set sometimes lets one through to keep learning
     pol.retrain[BOP] = 1.0
-    sampler = make_view([_Slot(0, 9, 9)] * 4, set_index=0)
+    sampler = make_view(pol, [(0, 9, 9)] * 4, set_index=0)
     assert pol.decide_insert(sampler, MemoryAccess(0, pc_signature=7))
     assert pol._pending_pld == 0  # retraining fill arrives marked dead-on-arrival
 
@@ -212,7 +216,7 @@ def test_positive_stable_distance_inserts_with_that_prediction():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 3
     pol.winner = BOP
-    view = make_view([_Slot(0, 9, 9)] * 4, set_index=1)
+    view = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert pol.decide_insert(view, MemoryAccess(0, pc_signature=7))
     assert pol._pending_pld == 3
 

@@ -68,13 +68,15 @@ def test_lru_gets_full_hits_on_recency_pattern_within_ways():
 
 
 def test_recency_states_stay_a_permutation():
+    """The stack depths of the valid ways are always a permutation of 1..n."""
     failures = []
 
     class Checked(type(make_policy("lru"))):
         def _check(self, view):
-            states = sorted(s.state for s in view.slots if s.valid)
-            if states != list(range(len(states))):
-                failures.append(states)
+            valid = [w for w, s in enumerate(view.slots) if s.valid]
+            depths = sorted(self.depth(view, w) for w in valid)
+            if depths != list(range(1, len(valid) + 1)):
+                failures.append(depths)
 
         def on_insert(self, view, way, access):
             super().on_insert(view, way, access)
