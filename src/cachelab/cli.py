@@ -87,9 +87,10 @@ def _load_source(args):
     if args.filter:
         fsets, _, fways = args.filter.partition(":")
         try:
-            trace = filter_trace(trace, int(fsets), int(fways), args.block)
+            fsets, fways = int(fsets), int(fways)
         except ValueError:
             raise CliError("--filter must be SETS:WAYS") from None
+        trace = filter_trace(trace, fsets, fways, args.block)
     return trace
 
 

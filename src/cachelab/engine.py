@@ -8,7 +8,9 @@ run comes from one seeded splitmix64 generator, so identical
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from cachelab.trace import Trace
 
@@ -100,32 +102,38 @@ class SetView:
 class Policy:
     """Replacement policy contract.
 
-    The engine calls exactly one of on_hit / decide_insert per access,
-    in trace order.  choose_victim is called only when an insertion
-    needs a full set; the policy may read the victim slot's state there
-    (the engine clears it afterwards) and sets `predicted_dead` to True
-    when the victim was taken from a predicted-dead set.  on_interval
-    observes the run's counters and must not change any later decision.
+    Each run calls reset, then bind with the trace, then exactly one of
+    on_hit / decide_insert per access, in trace order.  Hooks get the
+    set's view, whose access_index is the access's position in the
+    trace; a policy that reads a per-access field takes it in bind as a
+    plain-int list and indexes it by view.access_index.  choose_victim
+    is called only when an insertion needs a full set; the policy may
+    read the victim slot's state there (the engine clears it afterwards)
+    and sets `predicted_dead` to True when the victim was taken from a
+    predicted-dead set.  on_interval observes the run's counters and
+    must not change any later decision.
     """
 
     name = "policy"
-    flags_dead = False
     predicted_dead = False
 
     def reset(self, geometry, rng):
         self.geometry = geometry
         self.rng = rng
 
-    def decide_insert(self, view, access):
-        return True
-
-    def choose_victim(self, view, access):
-        raise NotImplementedError
-
-    def on_insert(self, view, way, access):
+    def bind(self, trace):
         pass
 
-    def on_hit(self, view, way, access):
+    def decide_insert(self, view):
+        return True
+
+    def choose_victim(self, view):
+        raise NotImplementedError
+
+    def on_insert(self, view, way):
+        pass
+
+    def on_hit(self, view, way):
         pass
 
     def on_interval(self, counters):
@@ -149,7 +157,7 @@ class SimReport:
     dead_predicted_evictions: int = 0
     dead_predictions_correct: int = 0
     total_instructions: int = 0
-    trace_fingerprint: tuple = (0, 0, 0)
+    trace_fingerprint: str = ""
     hint_class_accesses: dict = field(default_factory=dict)
     hint_class_hits: dict = field(default_factory=dict)
 
@@ -232,7 +240,8 @@ def lru_would_miss(stream, start, tag, ways):
     would have missed its next reference.
     """
     seen = set()
-    for t in stream[start:]:
+    for k in range(start, len(stream)):
+        t = stream[k]
         if t == tag:
             return False
         seen.add(t)
@@ -241,19 +250,53 @@ def lru_would_miss(stream, start, tag, ways):
     return True
 
 
+def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
+    """Count the correct entries of dead_log, (access index, set, victim
+    tag) per predicted-dead eviction, against each set's tag stream."""
+    order = np.argsort(set_col, kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    counts = np.bincount(set_col, minlength=num_sets)
+    ends = np.cumsum(counts)
+    starts = (ends - counts).tolist()
+    streams = [s.tolist() for s in np.split(tag_col[order], ends[:-1])]
+    rank = rank.tolist()
+    correct = 0
+    for index, si, vtag in dead_log:
+        if lru_would_miss(streams[si], rank[index] - starts[si], vtag, ways):
+            correct += 1
+    return correct
+
+
+def _class_counts(classify, addresses, hit_at):
+    """Per-class access and hit counts, calling classify once per
+    distinct address."""
+    distinct, inverse = np.unique(addresses, return_inverse=True)
+    labels = {}
+    codes = np.array(
+        [labels.setdefault(classify(a), len(labels)) for a in distinct.tolist()], dtype=np.intp
+    )[inverse.reshape(-1)]
+    accesses = np.bincount(codes, minlength=len(labels)).tolist()
+    hits = np.bincount(codes[np.frombuffer(hit_at, dtype=bool)], minlength=len(labels)).tolist()
+    return (
+        {label: accesses[c] for label, c in labels.items()},
+        {label: hits[c] for label, c in labels.items() if hits[c]},
+    )
+
+
 def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     """Run a policy over a trace and return its SimReport.
 
-    classify: optional address -> int used purely for per-class
+    classify: optional address -> class used purely for per-class
     hit-rate accounting (the policy never sees it).
     interval: optional access count between policy.on_interval calls,
     which observe the counters without changing any decision.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
-    block_shift = geometry.block_bytes.bit_length() - 1
-    set_mask = num_sets - 1
-    set_shift = num_sets.bit_length() - 1
+    n = len(trace)
+    set_col = geometry.set_index(trace.addresses)
+    tag_col = geometry.tag(trace.addresses)
 
     sets = [[BlockSlot() for _ in range(ways)] for _ in range(num_sets)]
     views = [SetView(sets[i], i, ways) for i in range(num_sets)]
@@ -262,59 +305,38 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
 
     rng = SplitMix64(seed)
     policy.reset(geometry, rng)
+    policy.bind(trace)
 
-    track_dead = policy.flags_dead
-    streams = [[] for _ in range(num_sets)] if track_dead else None
     dead_log = []
-
-    report = SimReport(
-        policy=policy.name,
-        num_sets=num_sets,
-        ways=ways,
-        block_bytes=geometry.block_bytes,
-        seed=seed,
-    )
+    hit_at = bytearray(n)
     hits = misses = bypasses = evictions = dead_predicted = 0
     insertions = 0
-    total_inst = 0
-    cls_acc = report.hint_class_accesses
-    cls_hit = report.hint_class_hits
 
-    for index, access in enumerate(trace):
-        blk = access.address >> block_shift
-        si = blk & set_mask
-        tag = blk >> set_shift
-        slots = sets[si]
+    for index, (si, tag) in enumerate(zip(set_col.tolist(), tag_col.tolist())):
         view = views[si]
         view.access_index = index
-        total_inst += access.inst_delta
-
-        if classify is not None:
-            cls = classify(access.address)
-            cls_acc[cls] = cls_acc.get(cls, 0) + 1
-
         way = lookup[si].get(tag)
         if way is not None:
             hits += 1
-            if classify is not None:
-                cls_hit[cls] = cls_hit.get(cls, 0) + 1
-            policy.on_hit(view, way, access)
+            hit_at[index] = 1
+            policy.on_hit(view, way)
         else:
             misses += 1
-            if policy.decide_insert(view, access):
+            if policy.decide_insert(view):
+                slots = sets[si]
                 if fill[si] < ways:
                     way = fill[si]
                     fill[si] += 1
                 else:
                     policy.predicted_dead = False
-                    way = policy.choose_victim(view, access)
+                    way = policy.choose_victim(view)
                     vslot = slots[way]
                     if not vslot.valid:
                         raise RuntimeError("policy chose an invalid victim way")
                     evictions += 1
                     if policy.predicted_dead:
                         dead_predicted += 1
-                        dead_log.append((si, len(streams[si]), vslot.tag))
+                        dead_log.append((index, si, vslot.tag))
                     del lookup[si][vslot.tag]
                     vslot.valid = False
                     vslot.state = None
@@ -323,41 +345,45 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
                 slot.tag = tag
                 lookup[si][tag] = way
                 insertions += 1
-                policy.on_insert(view, way, access)
+                policy.on_insert(view, way)
             else:
                 bypasses += 1
-
-        if track_dead:
-            streams[si].append(tag)
 
         if interval and (index + 1) % interval == 0:
             policy.on_interval(
                 {"accesses": index + 1, "hits": hits, "misses": misses}
             )
 
-    correct = 0
-    for si, pos, vtag in dead_log:
-        if lru_would_miss(streams[si], pos, vtag, ways):
-            correct += 1
+    if hits + misses != n:
+        raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
+    if insertions != misses - bypasses:
+        raise RuntimeError(
+            "%d insertions for %d non-bypassed misses" % (insertions, misses - bypasses)
+        )
+    if evictions > insertions:
+        raise RuntimeError("%d evictions exceed %d insertions" % (evictions, insertions))
 
-    assert hits + misses == len(trace)
-    assert insertions == misses - bypasses
-    assert evictions <= insertions
-
-    report.accesses = len(trace)
-    report.hits = hits
-    report.misses = misses
-    report.bypasses = bypasses
-    report.evictions = evictions
-    report.dead_predicted_evictions = dead_predicted
-    report.dead_predictions_correct = correct
-    report.total_instructions = total_inst
-    n = len(trace)
-    report.trace_fingerprint = (
-        n,
-        trace[0].address if n else 0,
-        trace[n - 1].address if n else 0,
+    report = SimReport(
+        policy=policy.name,
+        num_sets=num_sets,
+        ways=ways,
+        block_bytes=geometry.block_bytes,
+        seed=seed,
+        accesses=n,
+        hits=hits,
+        misses=misses,
+        bypasses=bypasses,
+        evictions=evictions,
+        dead_predicted_evictions=dead_predicted,
+        total_instructions=trace.total_instructions(),
+        trace_fingerprint=trace.digest(),
     )
+    if dead_log:
+        report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)
+    if classify is not None:
+        report.hint_class_accesses, report.hint_class_hits = _class_counts(
+            classify, trace.addresses, hit_at
+        )
     return report
 
 
@@ -365,27 +391,27 @@ def filter_trace(trace, num_sets, ways, block_bytes=64):
     """Drop accesses that hit in a small LRU front cache.
 
     Models the private-cache levels in front of the LLC: only front
-    misses reach the simulated cache.  Returns a new Trace.
+    misses reach the simulated cache, each carrying the instruction
+    counts of the hits dropped since the previous kept record.  Returns
+    a new Trace.
     """
     front_geom = CacheGeometry(num_sets, ways, block_bytes)
     front = [OrderedDict() for _ in range(num_sets)]
-    block = front_geom.block_bytes
     kept = []
-    pending_inst = 0
-    for access in trace:
-        blk = access.address // block
-        si = blk % num_sets
-        tags = front[si]
-        pending_inst += access.inst_delta
+    for index, blk in enumerate(front_geom.block_index(trace.addresses).tolist()):
+        tags = front[blk % num_sets]
         if blk in tags:
             tags.move_to_end(blk)
             continue
         tags[blk] = True
         if len(tags) > ways:
             tags.popitem(last=False)
-        if pending_inst != access.inst_delta:
-            # fold instruction counts of the dropped hits into this record
-            access = replace(access, inst_delta=pending_inst)
-        kept.append(access)
-        pending_inst = 0
-    return Trace(kept, name=trace.name + "|filtered" if trace.name else "filtered")
+        kept.append(index)
+    kept = np.array(kept, dtype=np.intp)
+    records = trace.records[kept]
+    ran = np.cumsum(trace.records["inst_delta"], dtype=np.uint64)[kept]
+    folded = np.diff(ran, prepend=np.uint64(0))
+    if len(folded) and folded.max() > 0xFFFFFFFF:
+        raise ValueError("folded inst_delta overflows u32")
+    records["inst_delta"] = folded
+    return Trace(records, name=trace.name + "|filtered" if trace.name else "filtered")

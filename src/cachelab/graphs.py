@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from cachelab.trace import MemoryAccess, Trace
+from cachelab.trace import FLAG_HINT_VALID, FLAG_WRITE, HINT_SHIFT, RECORD_DTYPE, Trace
 
 CSR_MAGIC = b"CSR1"
 
@@ -425,13 +425,13 @@ def gen_graph_trace(
     v_count = graph.vertex_count
     prop_end = prop_base + v_count * prop_bytes
     abrs = [(prop_base, prop_end)]
-    classify = None
+    region_map = None
     if bake_hints:
         from cachelab.grasp import RegionMap
 
         if llc_capacity is None:
             raise GraphError("bake_hints needs llc_capacity")
-        classify = RegionMap(abrs, llc_capacity).classify
+        region_map = RegionMap(abrs, llc_capacity)
 
     def align_up(x):
         return (x + block_bytes - 1) // block_bytes * block_bytes
@@ -439,38 +439,55 @@ def gen_graph_trace(
     vertex_base = align_up(prop_end)
     edge_base = align_up(vertex_base + 8 * v_count)
     out_base = align_up(edge_base + 8 * graph.edge_count)
+    if out_base + prop_bytes * v_count > 1 << 64:
+        raise GraphError("graph trace addresses overflow u64")
 
-    offsets = graph.offsets
-    edges = graph.edges
-    records = []
-    append = records.append
+    # edge-array blocks per vertex, counted from edge_base: its neighbor
+    # range's blocks, less the first one when the previous non-empty
+    # range already ended in it
+    lo, hi = graph.offsets[:-1], graph.offsets[1:]
+    degree = hi - lo
+    nonempty = np.flatnonzero(degree)
+    first_block = 8 * lo[nonempty] // block_bytes
+    last_block = (8 * hi[nonempty] - 8) // block_bytes
+    shared = np.zeros(len(nonempty), dtype=bool)
+    shared[1:] = first_block[1:] == last_block[:-1]
+    block_start = np.zeros(v_count, dtype=np.int64)
+    block_count = np.zeros(v_count, dtype=np.int64)
+    block_start[nonempty] = first_block + shared
+    block_count[nonempty] = last_block - block_start[nonempty] + 1
 
-    def rec(address, pc, write=False):
-        if classify is None:
-            append(MemoryAccess(address, pc_signature=pc, is_write=write))
-        else:
-            append(
-                MemoryAccess(
-                    address,
-                    pc_signature=pc,
-                    is_write=write,
-                    reuse_hint=classify(address),
-                    hint_valid=True,
-                )
-            )
+    # per vertex: its vertex entry, edge blocks, gathers, output write
+    length = 2 + block_count + degree
+    seg = np.zeros(v_count + 1, dtype=np.int64)
+    np.cumsum(length, out=seg[1:])
+    records = np.zeros(int(seg[-1]), dtype=RECORD_DTYPE)
+    address = records["address"]
+    pc = records["pc"]
+    vertices = np.arange(v_count, dtype=np.uint64)
 
-    last_edge_block = -1
-    for v in range(v_count):
-        rec(vertex_base + 8 * v, PC_VERTEX)
-        lo, hi = offsets[v], offsets[v + 1]
-        if hi > lo:
-            first_block = (edge_base + 8 * lo) // block_bytes
-            last_block = (edge_base + 8 * hi - 8) // block_bytes
-            for blk in range(first_block, last_block + 1):
-                if blk != last_edge_block:
-                    rec(blk * block_bytes, PC_EDGE)
-                    last_edge_block = blk
-            for u in edges[lo:hi]:
-                rec(prop_base + prop_bytes * int(u), PC_GATHER)
-        rec(out_base + prop_bytes * v, PC_APPLY, write=True)
+    address[seg[:-1]] = np.uint64(vertex_base) + np.uint64(8) * vertices
+    pc[seg[:-1]] = PC_VERTEX
+
+    owner = np.repeat(np.arange(v_count), block_count)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(block_count) - block_count, block_count)
+    at = seg[owner] + 1 + k
+    blocks = (block_start[owner] + k).astype(np.uint64)
+    address[at] = np.uint64(edge_base) + np.uint64(block_bytes) * blocks
+    pc[at] = PC_EDGE
+
+    owner = np.repeat(np.arange(v_count), degree)
+    at = seg[owner] + 1 + block_count[owner] + np.arange(len(owner)) - lo[owner]
+    address[at] = np.uint64(prop_base) + np.uint64(prop_bytes) * graph.edges.astype(np.uint64)
+    pc[at] = PC_GATHER
+
+    at = seg[1:] - 1
+    address[at] = np.uint64(out_base) + np.uint64(prop_bytes) * vertices
+    pc[at] = PC_APPLY
+    records["flags"][at] = FLAG_WRITE
+
+    if region_map is not None:
+        records["flags"] |= FLAG_HINT_VALID | region_map.classify_array(address) << HINT_SHIFT
+    records["inst_delta"] = 1
     return Trace(records, name="graph-pull"), abrs
+

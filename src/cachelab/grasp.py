@@ -11,6 +11,8 @@ insertion and hit promotion; victim selection is the base's unmodified
 RRPV scan, so no block is ever immortal.
 """
 
+import numpy as np
+
 from cachelab.policies import DrripPolicy
 from cachelab.trace import ReuseHint
 
@@ -45,6 +47,18 @@ class RegionMap:
             for start, end in regions
         ]
 
+    def classify_array(self, addresses):
+        """classify() of every address in an array, as uint8 hint values."""
+        addresses = np.asarray(addresses, dtype=np.uint64)
+        if not self.regions:
+            return np.full(addresses.shape, ReuseHint.DEFAULT, dtype=np.uint8)
+        out = np.full(addresses.shape, ReuseHint.LOW, dtype=np.uint8)
+        for start, high_end, mod_end, end in self.regions:
+            inside = (addresses >= start) & (addresses < end)
+            out[inside & (addresses < mod_end)] = ReuseHint.MODERATE
+            out[inside & (addresses < high_end)] = ReuseHint.HIGH
+        return out
+
     def classify(self, address):
         if not self.regions:
             return ReuseHint.DEFAULT
@@ -75,23 +89,29 @@ class GraspPolicy(DrripPolicy):
         super().reset(geometry, rng)
         self.region_map = RegionMap(self.abrs, geometry.capacity_bytes) if self.abrs else None
 
-    def _hint(self, access):
+    def bind(self, trace):
+        """Take each access's reuse class: the region classification when
+        regions are declared, which a trace's own valid hints must match,
+        else the trace's hints."""
+        super().bind(trace)
+        hints = trace.hints
         if self.region_map is not None:
-            hint = self.region_map.classify(access.address)
-            if access.hint_valid and access.reuse_hint != hint:
+            by_region = self.region_map.classify_array(trace.addresses)
+            bad = trace.hint_valid & (hints != by_region)
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise GraspConfigError(
                     "trace hint %s disagrees with region classification %s at 0x%x"
-                    % (access.reuse_hint.name, hint.name, access.address)
+                    % (ReuseHint(int(hints[i])).name, ReuseHint(int(by_region[i])).name,
+                       int(trace.addresses[i]))
                 )
-            return hint
-        if access.hint_valid:
-            return access.reuse_hint
-        return ReuseHint.DEFAULT
+            hints = by_region
+        self.hints = hints.tolist()
 
-    def on_insert(self, view, way, access):
-        hint = self._hint(access)
+    def on_insert(self, view, way):
+        hint = self.hints[view.access_index]
         if hint == ReuseHint.DEFAULT:
-            super().on_insert(view, way, access)
+            super().on_insert(view, way)
             return
         rrpv_max = self.a.rrpv_max
         if self.variant == "hints":
@@ -108,13 +128,13 @@ class GraspPolicy(DrripPolicy):
         else:
             view.slots[way].state = rrpv_max
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         if self.variant != "full":
-            super().on_hit(view, way, access)
+            super().on_hit(view, way)
             return
-        hint = self._hint(access)
+        hint = self.hints[view.access_index]
         old = view.slots[way].state
-        super().on_hit(view, way, access)
+        super().on_hit(view, way)
         if hint in (ReuseHint.MODERATE, ReuseHint.LOW):
             # one step toward the top instead of the base's jump to 0
             view.slots[way].state = max(old - 1, 0)

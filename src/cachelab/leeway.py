@@ -42,8 +42,6 @@ class LeewayPolicy(Policy):
     and its fill signature.
     """
 
-    flags_dead = True
-
     def __init__(
         self,
         base="lru",
@@ -119,6 +117,10 @@ class LeewayPolicy(Policy):
         self.sampler_accesses = 0
         self._pending_pld = self.maxpos
 
+    def bind(self, trace):
+        self.base.bind(trace)
+        self.pcs = trace.pcs.tolist()
+
     # -- predictor table ------------------------------------------------
 
     def _index(self, pc):
@@ -159,7 +161,7 @@ class LeewayPolicy(Policy):
 
     # -- policy hooks ------------------------------------------------------
 
-    def decide_insert(self, view, access):
+    def decide_insert(self, view):
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
             if self.duel_enabled:
@@ -168,7 +170,7 @@ class LeewayPolicy(Policy):
             governing = bank_here
         else:
             governing = self.winner
-        stable = self.stable[governing][self._index(access.pc_signature)]
+        stable = self.stable[governing][self._index(self.pcs[view.access_index])]
         if stable == 0:
             if bank_here is not None and self.rng.random() < self.retrain[governing]:
                 self._pending_pld = 0  # retraining fill
@@ -177,11 +179,11 @@ class LeewayPolicy(Policy):
         self._pending_pld = stable
         return True
 
-    def on_insert(self, view, way, access):
-        self.blocks[view.set_index][way] = [self._pending_pld, 0, access.pc_signature]
-        self.base.on_insert(view, way, access)
+    def on_insert(self, view, way):
+        self.blocks[view.set_index][way] = [self._pending_pld, 0, self.pcs[view.access_index]]
+        self.base.on_insert(view, way)
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         sampler = view.set_index in self.sampler_bank
         if sampler:
             self._sampler_tick()
@@ -191,9 +193,9 @@ class LeewayPolicy(Policy):
             entry[1] = depth
         if depth > entry[0]:
             entry[0] = depth
-        self.base.on_hit(view, way, access)
+        self.base.on_hit(view, way)
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         blocks = self.blocks[view.set_index]
         dead = []
         for w, depth in enumerate(self.base.depths(view)):
@@ -204,7 +206,7 @@ class LeewayPolicy(Policy):
             way = min(dead)[2]
             self.predicted_dead = True
         else:
-            way = self.base.choose_victim(view, access)
+            way = self.base.choose_victim(view)
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
             _, observed, pc = blocks[way]

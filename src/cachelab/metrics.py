@@ -9,59 +9,54 @@ access hits exactly when its distance is at most the associativity.
 
 import math
 
-
-class _Fenwick:
-    def __init__(self, n):
-        self.n = n
-        self.a = [0] * (n + 1)
-
-    def add(self, i, delta):
-        i += 1
-        while i <= self.n:
-            self.a[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i):
-        # sum of [0, i]
-        i += 1
-        total = 0
-        while i > 0:
-            total += self.a[i]
-            i -= i & (-i)
-        return total
+import numpy as np
 
 
 def reuse_distances(trace, geometry):
-    """Per-access stack distances (math.inf for first touches)."""
+    """Per-access stack distances (math.inf for first touches).
+
+    With p the previous access to the block in its set's stream and q
+    this one, the distance is q - p less the accesses j in (p, q) whose
+    own previous access lies after p (each repeats a block already
+    counted).  Those are the j < q with prev(j) > p, counted per set
+    with a Fenwick tree over prev positions.
+    """
     num_sets = geometry.num_sets
-    block = geometry.block_bytes
-    # pre-count per-set stream lengths so each set gets a snug Fenwick tree
-    set_of = []
-    counts = [0] * num_sets
-    for access in trace:
-        si = (access.address // block) % num_sets
-        set_of.append(si)
-        counts[si] += 1
-    trees = [_Fenwick(c) for c in counts]
-    last_pos = [dict() for _ in range(num_sets)]
-    cursor = [0] * num_sets
-    out = []
-    for i, access in enumerate(trace):
-        si = set_of[i]
-        blk = access.address // block
-        tree = trees[si]
-        pos = cursor[si]
-        cursor[si] += 1
-        prev = last_pos[si].get(blk)
-        if prev is None:
-            out.append(math.inf)
-        else:
-            # distinct blocks strictly between prev and here, plus this one
-            out.append(tree.prefix(pos - 1) - tree.prefix(prev) + 1)
-            tree.add(prev, -1)
-        tree.add(pos, 1)
-        last_pos[si][blk] = pos
-    return out
+    blocks = geometry.block_index(trace.addresses)
+    sets = blocks % num_sets
+    order = np.argsort(sets, kind="stable")  # set by set, trace order within each
+    counts = np.bincount(sets, minlength=num_sets)
+    ends = np.cumsum(counts)
+    local = np.arange(len(order)) - np.repeat(ends - counts, counts)
+    grouped = blocks[order]
+    by_block = np.argsort(grouped, kind="stable")
+    same = grouped[by_block[1:]] == grouped[by_block[:-1]]
+    prev = np.full(len(order), -1, dtype=np.int64)
+    prev[by_block[1:][same]] = local[by_block[:-1][same]]
+
+    dist = np.empty(len(order), dtype=np.int64)  # -1 for a first touch
+    for start, c in zip((ends - counts).tolist(), counts.tolist()):
+        tree = [0] * (c + 1)  # Fenwick tree over prev positions 0..c-1
+        inserted = 0
+        out = [-1] * c
+        for pos, p in enumerate(prev[start : start + c].tolist()):
+            if p >= 0:
+                i = p + 1
+                at_most_p = 0
+                while i:
+                    at_most_p += tree[i]
+                    i &= i - 1
+                out[pos] = pos - p - (inserted - at_most_p)
+                i = p + 1
+                while i <= c:
+                    tree[i] += 1
+                    i += i & -i
+                inserted += 1
+        dist[order[start : start + c]] = out
+    result = dist.tolist()
+    for i in np.flatnonzero(dist < 0).tolist():
+        result[i] = math.inf
+    return result
 
 
 def reuse_distance_distribution(trace, geometry):

@@ -1,11 +1,13 @@
 """Clairvoyant optimal replacement (Belady's MIN).
 
-Two passes: a backward scan indexes each access with the position of
-the next access to the same cache block, then a forward simulation
+Two passes: a stable sort by cache block indexes each access with the
+position of the next access to the same block, then a forward simulation
 evicts the resident block whose next use lies farthest in the future.
 With bypass allowed, an incoming block whose next use is farther than
 every resident's is not cached at all.
 """
+
+import numpy as np
 
 from cachelab.engine import Policy, simulate
 
@@ -14,15 +16,12 @@ NEVER = 1 << 62  # farther than any trace position
 
 def next_use_index(trace, geometry):
     """next_use[i] = index of the next access to the same block, else NEVER."""
-    n = len(trace)
-    nxt = [NEVER] * n
-    last = {}
-    block = geometry.block_index
-    for i in range(n - 1, -1, -1):
-        b = block(trace[i].address)
-        nxt[i] = last.get(b, NEVER)
-        last[b] = i
-    return nxt
+    blocks = geometry.block_index(trace.addresses)
+    order = np.argsort(blocks, kind="stable")  # each block's accesses in trace order
+    nxt = np.full(len(blocks), NEVER, dtype=np.int64)
+    same = blocks[order[1:]] == blocks[order[:-1]]
+    nxt[order[:-1][same]] = order[1:][same]
+    return nxt.tolist()
 
 
 class OptPolicy(Policy):
@@ -33,7 +32,7 @@ class OptPolicy(Policy):
         self.allow_bypass = allow_bypass
         self.name = "opt-bypass" if allow_bypass else "opt"
 
-    def decide_insert(self, view, access):
+    def decide_insert(self, view):
         if not self.allow_bypass:
             return True
         slots = view.slots
@@ -48,7 +47,7 @@ class OptPolicy(Policy):
         # farther away than every resident's
         return mine <= farthest
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         slots = view.slots
         best = 0
         best_next = -1
@@ -58,10 +57,10 @@ class OptPolicy(Policy):
                 best = w
         return best
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         view.slots[way].state = self.next_use[view.access_index]
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         view.slots[way].state = self.next_use[view.access_index]
 
 

@@ -91,13 +91,13 @@ class LruPolicy(Policy):
 
     name = "lru"
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         view.slots[way].state = view.access_index
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         view.slots[way].state = view.access_index
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         stamps = [s.state for s in view.slots]
         return stamps.index(min(stamps))
 
@@ -118,7 +118,7 @@ class LipPolicy(LruPolicy):
 
     name = "lip"
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         view.slots[way].state = -view.access_index - 1
 
 
@@ -130,7 +130,7 @@ class BipPolicy(LruPolicy):
     def __init__(self, epsilon=BIP_EPSILON):
         self.epsilon = epsilon
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         i = view.access_index
         view.slots[way].state = i if self.rng.random() < self.epsilon else -i - 1
 
@@ -153,24 +153,24 @@ class _ShadowSet:
         self.tags = []
         self.view = SetView([], 0, geometry.ways)
 
-    def access(self, tag, access_index, access):
+    def access(self, tag, access_index):
         """Run one access; True on a hit."""
         view = self.view
         view.access_index = access_index
         tags = self.tags
         if tag in tags:
-            self.policy.on_hit(view, tags.index(tag), access)
+            self.policy.on_hit(view, tags.index(tag))
             return True
         if len(tags) < view.ways:
             slot = BlockSlot()
             slot.valid = True
         else:
-            way = self.policy.choose_victim(view, access)
+            way = self.policy.choose_victim(view)
             slot = view.slots.pop(way)
             del tags[way]
         view.slots.append(slot)
         tags.append(tag)
-        self.policy.on_insert(view, len(tags) - 1, access)
+        self.policy.on_insert(view, len(tags) - 1)
         return False
 
 
@@ -199,32 +199,38 @@ class DuelPolicy(Policy):
             shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
             self.shadows = [_ShadowSet(copy(p), geometry, shadow_rng) for p in (self.a, self.b)]
 
-    def _shadow_access(self, view, access):
-        tag = self.geometry.tag(access.address)
+    def bind(self, trace):
+        self.a.bind(trace)
+        self.b.bind(trace)
+        if self.shadows:
+            self.tags = self.geometry.tag(trace.addresses).tolist()
+
+    def _shadow_access(self, view):
+        tag = self.tags[view.access_index]
         shadow_a, shadow_b = self.shadows
-        if not shadow_a.access(tag, view.access_index, access):
+        if not shadow_a.access(tag, view.access_index):
             self.duel.vote_against_a()
-        if not shadow_b.access(tag, view.access_index, access):
+        if not shadow_b.access(tag, view.access_index):
             self.duel.vote_against_b()
 
-    def decide_insert(self, view, access):
+    def decide_insert(self, view):
         if self.shadows:
-            self._shadow_access(view, access)
+            self._shadow_access(view)
         else:
             self.duel.record_leader_miss(view.set_index)
         return True
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         if self.shadows:
-            self._shadow_access(view, access)
-        self.a.on_hit(view, way, access)
+            self._shadow_access(view)
+        self.a.on_hit(view, way)
 
-    def choose_victim(self, view, access):
-        return self.a.choose_victim(view, access)
+    def choose_victim(self, view):
+        return self.a.choose_victim(view)
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         side = self.a if self.duel.governing(view.set_index) == "a" else self.b
-        side.on_insert(view, way, access)
+        side.on_insert(view, way)
 
 
 class DipPolicy(DuelPolicy):
@@ -239,7 +245,7 @@ class DipPolicy(DuelPolicy):
 class RandomPolicy(Policy):
     name = "random"
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         return self.rng.randrange(view.ways)
 
 
@@ -254,13 +260,13 @@ class NruPolicy(Policy):
         self.class_max = (1 << bits) - 1
         self.name = "nru%d" % bits
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         view.slots[way].state = 0
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         view.slots[way].state = 0
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         slots = view.slots
         while True:
             at_max = [w for w, s in enumerate(slots) if s.valid and s.state == self.class_max]
@@ -309,13 +315,13 @@ class SrripPolicy(Policy):
         self.rrpv_max = (1 << m) - 1
         self.name = "srrip%d" % m
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         view.slots[way].state = self.rrpv_max - 1
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         view.slots[way].state = 0
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         return rrip_victim(view.slots, range(view.ways), self.rrpv_max)
 
 
@@ -327,7 +333,7 @@ class BrripPolicy(SrripPolicy):
         self.epsilon = epsilon
         self.name = "brrip%d" % m
 
-    def on_insert(self, view, way, access):
+    def on_insert(self, view, way):
         near = self.rng.random() < self.epsilon
         view.slots[way].state = self.rrpv_max - 1 if near else self.rrpv_max
 
@@ -367,11 +373,11 @@ class ShipMemPolicy(SrripPolicy):
         self.table = {}
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 
-    def _region(self, access):
-        return access.address // self.region_bytes
+    def bind(self, trace):
+        self.regions = (trace.addresses // self.region_bytes).tolist()
 
-    def on_insert(self, view, way, access):
-        region = self._region(access)
+    def on_insert(self, view, way):
+        region = self.regions[view.access_index]
         counter = self.table.get(region, self.counter_init)
         if counter == 0:
             view.slots[way].state = self.rrpv_max
@@ -380,18 +386,18 @@ class ShipMemPolicy(SrripPolicy):
         if view.set_index in self.sampler:
             self.meta[(view.set_index, way)] = [0, region]
 
-    def on_hit(self, view, way, access):
+    def on_hit(self, view, way):
         view.slots[way].state = 0
         if view.set_index in self.sampler:
             entry = self.meta.get((view.set_index, way))
             if entry is not None:
                 entry[0] = 1
-            region = self._region(access)
+            region = self.regions[view.access_index]
             counter = self.table.get(region, self.counter_init)
             if counter < self.counter_max:
                 self.table[region] = counter + 1
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         way = rrip_victim(view.slots, range(view.ways), self.rrpv_max)
         if view.set_index in self.sampler:
             entry = self.meta.pop((view.set_index, way), None)
@@ -425,10 +431,14 @@ class PinPolicy(Policy):
         self.reserved = round(geometry.ways * self.percent / 100.0)
         self.pinned = [set() for _ in range(geometry.num_sets)]  # ways, per set
 
-    def decide_insert(self, view, access):
+    def bind(self, trace):
+        self.base.bind(trace)
+        self.hints = trace.hints.tolist()
+
+    def decide_insert(self, view):
         self._pin_next = False
-        self.base.decide_insert(view, access)  # keep base dueling trained
-        hint = access.reuse_hint if access.hint_valid else ReuseHint.DEFAULT
+        self.base.decide_insert(view)  # keep base dueling trained
+        hint = self.hints[view.access_index]
         pinned = len(self.pinned[view.set_index])
         if hint == ReuseHint.HIGH and pinned < self.reserved:
             self._pin_next = True
@@ -437,18 +447,18 @@ class PinPolicy(Policy):
             return False
         return True
 
-    def choose_victim(self, view, access):
+    def choose_victim(self, view):
         pinned = self.pinned[view.set_index]
         unpinned = [w for w in range(view.ways) if w not in pinned]
         return rrip_victim(view.slots, unpinned, self.base.a.rrpv_max)
 
-    def on_insert(self, view, way, access):
-        self.base.on_insert(view, way, access)
+    def on_insert(self, view, way):
+        self.base.on_insert(view, way)
         if self._pin_next:
             self.pinned[view.set_index].add(way)
 
-    def on_hit(self, view, way, access):
-        self.base.on_hit(view, way, access)
+    def on_hit(self, view, way):
+        self.base.on_hit(view, way)
 
 
 class UnknownPolicyError(ValueError):

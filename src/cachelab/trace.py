@@ -1,13 +1,25 @@
-"""Memory access traces: record model, synthetic patterns, binary file format.
+"""Memory access traces: the record array, synthetic patterns, binary files.
 
-A trace is an ordered list of byte-addressed accesses as seen by the
-last-level cache.  Each record optionally carries a 14-bit program
-counter signature and a 2-bit reuse hint.
+A trace is an ordered sequence of byte-addressed accesses as seen by the
+last-level cache, held as one numpy structured array whose dtype is the
+16-byte on-disk record:
+
+    <u8 address, <u2 pc, u1 flags, u1 reserved, <u4 inst_delta>
+
+pc is a 14-bit program counter signature.  flags bit 0 marks a store,
+bit 1 a valid reuse hint and bits 2-3 hold the hint; bits 4-7 and the
+reserved byte are zero, and the hint bits are zero unless bit 1 is set.
+Every Trace holds only records in this form, so a read followed by a
+write reproduces a file byte for byte.
 """
 
+import hashlib
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 PC_SIGNATURE_BITS = 14
 PC_SIGNATURE_MAX = (1 << PC_SIGNATURE_BITS) - 1
@@ -16,7 +28,13 @@ TRACE_MAGIC = b"CTR1"
 TRACE_VERSION = 1
 
 _HEADER = struct.Struct("<4sB3sQ")
-_RECORD = struct.Struct("<QHBBI")
+RECORD_DTYPE = np.dtype(
+    [("address", "<u8"), ("pc", "<u2"), ("flags", "u1"), ("reserved", "u1"), ("inst_delta", "<u4")]
+)
+
+FLAG_WRITE = 1
+FLAG_HINT_VALID = 2
+HINT_SHIFT = 2
 
 
 class TraceError(Exception):
@@ -35,6 +53,10 @@ class TruncatedTraceError(TraceError):
     pass
 
 
+class MalformedTraceError(TraceError):
+    """A header or record field outside the documented format."""
+
+
 class ReuseHint(IntEnum):
     DEFAULT = 0
     HIGH = 1
@@ -44,7 +66,7 @@ class ReuseHint(IntEnum):
 
 @dataclass(slots=True)
 class MemoryAccess:
-    """One byte-addressed access.
+    """One byte-addressed access, for building and inspecting traces.
 
     address       byte address, u64
     pc_signature  14-bit PC signature (fold wider PCs with fold_pc)
@@ -67,31 +89,99 @@ class MemoryAccess:
             raise ValueError("pc_signature must fit in 14 bits")
         if not self.hint_valid and self.reuse_hint != ReuseHint.DEFAULT:
             raise ValueError("reuse_hint set without hint_valid")
-        if self.inst_delta < 0:
-            raise ValueError("inst_delta must be non-negative")
+        if not 0 <= self.inst_delta < 1 << 32:
+            raise ValueError("inst_delta must fit in u32")
+
+    def row(self):
+        """The record as a RECORD_DTYPE tuple."""
+        flags = FLAG_WRITE if self.is_write else 0
+        if self.hint_valid:
+            flags |= FLAG_HINT_VALID | int(self.reuse_hint) << HINT_SHIFT
+        return (self.address, self.pc_signature, flags, 0, self.inst_delta)
+
+    @classmethod
+    def from_row(cls, row):
+        address, pc, flags, _reserved, inst_delta = row
+        return cls(
+            address,
+            pc_signature=pc,
+            is_write=bool(flags & FLAG_WRITE),
+            reuse_hint=ReuseHint(flags >> HINT_SHIFT & 3),
+            hint_valid=bool(flags & FLAG_HINT_VALID),
+            inst_delta=inst_delta,
+        )
 
 
-@dataclass
+def _check_records(records):
+    """Raise MalformedTraceError at the first record outside the format."""
+    flags = records["flags"]
+    faults = (
+        (records["pc"] > PC_SIGNATURE_MAX, "pc signature wider than 14 bits"),
+        (records["reserved"] != 0, "nonzero reserved byte"),
+        (flags & 0xF0 != 0, "flag bits 4-7 set"),
+        ((flags & 0x0C != 0) & (flags & FLAG_HINT_VALID == 0), "reuse hint without valid bit"),
+    )
+    for bad, what in faults:
+        if bad.any():
+            raise MalformedTraceError("record %d: %s" % (int(np.argmax(bad)), what))
+
+
 class Trace:
-    """Ordered access sequence plus bookkeeping metadata."""
+    """Ordered accesses held as one RECORD_DTYPE array, `records`.
 
-    records: list = field(default_factory=list)
-    name: str = ""
+    Build it from such an array, which must hold only records in the
+    documented form (else MalformedTraceError), or from MemoryAccess
+    records.  Iterating or indexing yields MemoryAccess copies of single
+    records; the column properties give whole fields as arrays, which is
+    how the library reads a trace.
+    """
+
+    def __init__(self, records=(), name=""):
+        if isinstance(records, np.ndarray):
+            if records.dtype != RECORD_DTYPE:
+                raise ValueError("trace records need dtype %s" % (RECORD_DTYPE,))
+            _check_records(records)
+        else:
+            records = np.array([r.row() for r in records], dtype=RECORD_DTYPE)
+        self.records = records
+        self.name = name
 
     def __len__(self):
         return len(self.records)
 
     def __iter__(self):
-        return iter(self.records)
+        return map(MemoryAccess.from_row, self.records.tolist())
 
     def __getitem__(self, i):
-        return self.records[i]
+        return MemoryAccess.from_row(self.records[i].item())
 
     def append(self, record):
-        self.records.append(record)
+        self.records = np.append(self.records, np.array([record.row()], dtype=RECORD_DTYPE))
+
+    @property
+    def addresses(self):
+        return self.records["address"]
+
+    @property
+    def pcs(self):
+        return self.records["pc"]
+
+    @property
+    def hint_valid(self):
+        return self.records["flags"] & FLAG_HINT_VALID != 0
+
+    @property
+    def hints(self):
+        """Reuse hint per access; DEFAULT (0) where no hint is valid."""
+        return self.records["flags"] >> HINT_SHIFT & 3
 
     def total_instructions(self):
-        return sum(r.inst_delta for r in self.records)
+        return int(self.records["inst_delta"].sum(dtype=np.uint64))
+
+    def digest(self):
+        """blake2b hex digest of the record bytes: the trace's identity."""
+        data = np.ascontiguousarray(self.records).view(np.uint8)
+        return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def fold_pc(pc):
@@ -127,75 +217,56 @@ class PatternSpec:
             raise ValueError("pattern requires k >= 1 and n >= 1")
         if self.stride < 1:
             raise ValueError("pattern stride must be >= 1")
+        if not 0 <= self.base_address <= self.base_address + (self.k - 1) * self.stride < 1 << 64:
+            raise ValueError("pattern addresses out of u64 range")
+        if not 0 <= self.pc_signature <= PC_SIGNATURE_MAX:
+            raise ValueError("pc_signature must fit in 14 bits")
 
 
 def generate_pattern(spec):
     """Expand a PatternSpec into a Trace."""
-    addrs = [spec.base_address + i * spec.stride for i in range(spec.k)]
-    seq = []
+    steps = np.arange(spec.k, dtype=np.uint64)
+    addrs = np.uint64(spec.base_address) + np.uint64(spec.stride) * steps
     if spec.kind == "recency":
-        cycle = addrs + addrs[::-1]
-        for _ in range(spec.n):
-            seq.extend(cycle)
+        seq = np.tile(np.concatenate([addrs, addrs[::-1]]), spec.n)
     elif spec.kind == "stream":
-        seq.extend(addrs)
+        seq = addrs
     else:  # thrash
-        for _ in range(spec.n):
-            seq.extend(addrs)
-    records = [MemoryAccess(a, pc_signature=spec.pc_signature) for a in seq]
+        seq = np.tile(addrs, spec.n)
+    records = np.zeros(len(seq), dtype=RECORD_DTYPE)
+    records["address"] = seq
+    records["pc"] = spec.pc_signature
+    records["inst_delta"] = 1
     return Trace(records, name="%s(k=%d,n=%d)" % (spec.kind, spec.k, spec.n))
-
-
-def _pack_flags(record):
-    flags = 0
-    if record.is_write:
-        flags |= 1
-    if record.hint_valid:
-        flags |= 2
-    flags |= (int(record.reuse_hint) & 3) << 2
-    return flags
 
 
 def write_trace(trace, path):
     """Serialize a trace to the 16-byte-record binary format."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, b"\0\0\0", len(trace)))
-        pack = _RECORD.pack
-        for r in trace:
-            fh.write(pack(r.address, r.pc_signature, _pack_flags(r), 0, r.inst_delta))
+        trace.records.tofile(fh)
 
 
 def read_trace(path):
-    """Load a binary trace, rejecting malformed headers and short files."""
+    """Load a binary trace, rejecting every file outside the format."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedTraceError("file shorter than trace header")
-    magic, version, _reserved, count = _HEADER.unpack_from(data)
-    if magic != TRACE_MAGIC:
-        raise BadMagicError("bad magic %r" % (magic,))
-    if version != TRACE_VERSION:
-        raise BadVersionError("unsupported trace version %d" % version)
-    expected = _HEADER.size + _RECORD.size * count
-    if len(data) < expected:
-        raise TruncatedTraceError(
-            "trace holds %d bytes, header promises %d" % (len(data), expected)
-        )
-    if len(data) > expected:
-        raise TruncatedTraceError("%d trailing bytes after last record" % (len(data) - expected))
-    records = []
-    append = records.append
-    for address, pc, flags, _res, inst_delta in _RECORD.iter_unpack(data[_HEADER.size :]):
-        hint_valid = bool(flags & 2)
-        hint = ReuseHint((flags >> 2) & 3) if hint_valid else ReuseHint.DEFAULT
-        append(
-            MemoryAccess(
-                address,
-                pc_signature=pc,
-                is_write=bool(flags & 1),
-                reuse_hint=hint,
-                hint_valid=hint_valid,
-                inst_delta=inst_delta,
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedTraceError("file shorter than trace header")
+        magic, version, reserved, count = _HEADER.unpack(head)
+        if magic != TRACE_MAGIC:
+            raise BadMagicError("bad magic %r" % (magic,))
+        if version != TRACE_VERSION:
+            raise BadVersionError("unsupported trace version %d" % version)
+        if reserved != b"\0\0\0":
+            raise MalformedTraceError("nonzero reserved header bytes")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + RECORD_DTYPE.itemsize * count
+        if size < expected:
+            raise TruncatedTraceError(
+                "trace holds %d bytes, header promises %d" % (size, expected)
             )
-        )
+        if size > expected:
+            raise TruncatedTraceError("%d trailing bytes after last record" % (size - expected))
+        records = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
     return Trace(records)

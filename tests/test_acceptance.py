@@ -86,18 +86,18 @@ def test_ac01_live_distance_replay():
                 self.evictions = []
                 self.outcomes = []
 
-            def on_hit(self, view, way, access):
+            def on_hit(self, view, way):
                 depth = self.base.depth(view, way)
                 self.hit_depths.append((view.slots[way].tag, depth))
                 self.outcomes.append(True)
-                super().on_hit(view, way, access)
+                super().on_hit(view, way)
 
-            def decide_insert(self, view, access):
+            def decide_insert(self, view):
                 self.outcomes.append(False)
-                return super().decide_insert(view, access)
+                return super().decide_insert(view)
 
-            def choose_victim(self, view, access):
-                way = super().choose_victim(view, access)
+            def choose_victim(self, view):
+                way = super().choose_victim(view)
                 _, observed, _ = self.blocks[view.set_index][way]
                 self.evictions.append((view.slots[way].tag, observed))
                 return way
@@ -192,13 +192,13 @@ def test_ac02_lru_hits_iff_stack_distance_fits():
                 super().__init__()
                 self.outcomes = []
 
-            def on_hit(self, view, way, access):
+            def on_hit(self, view, way):
                 self.outcomes.append(True)
-                super().on_hit(view, way, access)
+                super().on_hit(view, way)
 
-            def decide_insert(self, view, access):
+            def decide_insert(self, view):
                 self.outcomes.append(False)
-                return super().decide_insert(view, access)
+                return super().decide_insert(view)
 
         mismatches = 0
         for trace, geom, _ in _suite():
@@ -395,10 +395,10 @@ def test_ac06_live_distance_training_convergence():
                 self.b_follower_misses = 0
                 self.b_follower_bypasses = 0
 
-            def decide_insert(self, view, access):
-                ok = super().decide_insert(view, access)
+            def decide_insert(self, view):
+                ok = super().decide_insert(view)
                 if (
-                    access.pc_signature == PC_B
+                    self.pcs[view.access_index] == PC_B
                     and view.set_index not in self.sampler_bank
                 ):
                     self.b_follower_misses += 1
@@ -652,24 +652,24 @@ def test_ac11_region_policy_without_regions_mirrors_base():
                     super().__init__(**kw)
                     self.log = []
 
-                def decide_insert(self, view, access):
-                    ok = super().decide_insert(view, access)
+                def decide_insert(self, view):
+                    ok = super().decide_insert(view)
                     self.log.append(("insert?", view.set_index, ok))
                     return ok
 
-                def choose_victim(self, view, access):
-                    way = super().choose_victim(view, access)
+                def choose_victim(self, view):
+                    way = super().choose_victim(view)
                     self.log.append(("victim", view.set_index, way))
                     return way
 
-                def on_insert(self, view, way, access):
-                    super().on_insert(view, way, access)
+                def on_insert(self, view, way):
+                    super().on_insert(view, way)
                     self.log.append(
                         ("rrpv", view.set_index, way, view.slots[way].state)
                     )
 
-                def on_hit(self, view, way, access):
-                    super().on_hit(view, way, access)
+                def on_hit(self, view, way):
+                    super().on_hit(view, way)
                     self.log.append(
                         ("hit", view.set_index, way, view.slots[way].state)
                     )

@@ -89,6 +89,20 @@ def test_simulate_with_front_filter(capsys):
     assert out.strip().splitlines()[1].split(",")[1] == "4"  # only front misses remain
 
 
+def test_filter_passes_front_geometry_errors_through(capsys):
+    for spec, message in (
+        ("3:8", "num_sets must be a power of two"),
+        ("4:0", "ways must be >= 1"),
+        ("4x8", "--filter must be SETS:WAYS"),
+        ("four:8", "--filter must be SETS:WAYS"),
+    ):
+        code, _, err = run(
+            capsys, "simulate", "--policy", "lru", "--gen", "thrash:k=4", "--filter", spec
+        )
+        assert code == 2
+        assert err.strip() == "error: " + message, spec
+
+
 def test_simulate_rejects_ambiguous_sources(tmp_path, capsys):
     trace_file = tmp_path / "t.bin"
     run(capsys, "gen-trace", "--pattern", "stream:k=2", "--out", str(trace_file))

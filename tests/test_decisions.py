@@ -30,17 +30,17 @@ def _record(pol, log):
     """Route the engine's calls on pol through loggers; decisions unchanged."""
     on_hit, decide_insert, choose_victim = pol.on_hit, pol.decide_insert, pol.choose_victim
 
-    def logged_hit(view, way, access):
+    def logged_hit(view, way):
         log.append("h%d" % way)
-        on_hit(view, way, access)
+        on_hit(view, way)
 
-    def logged_decide(view, access):
-        insert = decide_insert(view, access)
+    def logged_decide(view):
+        insert = decide_insert(view)
         log.append("i" if insert else "b")
         return insert
 
-    def logged_victim(view, access):
-        way = choose_victim(view, access)
+    def logged_victim(view):
+        way = choose_victim(view)
         log.append("v%d%s" % (way, "d" if pol.predicted_dead else ""))
         return way
 

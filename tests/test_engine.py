@@ -127,6 +127,21 @@ def test_classify_accounting_totals_match(tmp_path):
     assert set(d["hint_class_accesses"]) == {"even", "odd"}
 
 
+def test_classify_runs_once_per_distinct_address():
+    calls = []
+
+    def cls(addr):
+        calls.append(addr)
+        return addr % 128 == 0
+
+    # 1x2 LRU: 0 miss, 64 miss, 0 hit, 128 miss, 64 miss, 0 miss
+    t = Trace([MemoryAccess(a) for a in (0, 64, 0, 128, 64, 0)])
+    r = simulate(t, CacheGeometry(1, 2, 64), make_policy("lru"), classify=cls)
+    assert sorted(calls) == [0, 64, 128]
+    assert r.hint_class_accesses == {True: 4, False: 2}
+    assert r.hint_class_hits == {True: 1}
+
+
 def test_interval_hook_fires_each_n_accesses():
     g = CacheGeometry(2, 2, 64)
     t = random_trace(1, n=100)

@@ -470,6 +470,61 @@ def test_gen_graph_trace_baked_hints_match_the_region_map():
     assert {ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW} <= hints
 
 
+def reference_graph_trace(graph, prop_bytes, block_bytes, prop_base, classify):
+    """The record-at-a-time walk gen_graph_trace describes, as
+    (address, pc, is_write, reuse_hint, hint_valid) tuples."""
+    v_count = graph.vertex_count
+
+    def align_up(x):
+        return (x + block_bytes - 1) // block_bytes * block_bytes
+
+    vertex_base = align_up(prop_base + v_count * prop_bytes)
+    edge_base = align_up(vertex_base + 8 * v_count)
+    out_base = align_up(edge_base + 8 * graph.edge_count)
+    out = []
+
+    def rec(address, pc, write=False):
+        hint = classify(address) if classify else ReuseHint.DEFAULT
+        out.append((address, pc, write, hint, classify is not None))
+
+    last_edge_block = -1
+    for v in range(v_count):
+        rec(vertex_base + 8 * v, PC_VERTEX)
+        lo, hi = int(graph.offsets[v]), int(graph.offsets[v + 1])
+        if hi > lo:
+            for blk in range((edge_base + 8 * lo) // block_bytes,
+                             (edge_base + 8 * hi - 8) // block_bytes + 1):
+                if blk != last_edge_block:
+                    rec(blk * block_bytes, PC_EDGE)
+                    last_edge_block = blk
+            for u in graph.edges[lo:hi]:
+                rec(prop_base + prop_bytes * int(u), PC_GATHER)
+        rec(out_base + prop_bytes * v, PC_APPLY, write=True)
+    return out
+
+
+def test_gen_graph_trace_matches_the_record_at_a_time_walk():
+    from cachelab.grasp import RegionMap
+
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        v_count = int(rng.integers(1, 60))
+        degree = rng.integers(0, 12, size=v_count) * (rng.random(v_count) < 0.6)
+        offsets = np.concatenate([[0], np.cumsum(degree)])
+        edges = rng.integers(0, v_count, size=int(offsets[-1]))
+        g = CsrGraph(offsets, edges)
+        prop_bytes = int(rng.choice([4, 8, 16]))
+        block_bytes = int(rng.choice([8, 32, 64, 256]))
+        prop_base = int(rng.integers(0, 5000))
+        bake = trial % 2 == 1
+        cap = 4 * block_bytes
+        trace, abrs = gen_graph_trace(g, prop_bytes=prop_bytes, block_bytes=block_bytes,
+                                      prop_base=prop_base, bake_hints=bake, llc_capacity=cap)
+        classify = RegionMap(abrs, cap).classify if bake else None
+        got = [(r.address, r.pc_signature, r.is_write, r.reuse_hint, r.hint_valid) for r in trace]
+        assert got == reference_graph_trace(g, prop_bytes, block_bytes, prop_base, classify), trial
+
+
 def test_gen_graph_trace_requires_capacity_for_baked_hints():
     with pytest.raises(GraphError):
         gen_graph_trace(small_csr(), bake_hints=True)

@@ -36,6 +36,17 @@ def hinted(address, hint):
     return MemoryAccess(address, reuse_hint=hint, hint_valid=hint != ReuseHint.DEFAULT)
 
 
+def bind_hints(pol, *hints):
+    """Bind a trace of records at address 0 carrying these hints; hook
+    calls then read hint i at view.access_index i."""
+    pol.bind(Trace([hinted(0, hint) for hint in hints]))
+
+
+def at(view, index):
+    view.access_index = index
+    return view
+
+
 # -- region classification ----------------------------------------------------
 
 
@@ -100,29 +111,32 @@ def test_full_variant_insertion_by_class():
         (ReuseHint.MODERATE, 6),
         (ReuseHint.LOW, 7),
     ):
-        pol.region_map = None  # hints flow straight from the access
+        pol.region_map = None  # hints flow straight from the trace
+        bind_hints(pol, hint)
         view = make_view([0] * 4)
-        pol.on_insert(view, 0, hinted(0, hint))
+        pol.on_insert(view, 0)
         assert view.slots[0].state == expected, hint
 
 
 def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
     pol = grasp("hints")
     pol.region_map = None
+    bind_hints(pol, ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW)
     view = make_view([0] * 4)
-    pol.on_insert(view, 0, hinted(0, ReuseHint.HIGH))
+    pol.on_insert(at(view, 0), 0)
     assert view.slots[0].state == 6
-    pol.on_insert(view, 1, hinted(0, ReuseHint.MODERATE))
+    pol.on_insert(at(view, 1), 1)
     assert view.slots[1].state == 7
-    pol.on_insert(view, 2, hinted(0, ReuseHint.LOW))
+    pol.on_insert(at(view, 2), 2)
     assert view.slots[2].state == 7
 
 
 def test_default_class_inserts_like_the_base_policy():
     pol = grasp("full", abrs=())
     a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
+    pol.bind(Trace([MemoryAccess(0)]))
     view = make_view([0] * 4, set_index=a_set)
-    pol.on_insert(view, 0, MemoryAccess(0))
+    pol.on_insert(view, 0)
     assert view.slots[0].state == 6  # the base's static insertion depth
 
 
@@ -132,33 +146,36 @@ def test_default_class_inserts_like_the_base_policy():
 def test_full_variant_promotes_moderate_and_low_by_one_step():
     pol = grasp("full")
     pol.region_map = None
+    bind_hints(pol, ReuseHint.LOW, ReuseHint.MODERATE, ReuseHint.LOW, ReuseHint.HIGH)
     view = make_view([7, 3, 0, 5])
-    pol.on_hit(view, 0, hinted(0, ReuseHint.LOW))
+    pol.on_hit(at(view, 0), 0)
     assert view.slots[0].state == 6
-    pol.on_hit(view, 1, hinted(0, ReuseHint.MODERATE))
+    pol.on_hit(at(view, 1), 1)
     assert view.slots[1].state == 2
-    pol.on_hit(view, 2, hinted(0, ReuseHint.LOW))
+    pol.on_hit(at(view, 2), 2)
     assert view.slots[2].state == 0  # already at the top, never below zero
-    pol.on_hit(view, 3, hinted(0, ReuseHint.HIGH))
+    pol.on_hit(at(view, 3), 3)
     assert view.slots[3].state == 0  # high reuse goes straight to the top
 
 
 def test_moderate_block_needs_repeated_hits_to_reach_the_top():
     pol = grasp("full")
     pol.region_map = None
+    bind_hints(pol, ReuseHint.MODERATE)
     view = make_view([0] * 4)
-    pol.on_insert(view, 0, hinted(0, ReuseHint.MODERATE))
+    pol.on_insert(view, 0)
     assert view.slots[0].state == 6
     for expected in (5, 4, 3):
-        pol.on_hit(view, 0, hinted(0, ReuseHint.MODERATE))
+        pol.on_hit(view, 0)
         assert view.slots[0].state == expected
 
 
 def test_insert_only_variant_promotes_like_the_base():
     pol = grasp("insert-only")
     pol.region_map = None
+    bind_hints(pol, ReuseHint.LOW)
     view = make_view([7])
-    pol.on_hit(view, 0, hinted(0, ReuseHint.LOW))
+    pol.on_hit(view, 0)
     assert view.slots[0].state == 0
 
 
@@ -196,7 +213,12 @@ def test_baked_hints_must_agree_with_the_region_map():
     pol = grasp("full", abrs=((0, 1 << 30),))
     # address 0 is high-reuse by region, but the record claims low
     with pytest.raises(GraspConfigError):
-        pol.on_insert(make_view([0] * 4), 0, hinted(0, ReuseHint.LOW))
+        pol.bind(Trace([hinted(0, ReuseHint.LOW)]))
+    # simulate names the first disagreeing address; 0x40 is high-reuse too
+    t = Trace([hinted(0, ReuseHint.HIGH), hinted(0x40, ReuseHint.MODERATE),
+               hinted(0x80, ReuseHint.LOW)])
+    with pytest.raises(GraspConfigError, match="MODERATE disagrees .* HIGH at 0x40$"):
+        simulate(t, geom(), make_policy("grasp", abrs=[(0, 1 << 30)]))
 
 
 def test_variant_names_and_validation():

@@ -110,7 +110,7 @@ def test_dead_block_wins_over_the_base_victim():
         (3, 0, 99), (2, 3, 99), (1, 3, 99), (0, 3, 99),
     ])
     pol.predicted_dead = False
-    assert pol.choose_victim(view, MemoryAccess(0)) == 0
+    assert pol.choose_victim(view) == 0
     assert pol.predicted_dead
 
 
@@ -121,12 +121,12 @@ def test_dead_tie_breaks_on_lowest_predicted_then_deepest():
     view = make_view(pol, [
         (3, 1, 99), (2, 1, 99), (1, 3, 99), (0, 3, 99),
     ])
-    assert pol.choose_victim(view, MemoryAccess(0)) == 0
+    assert pol.choose_victim(view) == 0
     # a strictly smaller predicted distance wins even when shallower
     view = make_view(pol, [
         (3, 2, 99), (2, 0, 99), (1, 3, 99), (0, 3, 99),
     ])
-    assert pol.choose_victim(view, MemoryAccess(0)) == 1
+    assert pol.choose_victim(view) == 1
 
 
 def test_no_dead_block_falls_back_to_base_lru_depth():
@@ -135,7 +135,7 @@ def test_no_dead_block_falls_back_to_base_lru_depth():
         (1, 9, 99), (3, 9, 99), (0, 9, 99), (2, 9, 99),
     ])
     pol.predicted_dead = False
-    assert pol.choose_victim(view, MemoryAccess(0)) == 1  # deepest position
+    assert pol.choose_victim(view) == 1  # deepest position
     assert not pol.predicted_dead
 
 
@@ -145,7 +145,7 @@ def test_victim_feedback_trains_the_predictor():
         (3, 9, 11), (2, 9, 99), (1, 9, 99), (0, 9, 99),
     ])
     pol.blocks[0][0][1] = 2  # observed live distance of way 0
-    pol.choose_victim(view, MemoryAccess(0))
+    pol.choose_victim(view)
     # observed live distance 2 under a fresh ceiling of 4: one
     # observation is enough in the lowering direction
     assert pol.stable_distance(11) == 2
@@ -160,9 +160,9 @@ def test_hit_depth_is_counted_from_one():
             super().__init__(**kw)
             self.depths = []
 
-        def on_hit(self, view, way, access):
+        def on_hit(self, view, way):
             self.depths.append(self.base.depth(view, way))
-            super().on_hit(view, way, access)
+            super().on_hit(view, way)
 
     pol = DepthProbe(base="lru", mode="static-bop")
     # each hit promotes, so block 0 is re-found at positions 1, 2, 3
@@ -179,7 +179,7 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
             [(2, 1, 5), (0, 9, 99), (1, 9, 99), (3, 9, 99)],
             set_index=set_index,
         )
-        pol.on_hit(view, 0, MemoryAccess(0, pc_signature=5))
+        pol.on_hit(view, 0)
         pld, ld, _ = pol.blocks[set_index][0]
         assert ld == expect_ld  # live distance trains on samplers only
         assert pld == 3  # per-block predicted distance grows everywhere
@@ -193,7 +193,8 @@ def test_insert_places_the_block_on_top_and_renumbers():
     pol = leeway("static-bop", ways=4)
     view = make_view(pol, [(0, 9, 1), (1, 9, 2), (2, 9, 3), (0, 9, 4)])
     pol._pending_pld = 2
-    pol.on_insert(view, 3, MemoryAccess(0, pc_signature=7))
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
+    pol.on_insert(view, 3)
     pld, _, pc = pol.blocks[0][3]
     assert (pol.base.depth(view, 3), pld, pc) == (1, 2, 7)
     assert sorted(pol.base.depths(view)) == [1, 2, 3, 4]
@@ -203,12 +204,13 @@ def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 0
     pol.winner = BOP
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
     follower = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
-    assert not pol.decide_insert(follower, MemoryAccess(0, pc_signature=7))
+    assert not pol.decide_insert(follower)
     # a sampler set sometimes lets one through to keep learning
     pol.retrain[BOP] = 1.0
     sampler = make_view(pol, [(0, 9, 9)] * 4, set_index=0)
-    assert pol.decide_insert(sampler, MemoryAccess(0, pc_signature=7))
+    assert pol.decide_insert(sampler)
     assert pol._pending_pld == 0  # retraining fill arrives marked dead-on-arrival
 
 
@@ -216,8 +218,9 @@ def test_positive_stable_distance_inserts_with_that_prediction():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 3
     pol.winner = BOP
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
     view = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
-    assert pol.decide_insert(view, MemoryAccess(0, pc_signature=7))
+    assert pol.decide_insert(view)
     assert pol._pending_pld == 3
 
 

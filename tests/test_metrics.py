@@ -145,6 +145,16 @@ def test_compare_reports_requires_the_baseline_and_matching_runs():
         compare_reports([], baseline="lru")
 
 
+def test_compare_reports_tells_apart_traces_with_equal_ends():
+    # same length, first and last address: only the records between differ
+    g = CacheGeometry(1, 2, 64)
+    a = simulate(block_trace([0, 1, 2, 0]), g, make_policy("lru"))
+    b = simulate(block_trace([0, 64, 128, 0]), g, make_policy("lru"))
+    assert (a.accesses, a.misses) == (b.accesses, b.misses)
+    with pytest.raises(ReportMismatchError):
+        compare_reports([a, b], baseline="lru")
+
+
 def test_compare_csv_rows_shape():
     g = CacheGeometry(2, 4, 64)
     t = block_trace(list(range(20)) * 2)

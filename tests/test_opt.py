@@ -30,6 +30,20 @@ def test_next_use_index_works_on_block_granularity():
     assert next_use_index(t, g) == [1, NEVER, NEVER]
 
 
+def test_next_use_index_matches_a_backward_scan():
+    g = CacheGeometry(4, 2, 64)
+    for seed in range(5):
+        rng = random.Random(seed)
+        t = Trace([MemoryAccess(rng.randrange(40 * 64)) for _ in range(300)])
+        expected = [NEVER] * len(t)
+        last = {}
+        for i in range(len(t) - 1, -1, -1):
+            block = t[i].address // 64
+            expected[i] = last.get(block, NEVER)
+            last[block] = i
+        assert next_use_index(t, g) == expected
+
+
 def test_opt_on_cyclic_three_block_two_way_trace():
     t = block_trace([0, 1, 2, 0, 1, 2])
     r = opt_oracle(t, CacheGeometry(1, 2, 64))

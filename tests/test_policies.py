@@ -78,12 +78,12 @@ def test_recency_states_stay_a_permutation():
             if depths != list(range(1, len(valid) + 1)):
                 failures.append(depths)
 
-        def on_insert(self, view, way, access):
-            super().on_insert(view, way, access)
+        def on_insert(self, view, way):
+            super().on_insert(view, way)
             self._check(view)
 
-        def on_hit(self, view, way, access):
-            super().on_hit(view, way, access)
+        def on_hit(self, view, way):
+            super().on_hit(view, way)
             self._check(view)
 
     rng = random.Random(17)
@@ -181,10 +181,10 @@ def test_nru_inserts_and_promotes_to_class_zero():
     pol = NruPolicy(bits=1)
     pol.reset(one_set(4), SplitMix64(0))
     view = make_view([1, 1, 1, 1])
-    pol.on_insert(view, 2, MemoryAccess(0))
+    pol.on_insert(view, 2)
     assert view.slots[2].state == 0
     view.slots[1].state = 1
-    pol.on_hit(view, 1, MemoryAccess(0))
+    pol.on_hit(view, 1)
     assert view.slots[1].state == 0
 
 
@@ -193,16 +193,16 @@ def test_nru_evicts_only_from_the_maximum_class():
     pol.reset(one_set(4), SplitMix64(5))
     for _ in range(100):
         view = make_view([1, 0, 1, 0])
-        assert pol.choose_victim(view, MemoryAccess(0)) in (0, 2)
+        assert pol.choose_victim(view) in (0, 2)
     view = make_view([0, 0, 1, 0])
-    assert pol.choose_victim(view, MemoryAccess(0)) == 2
+    assert pol.choose_victim(view) == 2
 
 
 def test_nru_ages_everyone_when_no_block_is_at_the_maximum():
     pol = NruPolicy(bits=2)
     pol.reset(one_set(3), SplitMix64(9))
     view = make_view([1, 0, 2])
-    victim = pol.choose_victim(view, MemoryAccess(0))
+    victim = pol.choose_victim(view)
     assert victim == 2  # aged by one: [2, 1, 3] puts way 2 at class max 3
     assert [s.state for s in view.slots] == [2, 1, 3]
 
@@ -211,7 +211,7 @@ def test_nru_tie_break_is_reproducible_per_seed():
     def picks(seed):
         pol = NruPolicy(bits=1)
         pol.reset(one_set(4), SplitMix64(seed))
-        return [pol.choose_victim(make_view([1, 1, 1, 1]), MemoryAccess(0)) for _ in range(20)]
+        return [pol.choose_victim(make_view([1, 1, 1, 1])) for _ in range(20)]
 
     assert picks(4) == picks(4)
     assert len(set(picks(4))) > 1  # actually randomizes across ties
@@ -229,9 +229,9 @@ def test_srrip3_inserts_at_long_interval_and_promotes_to_zero():
     pol = SrripPolicy(m=3)
     assert pol.rrpv_max == 7
     view = make_view([0, 0, 0, 0])
-    pol.on_insert(view, 1, MemoryAccess(0))
+    pol.on_insert(view, 1)
     assert view.slots[1].state == 6
-    pol.on_hit(view, 1, MemoryAccess(0))
+    pol.on_hit(view, 1)
     assert view.slots[1].state == 0
 
 
@@ -259,7 +259,7 @@ def test_brrip_inserts_mostly_at_max():
     states = []
     view = make_view([0, 0, 0, 0])
     for _ in range(3200):
-        pol.on_insert(view, 0, MemoryAccess(0))
+        pol.on_insert(view, 0)
         states.append(view.slots[0].state)
     assert set(states) == {6, 7}
     near = states.count(6)
@@ -275,25 +275,25 @@ def test_drrip_leaders_insert_their_own_constituency():
     follower = next(s for s in range(128) if s not in pol.duel.kind)
 
     view = make_view([0, 0, 0, 0], set_index=a_set)
-    pol.on_insert(view, 0, MemoryAccess(0))
+    pol.on_insert(view, 0)
     assert view.slots[0].state == 6  # static long-interval insertion
 
     states = set()
     for _ in range(200):
         view = make_view([0, 0, 0, 0], set_index=b_set)
-        pol.on_insert(view, 0, MemoryAccess(0))
+        pol.on_insert(view, 0)
         states.add(view.slots[0].state)
     assert states == {6, 7}  # bimodal insertion
 
     pol.duel.psel = 0  # force winner a
     view = make_view([0, 0, 0, 0], set_index=follower)
-    pol.on_insert(view, 0, MemoryAccess(0))
+    pol.on_insert(view, 0)
     assert view.slots[0].state == 6
     pol.duel.psel = pol.duel.psel_max  # force winner b
     mostly_max = 0
     for _ in range(200):
         view = make_view([0, 0, 0, 0], set_index=follower)
-        pol.on_insert(view, 0, MemoryAccess(0))
+        pol.on_insert(view, 0)
         mostly_max += view.slots[0].state == 7
     assert mostly_max > 150
 
@@ -305,7 +305,7 @@ def test_drrip_leader_miss_votes_against_its_side():
     a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
     before = pol.duel.psel
     view = make_view([0, 0, 0, 0], set_index=a_set)
-    assert pol.decide_insert(view, MemoryAccess(0))
+    assert pol.decide_insert(view)
     assert pol.duel.psel == before + 1
 
 
@@ -317,8 +317,8 @@ class RecordingShip(ShipMemPolicy):
         super().__init__(**kw)
         self.inserted = []
 
-    def on_insert(self, view, way, access):
-        super().on_insert(view, way, access)
+    def on_insert(self, view, way):
+        super().on_insert(view, way)
         self.inserted.append(view.slots[way].state)
 
 

@@ -1,16 +1,20 @@
 """Record model, synthetic patterns, and the binary trace format."""
 
 import random
+import struct
 
 import pytest
 
 from cachelab.trace import (
+    RECORD_DTYPE,
     BadMagicError,
     BadVersionError,
+    MalformedTraceError,
     MemoryAccess,
     PatternSpec,
     ReuseHint,
     Trace,
+    TraceError,
     TruncatedTraceError,
     fold_pc,
     generate_pattern,
@@ -60,6 +64,24 @@ def test_trace_container_basics():
     assert t.total_instructions() == 4
     t.append(MemoryAccess(128))
     assert len(t) == 3
+
+
+def test_trace_is_one_record_array():
+    t = Trace([MemoryAccess(64, pc_signature=5, is_write=True), MemoryAccess(0, inst_delta=0)])
+    assert t.records.dtype == RECORD_DTYPE
+    assert t.records.nbytes == 16 * len(t)
+    assert t.addresses.tolist() == [64, 0]
+    assert t.pcs.tolist() == [5, 0]
+    assert t[0] == MemoryAccess(64, pc_signature=5, is_write=True)
+
+
+def test_trace_from_an_array_is_checked():
+    records = Trace([MemoryAccess(0)]).records.copy()
+    records["reserved"] = 1
+    with pytest.raises(MalformedTraceError):
+        Trace(records)
+    with pytest.raises(ValueError):
+        Trace(records["address"].copy())
 
 
 def test_pattern_thrash_exact_expansion():
@@ -183,3 +205,87 @@ def test_malformed_header_errors_are_distinct_types():
     assert not issubclass(BadMagicError, BadVersionError)
     assert not issubclass(BadVersionError, BadMagicError)
     assert not issubclass(TruncatedTraceError, (BadMagicError, BadVersionError))
+
+
+def one_record_file(path, address=0, pc=0, flags=0, reserved=0, inst_delta=1):
+    path.write_bytes(
+        struct.pack("<4sB3sQ", b"CTR1", 1, b"\0\0\0", 1)
+        + struct.pack("<QHBBI", address, pc, flags, reserved, inst_delta)
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"pc": 1 << 14}, "pc signature"),
+        ({"reserved": 0x80}, "reserved byte"),
+        ({"flags": 0x10}, "flag bits 4-7"),
+        ({"flags": 0x0C}, "hint without valid bit"),
+    ],
+)
+def test_read_rejects_records_outside_the_format(tmp_path, fields, reason):
+    path = tmp_path / "bad.ctr"
+    one_record_file(path, **fields)
+    with pytest.raises(MalformedTraceError, match=reason):
+        read_trace(path)
+
+
+def test_read_accepts_every_documented_flag_combination(tmp_path):
+    path, again = tmp_path / "ok.ctr", tmp_path / "again.ctr"
+    for flags in (0, 1, 2, 3) + tuple(valid | hint << 2 for valid in (2, 3) for hint in (1, 2, 3)):
+        one_record_file(path, address=(1 << 64) - 1, pc=(1 << 14) - 1, flags=flags,
+                        inst_delta=(1 << 32) - 1)
+        write_trace(read_trace(path), again)
+        assert again.read_bytes() == path.read_bytes(), flags
+
+
+def test_read_rejects_nonzero_reserved_header_bytes(tmp_path):
+    path = tmp_path / "bad.ctr"
+    write_trace(generate_pattern(PatternSpec("thrash", k=2, n=1)), path)
+    data = bytearray(path.read_bytes())
+    data[6] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedTraceError):
+        read_trace(path)
+
+
+def test_reader_fuzz_truncations_and_bit_flips(tmp_path):
+    """Every cut and every single-bit flip of a valid file is either
+    rejected with a TraceError subtype or read back into a trace that
+    write_trace reproduces byte for byte."""
+    rng = random.Random(2024)
+    records = []
+    for _ in range(6):
+        hinted = rng.random() < 0.5
+        records.append(
+            MemoryAccess(
+                rng.randrange(1 << 64),
+                pc_signature=rng.randrange(1 << 14),
+                is_write=rng.random() < 0.5,
+                reuse_hint=ReuseHint(rng.randrange(4)) if hinted else ReuseHint.DEFAULT,
+                hint_valid=hinted,
+                inst_delta=rng.randrange(1 << 32),
+            )
+        )
+    src, bad, out = tmp_path / "src.ctr", tmp_path / "bad.ctr", tmp_path / "out.ctr"
+    write_trace(Trace(records), src)
+    data = src.read_bytes()
+
+    def outcome(blob):
+        bad.write_bytes(blob)
+        try:
+            trace = read_trace(bad)
+        except TraceError:
+            return "rejected"
+        write_trace(trace, out)
+        assert out.read_bytes() == blob
+        return "accepted"
+
+    cuts = [outcome(data[:n]) for n in range(len(data) + 1)]
+    assert cuts == ["rejected"] * len(data) + ["accepted"]
+    seen = set()
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        seen.add(outcome(bytes(flipped)))
+    assert seen == {"accepted", "rejected"}
