@@ -75,6 +75,16 @@ class CacheGeometry:
     def tag(self, address):
         return (address // self.block_bytes) // self.num_sets
 
+    def blocks(self, addresses):
+        """Block number of each address in a uint64 array, as int64 (a
+        block number has at most 61 bits); set index and tag are its low
+        and high parts, `blocks & (num_sets - 1)` and `blocks >> set_bits`."""
+        return (addresses >> (self.block_bytes.bit_length() - 1)).view(np.int64)
+
+    @property
+    def set_bits(self):
+        return self.num_sets.bit_length() - 1
+
 
 class BlockSlot:
     """One way of one set.  `state` is owned by the active policy."""
@@ -102,14 +112,15 @@ class SetView:
 class Policy:
     """Replacement policy contract.
 
-    Each run calls reset, then bind with the trace, then exactly one of
-    on_hit / decide_insert per access, in trace order.  Hooks get the
-    set's view, whose access_index is the access's position in the
-    trace; a policy that reads a per-access field takes it in bind as a
-    plain-int list and indexes it by view.access_index.  choose_victim
-    is called only when an insertion needs a full set; the policy may
-    read the victim slot's state there (the engine clears it afterwards)
-    and sets `predicted_dead` to True when the victim was taken from a
+    Each run calls reset, then bind with the trace and the engine's
+    per-access tag list, then exactly one of on_hit / decide_insert per
+    access, in trace order.  Hooks get the set's view, whose
+    access_index is the access's position in the trace; a policy that
+    reads a per-access field takes it in bind as a plain-int list and
+    indexes it by view.access_index.  choose_victim is called only when
+    an insertion needs a full set; the policy may read the victim slot's
+    state there (the engine clears it afterwards) and sets
+    `predicted_dead` to True when the victim was taken from a
     predicted-dead set.  on_interval observes the run's counters and
     must not change any later decision.
     """
@@ -121,7 +132,7 @@ class Policy:
         self.geometry = geometry
         self.rng = rng
 
-    def bind(self, trace):
+    def bind(self, trace, tags):
         pass
 
     def decide_insert(self, view):
@@ -295,8 +306,10 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     num_sets = geometry.num_sets
     ways = geometry.ways
     n = len(trace)
-    set_col = geometry.set_index(trace.addresses)
-    tag_col = geometry.tag(trace.addresses)
+    tag_col = geometry.blocks(trace.addresses)
+    set_col = tag_col & (num_sets - 1)
+    tag_col >>= geometry.set_bits  # block numbers become tags in place
+    tags = tag_col.tolist()
 
     sets = [[BlockSlot() for _ in range(ways)] for _ in range(num_sets)]
     views = [SetView(sets[i], i, ways) for i in range(num_sets)]
@@ -305,14 +318,14 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
 
     rng = SplitMix64(seed)
     policy.reset(geometry, rng)
-    policy.bind(trace)
+    policy.bind(trace, tags)
 
     dead_log = []
     hit_at = bytearray(n)
     hits = misses = bypasses = evictions = dead_predicted = 0
     insertions = 0
 
-    for index, (si, tag) in enumerate(zip(set_col.tolist(), tag_col.tolist())):
+    for index, (si, tag) in enumerate(zip(set_col.tolist(), tags)):
         view = views[si]
         view.access_index = index
         way = lookup[si].get(tag)
@@ -353,6 +366,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
             policy.on_interval(
                 {"accesses": index + 1, "hits": hits, "misses": misses}
             )
+    del tags  # the passes below build lists of their own
 
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
@@ -398,7 +412,7 @@ def filter_trace(trace, num_sets, ways, block_bytes=64):
     front_geom = CacheGeometry(num_sets, ways, block_bytes)
     front = [OrderedDict() for _ in range(num_sets)]
     kept = []
-    for index, blk in enumerate(front_geom.block_index(trace.addresses).tolist()):
+    for index, blk in enumerate(front_geom.blocks(trace.addresses).tolist()):
         tags = front[blk % num_sets]
         if blk in tags:
             tags.move_to_end(blk)

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from cachelab.trace import FLAG_HINT_VALID, FLAG_WRITE, HINT_SHIFT, RECORD_DTYPE, Trace
+from cachelab.trace import RECORD_DTYPE, Trace, pack_flags
 
 CSR_MAGIC = b"CSR1"
 
@@ -484,10 +484,11 @@ def gen_graph_trace(
     at = seg[1:] - 1
     address[at] = np.uint64(out_base) + np.uint64(prop_bytes) * vertices
     pc[at] = PC_APPLY
-    records["flags"][at] = FLAG_WRITE
+    write = np.zeros(len(records), dtype=np.uint8)
+    write[at] = 1
 
-    if region_map is not None:
-        records["flags"] |= FLAG_HINT_VALID | region_map.classify_array(address) << HINT_SHIFT
+    hints = None if region_map is None else region_map.classify_array(address)
+    records["flags"] = pack_flags(write, hints)
     records["inst_delta"] = 1
     return Trace(records, name="graph-pull"), abrs
 

@@ -89,11 +89,11 @@ class GraspPolicy(DrripPolicy):
         super().reset(geometry, rng)
         self.region_map = RegionMap(self.abrs, geometry.capacity_bytes) if self.abrs else None
 
-    def bind(self, trace):
+    def bind(self, trace, tags):
         """Take each access's reuse class: the region classification when
         regions are declared, which a trace's own valid hints must match,
         else the trace's hints."""
-        super().bind(trace)
+        super().bind(trace, tags)
         hints = trace.hints
         if self.region_map is not None:
             by_region = self.region_map.classify_array(trace.addresses)

@@ -117,8 +117,8 @@ class LeewayPolicy(Policy):
         self.sampler_accesses = 0
         self._pending_pld = self.maxpos
 
-    def bind(self, trace):
-        self.base.bind(trace)
+    def bind(self, trace, tags):
+        self.base.bind(trace, tags)
         self.pcs = trace.pcs.tolist()
 
     # -- predictor table ------------------------------------------------

@@ -22,8 +22,8 @@ def reuse_distances(trace, geometry):
     with a Fenwick tree over prev positions.
     """
     num_sets = geometry.num_sets
-    blocks = geometry.block_index(trace.addresses)
-    sets = blocks % num_sets
+    blocks = geometry.blocks(trace.addresses)
+    sets = blocks & (num_sets - 1)
     order = np.argsort(sets, kind="stable")  # set by set, trace order within each
     counts = np.bincount(sets, minlength=num_sets)
     ends = np.cumsum(counts)

@@ -16,7 +16,7 @@ NEVER = 1 << 62  # farther than any trace position
 
 def next_use_index(trace, geometry):
     """next_use[i] = index of the next access to the same block, else NEVER."""
-    blocks = geometry.block_index(trace.addresses)
+    blocks = geometry.blocks(trace.addresses)
     order = np.argsort(blocks, kind="stable")  # each block's accesses in trace order
     nxt = np.full(len(blocks), NEVER, dtype=np.int64)
     same = blocks[order[1:]] == blocks[order[:-1]]

@@ -199,11 +199,11 @@ class DuelPolicy(Policy):
             shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
             self.shadows = [_ShadowSet(copy(p), geometry, shadow_rng) for p in (self.a, self.b)]
 
-    def bind(self, trace):
-        self.a.bind(trace)
-        self.b.bind(trace)
+    def bind(self, trace, tags):
+        self.a.bind(trace, tags)
+        self.b.bind(trace, tags)
         if self.shadows:
-            self.tags = self.geometry.tag(trace.addresses).tolist()
+            self.tags = tags
 
     def _shadow_access(self, view):
         tag = self.tags[view.access_index]
@@ -373,7 +373,7 @@ class ShipMemPolicy(SrripPolicy):
         self.table = {}
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 
-    def bind(self, trace):
+    def bind(self, trace, tags):
         self.regions = (trace.addresses // self.region_bytes).tolist()
 
     def on_insert(self, view, way):
@@ -431,8 +431,8 @@ class PinPolicy(Policy):
         self.reserved = round(geometry.ways * self.percent / 100.0)
         self.pinned = [set() for _ in range(geometry.num_sets)]  # ways, per set
 
-    def bind(self, trace):
-        self.base.bind(trace)
+    def bind(self, trace, tags):
+        self.base.bind(trace, tags)
         self.hints = trace.hints.tolist()
 
     def decide_insert(self, view):

@@ -15,6 +15,7 @@ write reproduces a file byte for byte.
 
 import hashlib
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -35,6 +36,15 @@ RECORD_DTYPE = np.dtype(
 FLAG_WRITE = 1
 FLAG_HINT_VALID = 2
 HINT_SHIFT = 2
+
+
+def pack_flags(write, hints=None):
+    """Record flag bytes from store bits and, when given, valid reuse
+    hints; takes Python ints or numpy arrays alike."""
+    flags = write * FLAG_WRITE
+    if hints is not None:
+        flags = flags | FLAG_HINT_VALID | hints << HINT_SHIFT
+    return flags
 
 
 class TraceError(Exception):
@@ -94,9 +104,7 @@ class MemoryAccess:
 
     def row(self):
         """The record as a RECORD_DTYPE tuple."""
-        flags = FLAG_WRITE if self.is_write else 0
-        if self.hint_valid:
-            flags |= FLAG_HINT_VALID | int(self.reuse_hint) << HINT_SHIFT
+        flags = pack_flags(self.is_write, self.reuse_hint if self.hint_valid else None)
         return (self.address, self.pc_signature, flags, 0, self.inst_delta)
 
     @classmethod
@@ -133,7 +141,9 @@ class Trace:
     documented form (else MalformedTraceError), or from MemoryAccess
     records.  Iterating or indexing yields MemoryAccess copies of single
     records; the column properties give whole fields as arrays, which is
-    how the library reads a trace.
+    how the library reads a trace.  `records` is a read-only view: the
+    trace keeps the array it is given, which must not change afterwards,
+    and computes its digest and instruction count once.
     """
 
     def __init__(self, records=(), name=""):
@@ -143,8 +153,14 @@ class Trace:
             _check_records(records)
         else:
             records = np.array([r.row() for r in records], dtype=RECORD_DTYPE)
-        self.records = records
+        self._hold(records)
         self.name = name
+
+    def _hold(self, records):
+        self.records = records.view()
+        self.records.flags.writeable = False
+        self._digest = None
+        self._total_instructions = None
 
     def __len__(self):
         return len(self.records)
@@ -156,7 +172,7 @@ class Trace:
         return MemoryAccess.from_row(self.records[i].item())
 
     def append(self, record):
-        self.records = np.append(self.records, np.array([record.row()], dtype=RECORD_DTYPE))
+        self._hold(np.append(self.records, np.array([record.row()], dtype=RECORD_DTYPE)))
 
     @property
     def addresses(self):
@@ -176,12 +192,16 @@ class Trace:
         return self.records["flags"] >> HINT_SHIFT & 3
 
     def total_instructions(self):
-        return int(self.records["inst_delta"].sum(dtype=np.uint64))
+        if self._total_instructions is None:
+            self._total_instructions = int(self.records["inst_delta"].sum(dtype=np.uint64))
+        return self._total_instructions
 
     def digest(self):
         """blake2b hex digest of the record bytes: the trace's identity."""
-        data = np.ascontiguousarray(self.records).view(np.uint8)
-        return hashlib.blake2b(data, digest_size=16).hexdigest()
+        if self._digest is None:
+            data = np.ascontiguousarray(self.records).view(np.uint8)
+            self._digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        return self._digest
 
 
 def fold_pc(pc):
@@ -260,7 +280,13 @@ def read_trace(path):
             raise BadVersionError("unsupported trace version %d" % version)
         if reserved != b"\0\0\0":
             raise MalformedTraceError("nonzero reserved header bytes")
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            body = None
+            size = st.st_size
+        else:  # a pipe tells its length only by being read to the end
+            body = fh.read()
+            size = _HEADER.size + len(body)
         expected = _HEADER.size + RECORD_DTYPE.itemsize * count
         if size < expected:
             raise TruncatedTraceError(
@@ -268,5 +294,8 @@ def read_trace(path):
             )
         if size > expected:
             raise TruncatedTraceError("%d trailing bytes after last record" % (size - expected))
-        records = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
+        if body is None:
+            records = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
+        else:
+            records = np.frombuffer(body, dtype=RECORD_DTYPE)
     return Trace(records)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cachelab.engine import (
@@ -13,6 +14,7 @@ from cachelab.engine import (
     simulate,
 )
 from cachelab.leeway import LeewayPolicy
+from cachelab.metrics import reuse_distances
 from cachelab.policies import POLICY_NAMES, make_policy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
@@ -76,6 +78,33 @@ def test_geometry_address_mapping():
     assert g.tag(0x12340) == g.tag(0x1237F)
     # addresses one block apart land in adjacent sets
     assert g.set_index(64) == (g.set_index(0) + 1) % 64
+
+
+def test_geometry_block_column_is_signed_and_matches_the_scalar_mapping():
+    g = CacheGeometry(64, 16, 64)
+    addresses = [0, 0x12345, 1 << 63, (1 << 64) - 1]
+    blocks = g.blocks(np.array(addresses, dtype=np.uint64))
+    assert blocks.dtype == np.int64
+    assert blocks.tolist() == [g.block_index(a) for a in addresses]
+    assert (blocks & 63).tolist() == [g.set_index(a) for a in addresses]
+    assert (blocks >> g.set_bits).tolist() == [g.tag(a) for a in addresses]
+
+
+def test_runs_where_bincount_refuses_unsigned_64_bit_input(monkeypatch):
+    """numpy before 2.3 cannot bincount a uint64 array; dead-eviction
+    scoring and the reuse pass bincount the set column, so it is signed."""
+    bincount = np.bincount
+
+    def strict_bincount(x, *args, **kwargs):
+        if not np.can_cast(np.asarray(x).dtype, np.intp, "safe"):
+            raise TypeError("cannot cast %s to intp under the safe rule" % np.asarray(x).dtype)
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", strict_bincount)
+    t, g = random_trace(3, n=2000), CacheGeometry(4, 4)
+    r = simulate(t, g, make_policy("leeway-lru"))
+    assert r.dead_predictions_correct > 0
+    assert len(reuse_distances(t, g)) == len(t)
 
 
 def test_two_addresses_same_set_different_tag_conflict():

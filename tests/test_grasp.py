@@ -39,7 +39,7 @@ def hinted(address, hint):
 def bind_hints(pol, *hints):
     """Bind a trace of records at address 0 carrying these hints; hook
     calls then read hint i at view.access_index i."""
-    pol.bind(Trace([hinted(0, hint) for hint in hints]))
+    pol.bind(Trace([hinted(0, hint) for hint in hints]), [0] * len(hints))
 
 
 def at(view, index):
@@ -134,7 +134,7 @@ def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
 def test_default_class_inserts_like_the_base_policy():
     pol = grasp("full", abrs=())
     a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
-    pol.bind(Trace([MemoryAccess(0)]))
+    pol.bind(Trace([MemoryAccess(0)]), [0])
     view = make_view([0] * 4, set_index=a_set)
     pol.on_insert(view, 0)
     assert view.slots[0].state == 6  # the base's static insertion depth
@@ -213,7 +213,7 @@ def test_baked_hints_must_agree_with_the_region_map():
     pol = grasp("full", abrs=((0, 1 << 30),))
     # address 0 is high-reuse by region, but the record claims low
     with pytest.raises(GraspConfigError):
-        pol.bind(Trace([hinted(0, ReuseHint.LOW)]))
+        pol.bind(Trace([hinted(0, ReuseHint.LOW)]), [0])
     # simulate names the first disagreeing address; 0x40 is high-reuse too
     t = Trace([hinted(0, ReuseHint.HIGH), hinted(0x40, ReuseHint.MODERATE),
                hinted(0x80, ReuseHint.LOW)])

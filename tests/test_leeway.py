@@ -193,7 +193,7 @@ def test_insert_places_the_block_on_top_and_renumbers():
     pol = leeway("static-bop", ways=4)
     view = make_view(pol, [(0, 9, 1), (1, 9, 2), (2, 9, 3), (0, 9, 4)])
     pol._pending_pld = 2
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     pol.on_insert(view, 3)
     pld, _, pc = pol.blocks[0][3]
     assert (pol.base.depth(view, 3), pld, pc) == (1, 2, 7)
@@ -204,7 +204,7 @@ def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 0
     pol.winner = BOP
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     follower = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert not pol.decide_insert(follower)
     # a sampler set sometimes lets one through to keep learning
@@ -218,7 +218,7 @@ def test_positive_stable_distance_inserts_with_that_prediction():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 3
     pol.winner = BOP
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]))
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     view = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert pol.decide_insert(view)
     assert pol._pending_pld == 3

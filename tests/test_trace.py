@@ -1,5 +1,6 @@
 """Record model, synthetic patterns, and the binary trace format."""
 
+import os
 import random
 import struct
 
@@ -62,8 +63,12 @@ def test_trace_container_basics():
     assert t[1].address == 64
     assert [r.address for r in t] == [0, 64]
     assert t.total_instructions() == 4
+    digest = t.digest()
     t.append(MemoryAccess(128))
     assert len(t) == 3
+    assert t.total_instructions() == 5
+    assert t.digest() != digest
+    assert t.digest() == Trace(list(t)).digest()
 
 
 def test_trace_is_one_record_array():
@@ -73,6 +78,8 @@ def test_trace_is_one_record_array():
     assert t.addresses.tolist() == [64, 0]
     assert t.pcs.tolist() == [5, 0]
     assert t[0] == MemoryAccess(64, pc_signature=5, is_write=True)
+    with pytest.raises(ValueError):  # read-only, so the cached digest holds
+        t.records["address"] = 0
 
 
 def test_trace_from_an_array_is_checked():
@@ -198,6 +205,22 @@ def test_read_rejects_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(data + b"\0" * 4)  # junk after the last record
     with pytest.raises(TruncatedTraceError):
         read_trace(path)
+
+
+def test_read_trace_from_a_pipe(tmp_path):
+    t = generate_pattern(PatternSpec("thrash", k=4, n=2))
+    path = tmp_path / "t.ctr"
+    write_trace(t, path)
+    data = path.read_bytes()
+    for body in (data, data[:-8], data + b"\0" * 4):
+        r, w = os.pipe()
+        os.write(w, body)  # far below the pipe's buffer, so this cannot block
+        os.close(w)
+        if body == data:
+            assert read_trace(r).digest() == t.digest()  # open() takes the descriptor
+        else:
+            with pytest.raises(TruncatedTraceError):
+                read_trace(r)
 
 
 def test_malformed_header_errors_are_distinct_types():
