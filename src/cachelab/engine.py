@@ -31,8 +31,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def random(self):
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0**-53)
+        """Uniform float in [0, 1) with 53 random bits: the top bits of
+        next_u64(), with its step written out to save a call."""
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _U64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        return ((z ^ (z >> 31)) >> 11) * (2.0**-53)
 
     def randrange(self, n):
         """Uniform integer in [0, n)."""
@@ -86,24 +90,15 @@ class CacheGeometry:
         return self.num_sets.bit_length() - 1
 
 
-class BlockSlot:
-    """One way of one set.  `state` is owned by the active policy."""
-
-    __slots__ = ("valid", "tag", "state")
-
-    def __init__(self):
-        self.valid = False
-        self.tag = 0
-        self.state = None
-
-
 class SetView:
-    """What a policy sees when handling one access to one set."""
+    """What a policy sees of one set: its resident tags and the policy's
+    state, one entry per filled way, and the access being handled."""
 
-    __slots__ = ("slots", "set_index", "ways", "access_index")
+    __slots__ = ("tags", "state", "set_index", "ways", "access_index")
 
-    def __init__(self, slots, set_index, ways):
-        self.slots = slots
+    def __init__(self, set_index, ways):
+        self.tags = []
+        self.state = []
         self.set_index = set_index
         self.ways = ways
         self.access_index = 0
@@ -117,11 +112,17 @@ class Policy:
     access, in trace order.  Hooks get the set's view, whose
     access_index is the access's position in the trace; a policy that
     reads a per-access field takes it in bind as a plain-int list and
-    indexes it by view.access_index.  choose_victim is called only when
-    an insertion needs a full set; the policy may read the victim slot's
-    state there (the engine clears it afterwards) and sets
+    indexes it by view.access_index.
+
+    view.state is the policy's list of per-way values.  The engine fills
+    ways in order, appending to view.tags and view.state together, so a
+    way is filled exactly when way < len(view.state); on_insert must set
+    state[way], which holds a placeholder on a fresh way and the evicted
+    block's value on a refilled one.  choose_victim is called only when
+    an insertion meets a full set and returns a way in 0..ways-1; it sets
     `predicted_dead` to True when the victim was taken from a
-    predicted-dead set.  on_interval observes the run's counters and
+    predicted-dead set.  The engine looks the hooks up once, after bind,
+    so bind may route them.  on_interval observes the run's counters and
     must not change any later decision.
     """
 
@@ -134,6 +135,20 @@ class Policy:
 
     def bind(self, trace, tags):
         pass
+
+    def route(self, owner, **hooks):
+        """Hand the engine each named hook itself where this instance
+        would run owner's method that only passes the call on to it (None
+        keeps owner's method).  A hook a subclass overrides, or a caller
+        replaced on the instance, stays; routes from an earlier bind are
+        taken down first."""
+        own = vars(self)
+        routed = own.setdefault("_routed", {})
+        for name, hook in hooks.items():
+            if name in routed and own.get(name) is routed.pop(name):
+                del own[name]
+            if hook and name not in own and getattr(type(self), name) is getattr(owner, name):
+                own[name] = routed[name] = hook
 
     def decide_insert(self, view):
         return True
@@ -311,14 +326,17 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     tag_col >>= geometry.set_bits  # block numbers become tags in place
     tags = tag_col.tolist()
 
-    sets = [[BlockSlot() for _ in range(ways)] for _ in range(num_sets)]
-    views = [SetView(sets[i], i, ways) for i in range(num_sets)]
+    views = [SetView(i, ways) for i in range(num_sets)]
     lookup = [dict() for _ in range(num_sets)]
-    fill = [0] * num_sets
 
     rng = SplitMix64(seed)
     policy.reset(geometry, rng)
     policy.bind(trace, tags)
+    on_hit, decide_insert = policy.on_hit, policy.decide_insert
+    choose_victim, on_insert = policy.choose_victim, policy.on_insert
+    if getattr(decide_insert, "__func__", None) is Policy.decide_insert:
+        decide_insert = None  # inserts on every miss, no call needed
+    policy.predicted_dead = False
 
     dead_log = []
     hit_at = bytearray(n)
@@ -328,37 +346,35 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     for index, (si, tag) in enumerate(zip(set_col.tolist(), tags)):
         view = views[si]
         view.access_index = index
-        way = lookup[si].get(tag)
+        where = lookup[si]
+        way = where.get(tag)
         if way is not None:
             hits += 1
             hit_at[index] = 1
-            policy.on_hit(view, way)
+            on_hit(view, way)
         else:
             misses += 1
-            if policy.decide_insert(view):
-                slots = sets[si]
-                if fill[si] < ways:
-                    way = fill[si]
-                    fill[si] += 1
+            if decide_insert is None or decide_insert(view):
+                resident = view.tags
+                way = len(resident)
+                if way < ways:
+                    resident.append(tag)
+                    view.state.append(None)
                 else:
-                    policy.predicted_dead = False
-                    way = policy.choose_victim(view)
-                    vslot = slots[way]
-                    if not vslot.valid:
-                        raise RuntimeError("policy chose an invalid victim way")
+                    way = choose_victim(view)
+                    if not 0 <= way < ways:
+                        raise RuntimeError("victim way %r outside 0..%d" % (way, ways - 1))
                     evictions += 1
+                    victim = resident[way]
                     if policy.predicted_dead:
+                        policy.predicted_dead = False
                         dead_predicted += 1
-                        dead_log.append((index, si, vslot.tag))
-                    del lookup[si][vslot.tag]
-                    vslot.valid = False
-                    vslot.state = None
-                slot = slots[way]
-                slot.valid = True
-                slot.tag = tag
-                lookup[si][tag] = way
+                        dead_log.append((index, si, victim))
+                    del where[victim]
+                    resident[way] = tag
+                where[tag] = way
                 insertions += 1
-                policy.on_insert(view, way)
+                on_insert(view, way)
             else:
                 bypasses += 1
 

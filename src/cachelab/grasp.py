@@ -17,6 +17,7 @@ from cachelab.policies import DrripPolicy
 from cachelab.trace import ReuseHint
 
 VARIANTS = ("full", "insert-only", "hints")
+_ONE_STEP = (ReuseHint.MODERATE, ReuseHint.LOW)  # hit promotion of the full variant
 
 
 class GraspConfigError(ValueError):
@@ -88,12 +89,17 @@ class GraspPolicy(DrripPolicy):
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
         self.region_map = RegionMap(self.abrs, geometry.capacity_bytes) if self.abrs else None
+        # insertion RRPV per hinted class, a DEFAULT fill going to the base;
+        # "hints" puts high reuse near the eviction point, other hints at it
+        top, hints = self.a.rrpv_max, self.variant == "hints"
+        self.insert_rrpv = {ReuseHint.HIGH: top - 1 if hints else 0, ReuseHint.LOW: top,
+                            ReuseHint.MODERATE: top if hints else top - 1}
 
     def bind(self, trace, tags):
         """Take each access's reuse class: the region classification when
         regions are declared, which a trace's own valid hints must match,
-        else the trace's hints."""
-        super().bind(trace, tags)
+        else the trace's hints.  The check comes first, so a rejected
+        trace costs no shadow duel."""
         hints = trace.hints
         if self.region_map is not None:
             by_region = self.region_map.classify_array(trace.addresses)
@@ -107,34 +113,18 @@ class GraspPolicy(DrripPolicy):
                 )
             hints = by_region
         self.hints = hints.tolist()
+        super().bind(trace, tags)
 
     def on_insert(self, view, way):
-        hint = self.hints[view.access_index]
-        if hint == ReuseHint.DEFAULT:
+        rrpv = self.insert_rrpv.get(self.hints[view.access_index])
+        if rrpv is None:
             super().on_insert(view, way)
-            return
-        rrpv_max = self.a.rrpv_max
-        if self.variant == "hints":
-            # high-reuse near the eviction point, other hinted blocks at it
-            if hint == ReuseHint.HIGH:
-                view.slots[way].state = rrpv_max - 1
-            else:
-                view.slots[way].state = rrpv_max
-            return
-        if hint == ReuseHint.HIGH:
-            view.slots[way].state = 0
-        elif hint == ReuseHint.MODERATE:
-            view.slots[way].state = rrpv_max - 1
         else:
-            view.slots[way].state = rrpv_max
+            view.state[way] = rrpv
 
     def on_hit(self, view, way):
-        if self.variant != "full":
-            super().on_hit(view, way)
-            return
-        hint = self.hints[view.access_index]
-        old = view.slots[way].state
-        super().on_hit(view, way)
-        if hint in (ReuseHint.MODERATE, ReuseHint.LOW):
+        if self.variant == "full" and self.hints[view.access_index] in _ONE_STEP:
             # one step toward the top instead of the base's jump to 0
-            view.slots[way].state = max(old - 1, 0)
+            view.state[way] = max(view.state[way] - 1, 0)
+        else:
+            self.a.on_hit(view, way)

@@ -35,7 +35,7 @@ _MODES = ("dynamic", "static-bop", "static-rop", "static-vtt7")
 class LeewayPolicy(Policy):
     """Dead-block predicting replacement with per-PC live distances.
 
-    Wraps a base LRU or NRU policy, which owns slot.state, promotion,
+    Wraps a base LRU or NRU policy, which owns view.state, promotion,
     the fallback victim and each way's depth.  Leeway's own state per
     (set, way) is the entry [predicted, observed, pc]: the block's
     predicted live distance, its deepest depth seen at a sampler hit,
@@ -87,10 +87,7 @@ class LeewayPolicy(Policy):
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
         self.base.reset(geometry, rng)
-        if isinstance(self.base, LruPolicy):
-            self.maxpos = geometry.ways
-        else:
-            self.maxpos = self.base.class_max
+        self.maxpos = geometry.ways if isinstance(self.base, LruPolicy) else self.base.class_max
         self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: stable distance starts at the ceiling so an
         # untrained PC is never bypassed and never flags blocks dead
@@ -188,11 +185,14 @@ class LeewayPolicy(Policy):
         if sampler:
             self._sampler_tick()
         entry = self.blocks[view.set_index][way]
-        depth = self.base.depth(view, way)
-        if sampler and depth > entry[1]:
-            entry[1] = depth
-        if depth > entry[0]:
-            entry[0] = depth
+        # observed never exceeds predicted and no depth exceeds maxpos, so
+        # an entry already at maxpos has nothing left to raise
+        if (entry[1] if sampler else entry[0]) < self.maxpos:
+            depth = self.base.depth(view, way)
+            if sampler and depth > entry[1]:
+                entry[1] = depth
+            if depth > entry[0]:
+                entry[0] = depth
         self.base.on_hit(view, way)
 
     def choose_victim(self, view):

@@ -25,7 +25,7 @@ def next_use_index(trace, geometry):
 
 
 class OptPolicy(Policy):
-    """Farthest-next-use replacement; slot.state = next use index."""
+    """Farthest-next-use replacement; a way's state is its next use index."""
 
     def __init__(self, trace, geometry, allow_bypass=False):
         self.next_use = next_use_index(trace, geometry)
@@ -33,35 +33,24 @@ class OptPolicy(Policy):
         self.name = "opt-bypass" if allow_bypass else "opt"
 
     def decide_insert(self, view):
-        if not self.allow_bypass:
-            return True
-        slots = view.slots
-        mine = self.next_use[view.access_index]
-        farthest = -1
-        for s in slots:
-            if not s.valid:
-                return True  # free way, caching costs nothing
-            if s.state > farthest:
-                farthest = s.state
-        # decline only when the incoming block's next use is strictly
-        # farther away than every resident's
-        return mine <= farthest
+        # a free way costs nothing; otherwise decline only when the
+        # incoming block's next use is strictly farther away than every
+        # resident's
+        return (
+            not self.allow_bypass
+            or len(view.state) < view.ways
+            or self.next_use[view.access_index] <= max(view.state)
+        )
 
     def choose_victim(self, view):
-        slots = view.slots
-        best = 0
-        best_next = -1
-        for w in range(view.ways):
-            if slots[w].state > best_next:
-                best_next = slots[w].state
-                best = w
-        return best
+        state = view.state
+        return state.index(max(state))
 
     def on_insert(self, view, way):
-        view.slots[way].state = self.next_use[view.access_index]
+        view.state[way] = self.next_use[view.access_index]
 
     def on_hit(self, view, way):
-        view.slots[way].state = self.next_use[view.access_index]
+        view.state[way] = self.next_use[view.access_index]
 
 
 def opt_oracle(trace, geometry, allow_bypass=False, seed=0):

@@ -24,7 +24,7 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 
 from copy import copy
 
-from cachelab.engine import BlockSlot, CacheGeometry, Policy, SetView, SplitMix64
+from cachelab.engine import CacheGeometry, Policy, SetView, SplitMix64
 from cachelab.trace import ReuseHint
 
 BIP_EPSILON = 1.0 / 32.0
@@ -83,8 +83,8 @@ class SetDuel:
 class LruPolicy(Policy):
     """True LRU, and the base of the stack family, by recency stamps.
 
-    slot.state is the engine's access index at the block's last hit or
-    MRU fill; an insertion at the LRU end stamps -index-1, below every
+    A way's state is the engine's access index at the block's last hit
+    or MRU fill; an insertion at the LRU end stamps -index-1, below every
     other stamp in the set.  The victim is the smallest stamp, and stamp
     order is stack order, so no way is ever re-ranked.
     """
@@ -92,23 +92,23 @@ class LruPolicy(Policy):
     name = "lru"
 
     def on_insert(self, view, way):
-        view.slots[way].state = view.access_index
+        view.state[way] = view.access_index
 
     def on_hit(self, view, way):
-        view.slots[way].state = view.access_index
+        view.state[way] = view.access_index
 
     def choose_victim(self, view):
-        stamps = [s.state for s in view.slots]
+        stamps = view.state
         return stamps.index(min(stamps))
 
     def depth(self, view, way):
-        """Stack depth of a valid way, 1 for the most recently used."""
-        stamp = view.slots[way].state
-        return 1 + sum([s.state > stamp for s in view.slots if s.valid])
+        """Stack depth of a filled way, 1 for the most recently used."""
+        stamps = view.state
+        return len(stamps) - sorted(stamps).index(stamps[way])
 
     def depths(self, view):
         """depth() of every way of a full set."""
-        stamps = [s.state for s in view.slots]
+        stamps = view.state
         rank = {stamp: d for d, stamp in enumerate(sorted(stamps, reverse=True), 1)}
         return [rank[stamp] for stamp in stamps]
 
@@ -119,7 +119,7 @@ class LipPolicy(LruPolicy):
     name = "lip"
 
     def on_insert(self, view, way):
-        view.slots[way].state = -view.access_index - 1
+        view.state[way] = -view.access_index - 1
 
 
 class BipPolicy(LruPolicy):
@@ -132,46 +132,39 @@ class BipPolicy(LruPolicy):
 
     def on_insert(self, view, way):
         i = view.access_index
-        view.slots[way].state = i if self.rng.random() < self.epsilon else -i - 1
+        view.state[way] = i if self.rng.random() < self.epsilon else -i - 1
 
 
-class _ShadowSet:
-    """One-set, tag-only cache run by its own policy instance.
+def _shadow_hits(policy, geometry, rng, tags):
+    """Run policy on a one-set, tag-only shadow cache over the tag
+    stream, yielding True for each access that hits.
 
-    A victim's slot is removed and each fill is appended, so slot order
-    is fill order.  RRIP victim ties therefore go to the oldest fill, not
-    to the lowest way as in the real cache, so shadow SRRIP/BRRIP are not
-    exactly the policies they shadow.  Every single-set DRRIP result
-    recorded so far depends on this order; breaking ties by way instead
-    moves drrip3 on thrash:k=32,n=64 over 1x16 (seed 7) from 1,118 to
-    1,108 misses.
+    A victim's tag and state are deleted and each fill is appended, so
+    way order is fill order.  RRIP victim ties therefore go to the oldest
+    fill, not to the lowest way as in the real cache, so shadow
+    SRRIP/BRRIP are not exactly the policies they shadow.  Every
+    single-set DRRIP result recorded so far depends on this order;
+    breaking ties by way instead moves drrip3 on thrash:k=32,n=64 over
+    1x16 (seed 7) from 1,118 to 1,108 misses.
     """
-
-    def __init__(self, policy, geometry, rng):
-        self.policy = policy
-        policy.reset(CacheGeometry(1, geometry.ways, geometry.block_bytes), rng)
-        self.tags = []
-        self.view = SetView([], 0, geometry.ways)
-
-    def access(self, tag, access_index):
-        """Run one access; True on a hit."""
-        view = self.view
-        view.access_index = access_index
-        tags = self.tags
-        if tag in tags:
-            self.policy.on_hit(view, tags.index(tag))
-            return True
-        if len(tags) < view.ways:
-            slot = BlockSlot()
-            slot.valid = True
-        else:
-            way = self.policy.choose_victim(view)
-            slot = view.slots.pop(way)
-            del tags[way]
-        view.slots.append(slot)
-        tags.append(tag)
-        self.policy.on_insert(view, len(tags) - 1)
-        return False
+    ways = geometry.ways
+    policy.reset(CacheGeometry(1, ways, geometry.block_bytes), rng)
+    on_hit, on_insert, choose_victim = policy.on_hit, policy.on_insert, policy.choose_victim
+    view = SetView(0, ways)
+    resident, state = view.tags, view.state
+    for index, tag in enumerate(tags):
+        view.access_index = index
+        if tag in resident:
+            on_hit(view, resident.index(tag))
+            yield True
+            continue
+        if len(resident) == ways:
+            way = choose_victim(view)
+            del resident[way], state[way]
+        resident.append(tag)
+        state.append(None)
+        on_insert(view, len(resident) - 1)
+        yield False
 
 
 class DuelPolicy(Policy):
@@ -179,9 +172,10 @@ class DuelPolicy(Policy):
 
     Hits promote and victims are chosen as a does; each fill is inserted
     by the side governing its set.  A cache too small for leader sets
-    runs a copy of each side on a shadow set instead, drawing from a
-    generator forked off the run's generator at reset; each shadow miss
-    votes against its side.
+    duels on shadow sets: bind runs a copy of each side over the tag
+    stream, drawing from a generator forked off the run's generator at
+    reset, and each shadow miss votes against its side.  The shadows
+    never see the real cache, so bind knows the winner at every access.
     """
 
     def __init__(self, a, b, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
@@ -194,43 +188,50 @@ class DuelPolicy(Policy):
         self.a.reset(geometry, rng)
         self.b.reset(geometry, rng)
         self.duel = SetDuel(geometry.num_sets, self.leaders, self.psel_bits)
-        self.shadows = None
+        self.b_won = None  # per access, on a shadow duel: b governed the fill
         if self.duel.shadow:  # one set: the only set index is 0
-            shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
-            self.shadows = [_ShadowSet(copy(p), geometry, shadow_rng) for p in (self.a, self.b)]
+            self.shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
 
     def bind(self, trace, tags):
         self.a.bind(trace, tags)
         self.b.bind(trace, tags)
-        if self.shadows:
-            self.tags = tags
+        if self.duel.shadow:
+            self.b_won = self._shadow_duel(tags)
+        # a shadow duel has no leader sets to vote for
+        no_vote = super().decide_insert if self.duel.shadow else None
+        self.route(DuelPolicy, on_hit=self.a.on_hit, choose_victim=self.a.choose_victim,
+                   decide_insert=no_vote)
 
-    def _shadow_access(self, view):
-        tag = self.tags[view.access_index]
-        shadow_a, shadow_b = self.shadows
-        if not shadow_a.access(tag, view.access_index):
-            self.duel.vote_against_a()
-        if not shadow_b.access(tag, view.access_index):
-            self.duel.vote_against_b()
+    def _shadow_duel(self, tags):
+        duel = self.duel
+        a_hits, b_hits = (
+            _shadow_hits(copy(p), self.geometry, self.shadow_rng, tags) for p in (self.a, self.b)
+        )
+        b_won = bytearray(len(tags))
+        for index, (a_hit, b_hit) in enumerate(zip(a_hits, b_hits)):
+            if not a_hit:
+                duel.vote_against_a()
+            if not b_hit:
+                duel.vote_against_b()
+            b_won[index] = duel.psel >= duel.mid
+        return b_won
 
     def decide_insert(self, view):
-        if self.shadows:
-            self._shadow_access(view)
-        else:
-            self.duel.record_leader_miss(view.set_index)
+        self.duel.record_leader_miss(view.set_index)
         return True
 
     def on_hit(self, view, way):
-        if self.shadows:
-            self._shadow_access(view)
         self.a.on_hit(view, way)
 
     def choose_victim(self, view):
         return self.a.choose_victim(view)
 
     def on_insert(self, view, way):
-        side = self.a if self.duel.governing(view.set_index) == "a" else self.b
-        side.on_insert(view, way)
+        if self.b_won is None:
+            b_governs = self.duel.governing(view.set_index) == "b"
+        else:
+            b_governs = self.b_won[view.access_index]
+        (self.b if b_governs else self.a).on_insert(view, way)
 
 
 class DipPolicy(DuelPolicy):
@@ -261,41 +262,50 @@ class NruPolicy(Policy):
         self.name = "nru%d" % bits
 
     def on_insert(self, view, way):
-        view.slots[way].state = 0
+        view.state[way] = 0
 
     def on_hit(self, view, way):
-        view.slots[way].state = 0
+        view.state[way] = 0
 
     def choose_victim(self, view):
-        slots = view.slots
-        while True:
-            at_max = [w for w, s in enumerate(slots) if s.valid and s.state == self.class_max]
-            if at_max:
-                return at_max[0] if len(at_max) == 1 else self.rng.choice(at_max)
-            for s in slots:
-                if s.valid:
-                    s.state += 1
+        """Age every way in one step to where aging by one would stop."""
+        state, top = view.state, self.class_max
+        if top not in state:
+            gap = top - max(state)
+            state[:] = [s + gap for s in state]
+        if state.count(top) == 1:
+            return state.index(top)
+        return self.rng.choice([w for w, s in enumerate(state) if s == top])
 
     def depth(self, view, way):
         """A way's class value, the depth Leeway counts live distances in."""
-        return view.slots[way].state
+        return view.state[way]
 
     def depths(self, view):
-        return [s.state for s in view.slots]
+        return list(view.state)
 
 
-def rrip_victim(slots, ways_subset, rrpv_max):
+def rrip_victim(state, rrpv_max, ways=None):
     """Shared RRPV victim scan: evict at rrpv_max, aging until one appears.
 
-    Ways outside ways_subset (e.g. pinned blocks) are neither candidates
-    nor aged.  Ties go to the lowest way index.
+    When no candidate is at rrpv_max, every candidate ages in one step by
+    rrpv_max minus the largest RRPV, where aging one step at a time would
+    stop.  Ways outside `ways` (e.g. pinned blocks, as an ascending list)
+    are neither candidates nor aged.  Ties go to the lowest way index.
     """
-    while True:
-        for w in ways_subset:
-            if slots[w].state == rrpv_max:
-                return w
-        for w in ways_subset:
-            slots[w].state += 1
+    if ways is None:
+        if rrpv_max not in state:
+            gap = rrpv_max - max(state)
+            state[:] = [s + gap for s in state]
+        return state.index(rrpv_max)
+    for w in ways:
+        if state[w] == rrpv_max:
+            return w
+    values = [state[w] for w in ways]
+    top = max(values)
+    for w in ways:
+        state[w] += rrpv_max - top
+    return ways[values.index(top)]
 
 
 class SrripPolicy(Policy):
@@ -316,13 +326,13 @@ class SrripPolicy(Policy):
         self.name = "srrip%d" % m
 
     def on_insert(self, view, way):
-        view.slots[way].state = self.rrpv_max - 1
+        view.state[way] = self.rrpv_max - 1
 
     def on_hit(self, view, way):
-        view.slots[way].state = 0
+        view.state[way] = 0
 
     def choose_victim(self, view):
-        return rrip_victim(view.slots, range(view.ways), self.rrpv_max)
+        return rrip_victim(view.state, self.rrpv_max)
 
 
 class BrripPolicy(SrripPolicy):
@@ -335,7 +345,7 @@ class BrripPolicy(SrripPolicy):
 
     def on_insert(self, view, way):
         near = self.rng.random() < self.epsilon
-        view.slots[way].state = self.rrpv_max - 1 if near else self.rrpv_max
+        view.state[way] = self.rrpv_max - 1 if near else self.rrpv_max
 
 
 class DrripPolicy(DuelPolicy):
@@ -379,15 +389,12 @@ class ShipMemPolicy(SrripPolicy):
     def on_insert(self, view, way):
         region = self.regions[view.access_index]
         counter = self.table.get(region, self.counter_init)
-        if counter == 0:
-            view.slots[way].state = self.rrpv_max
-        else:
-            view.slots[way].state = self.rrpv_max - 1
+        view.state[way] = self.rrpv_max if counter == 0 else self.rrpv_max - 1
         if view.set_index in self.sampler:
             self.meta[(view.set_index, way)] = [0, region]
 
     def on_hit(self, view, way):
-        view.slots[way].state = 0
+        view.state[way] = 0
         if view.set_index in self.sampler:
             entry = self.meta.get((view.set_index, way))
             if entry is not None:
@@ -398,7 +405,7 @@ class ShipMemPolicy(SrripPolicy):
                 self.table[region] = counter + 1
 
     def choose_victim(self, view):
-        way = rrip_victim(view.slots, range(view.ways), self.rrpv_max)
+        way = rrip_victim(view.state, self.rrpv_max)
         if view.set_index in self.sampler:
             entry = self.meta.pop((view.set_index, way), None)
             if entry is not None and entry[0] == 0:
@@ -429,33 +436,30 @@ class PinPolicy(Policy):
         super().reset(geometry, rng)
         self.base.reset(geometry, rng)
         self.reserved = round(geometry.ways * self.percent / 100.0)
-        self.pinned = [set() for _ in range(geometry.num_sets)]  # ways, per set
+        self.unpinned = [list(range(geometry.ways)) for _ in range(geometry.num_sets)]
 
     def bind(self, trace, tags):
         self.base.bind(trace, tags)
         self.hints = trace.hints.tolist()
+        self.route(PinPolicy, on_hit=self.base.on_hit)
 
     def decide_insert(self, view):
         self._pin_next = False
         self.base.decide_insert(view)  # keep base dueling trained
         hint = self.hints[view.access_index]
-        pinned = len(self.pinned[view.set_index])
+        pinned = view.ways - len(self.unpinned[view.set_index])
         if hint == ReuseHint.HIGH and pinned < self.reserved:
             self._pin_next = True
             return True
-        if pinned >= view.ways:
-            return False
-        return True
+        return pinned < view.ways
 
     def choose_victim(self, view):
-        pinned = self.pinned[view.set_index]
-        unpinned = [w for w in range(view.ways) if w not in pinned]
-        return rrip_victim(view.slots, unpinned, self.base.a.rrpv_max)
+        return rrip_victim(view.state, self.base.a.rrpv_max, self.unpinned[view.set_index])
 
     def on_insert(self, view, way):
         self.base.on_insert(view, way)
         if self._pin_next:
-            self.pinned[view.set_index].add(way)
+            self.unpinned[view.set_index].remove(way)
 
     def on_hit(self, view, way):
         self.base.on_hit(view, way)

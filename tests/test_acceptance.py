@@ -88,7 +88,7 @@ def test_ac01_live_distance_replay():
 
             def on_hit(self, view, way):
                 depth = self.base.depth(view, way)
-                self.hit_depths.append((view.slots[way].tag, depth))
+                self.hit_depths.append((view.tags[way], depth))
                 self.outcomes.append(True)
                 super().on_hit(view, way)
 
@@ -99,7 +99,7 @@ def test_ac01_live_distance_replay():
             def choose_victim(self, view):
                 way = super().choose_victim(view)
                 _, observed, _ = self.blocks[view.set_index][way]
-                self.evictions.append((view.slots[way].tag, observed))
+                self.evictions.append((view.tags[way], observed))
                 return way
 
         pol = Recorder(base="lru", mode="static-bop")
@@ -665,13 +665,13 @@ def test_ac11_region_policy_without_regions_mirrors_base():
                 def on_insert(self, view, way):
                     super().on_insert(view, way)
                     self.log.append(
-                        ("rrpv", view.set_index, way, view.slots[way].state)
+                        ("rrpv", view.set_index, way, view.state[way])
                     )
 
                 def on_hit(self, view, way):
                     super().on_hit(view, way)
                     self.log.append(
-                        ("hit", view.set_index, way, view.slots[way].state)
+                        ("hit", view.set_index, way, view.state[way])
                     )
 
             return Rec

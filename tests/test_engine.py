@@ -7,6 +7,7 @@ import pytest
 
 from cachelab.engine import (
     CacheGeometry,
+    Policy,
     SimReport,
     SplitMix64,
     filter_trace,
@@ -53,6 +54,16 @@ def test_splitmix64_helpers_stay_in_range():
         assert 0 <= g.randrange(13) < 13
     seq = ["a", "b", "c"]
     assert all(g.choice(seq) in seq for _ in range(50))
+
+
+def test_splitmix64_random_is_the_top_53_bits_of_next_u64():
+    """random() writes the splitmix step out; it must draw exactly what
+    (next_u64() >> 11) * 2**-53 draws from a twin generator."""
+    for seed in (0, 7):
+        g, twin = SplitMix64(seed), SplitMix64(seed)
+        got = [g.random() for _ in range(16)]
+        assert got == [(twin.next_u64() >> 11) * 2.0**-53 for _ in range(16)]
+        assert g.next_u64() == twin.next_u64()  # and leaves the same state
 
 
 def test_geometry_validation():
@@ -143,6 +154,20 @@ def test_simulate_cold_fill_uses_empty_ways_without_eviction():
     t = Trace([MemoryAccess(64 * i) for i in range(4)])
     r = simulate(t, g, make_policy("lru"))
     assert r.misses == 4 and r.evictions == 0
+
+
+@pytest.mark.parametrize("victim", [-1, 4])
+def test_simulate_rejects_a_victim_outside_the_set(victim):
+    """A way outside 0..ways-1 is an error, not a silent index into the
+    flat state lists (which would wrap -1 to the last way)."""
+
+    class Stub(Policy):
+        def choose_victim(self, view):
+            return victim
+
+    t = Trace([MemoryAccess(64 * 4 * i) for i in range(5)])  # one set, five tags
+    with pytest.raises(RuntimeError, match="victim way %d outside 0..3" % victim):
+        simulate(t, CacheGeometry(4, 4, 64), Stub())
 
 
 def test_classify_accounting_totals_match(tmp_path):

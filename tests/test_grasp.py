@@ -3,7 +3,7 @@ specialized insertion/promotion rules over the dynamic RRIP base."""
 
 import pytest
 
-from cachelab.engine import BlockSlot, CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.grasp import GraspConfigError, GraspPolicy, RegionMap
 from cachelab.policies import DrripPolicy, make_policy
 from cachelab.trace import MemoryAccess, ReuseHint, Trace
@@ -17,13 +17,10 @@ def geom():
 
 
 def make_view(states, set_index=0):
-    slots = []
-    for st in states:
-        s = BlockSlot()
-        s.valid = True
-        s.state = st
-        slots.append(s)
-    return SetView(slots, set_index, len(slots))
+    view = SetView(set_index, len(states))
+    view.tags[:] = range(len(states))
+    view.state[:] = states
+    return view
 
 
 def grasp(variant="full", abrs=((0, 1 << 40),)):
@@ -115,7 +112,7 @@ def test_full_variant_insertion_by_class():
         bind_hints(pol, hint)
         view = make_view([0] * 4)
         pol.on_insert(view, 0)
-        assert view.slots[0].state == expected, hint
+        assert view.state[0] == expected, hint
 
 
 def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
@@ -124,11 +121,11 @@ def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
     bind_hints(pol, ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW)
     view = make_view([0] * 4)
     pol.on_insert(at(view, 0), 0)
-    assert view.slots[0].state == 6
+    assert view.state[0] == 6
     pol.on_insert(at(view, 1), 1)
-    assert view.slots[1].state == 7
+    assert view.state[1] == 7
     pol.on_insert(at(view, 2), 2)
-    assert view.slots[2].state == 7
+    assert view.state[2] == 7
 
 
 def test_default_class_inserts_like_the_base_policy():
@@ -137,7 +134,7 @@ def test_default_class_inserts_like_the_base_policy():
     pol.bind(Trace([MemoryAccess(0)]), [0])
     view = make_view([0] * 4, set_index=a_set)
     pol.on_insert(view, 0)
-    assert view.slots[0].state == 6  # the base's static insertion depth
+    assert view.state[0] == 6  # the base's static insertion depth
 
 
 # -- promotion ----------------------------------------------------------------
@@ -149,13 +146,13 @@ def test_full_variant_promotes_moderate_and_low_by_one_step():
     bind_hints(pol, ReuseHint.LOW, ReuseHint.MODERATE, ReuseHint.LOW, ReuseHint.HIGH)
     view = make_view([7, 3, 0, 5])
     pol.on_hit(at(view, 0), 0)
-    assert view.slots[0].state == 6
+    assert view.state[0] == 6
     pol.on_hit(at(view, 1), 1)
-    assert view.slots[1].state == 2
+    assert view.state[1] == 2
     pol.on_hit(at(view, 2), 2)
-    assert view.slots[2].state == 0  # already at the top, never below zero
+    assert view.state[2] == 0  # already at the top, never below zero
     pol.on_hit(at(view, 3), 3)
-    assert view.slots[3].state == 0  # high reuse goes straight to the top
+    assert view.state[3] == 0  # high reuse goes straight to the top
 
 
 def test_moderate_block_needs_repeated_hits_to_reach_the_top():
@@ -164,10 +161,10 @@ def test_moderate_block_needs_repeated_hits_to_reach_the_top():
     bind_hints(pol, ReuseHint.MODERATE)
     view = make_view([0] * 4)
     pol.on_insert(view, 0)
-    assert view.slots[0].state == 6
+    assert view.state[0] == 6
     for expected in (5, 4, 3):
         pol.on_hit(view, 0)
-        assert view.slots[0].state == expected
+        assert view.state[0] == expected
 
 
 def test_insert_only_variant_promotes_like_the_base():
@@ -176,7 +173,7 @@ def test_insert_only_variant_promotes_like_the_base():
     bind_hints(pol, ReuseHint.LOW)
     view = make_view([7])
     pol.on_hit(view, 0)
-    assert view.slots[0].state == 0
+    assert view.state[0] == 0
 
 
 # -- end-to-end ----------------------------------------------------------------

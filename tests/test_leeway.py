@@ -3,7 +3,7 @@ dead-first victim selection, sampler/follower split, and dueling."""
 
 import pytest
 
-from cachelab.engine import BlockSlot, CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.leeway import BOP, ROP, LeewayPolicy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
@@ -17,14 +17,12 @@ def leeway(mode="static-bop", base="lru", sets=1, ways=4, **kw):
 def make_view(pol, blocks, set_index=0):
     """A full LRU-based set; blocks holds (stack position, predicted
     distance, pc) per way, position 0 being the most recently used."""
-    slots = []
+    view = SetView(set_index, len(blocks))
     for way, (pos, pld, pc) in enumerate(blocks):
-        s = BlockSlot()
-        s.valid = True
-        s.state = -1 - pos  # recency stamp: larger is more recent
-        slots.append(s)
+        view.tags.append(way)
+        view.state.append(-1 - pos)  # recency stamp: larger is more recent
         pol.blocks[set_index][way] = [pld, 0, pc]
-    return SetView(slots, set_index, len(slots))
+    return view
 
 
 def block_trace(ids, pc=0):

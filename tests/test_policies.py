@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cachelab.engine import BlockSlot, CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.policies import (
     POLICY_NAMES,
     BrripPolicy,
@@ -23,12 +23,10 @@ from cachelab.trace import MemoryAccess, PatternSpec, ReuseHint, Trace, generate
 
 
 def make_view(states, set_index=0):
-    slots = [BlockSlot() for _ in states]
-    for i, st in enumerate(states):
-        slots[i].valid = True
-        slots[i].tag = i
-        slots[i].state = st
-    return SetView(slots, set_index, len(states))
+    view = SetView(set_index, len(states))
+    view.tags[:] = range(len(states))
+    view.state[:] = states
+    return view
 
 
 def one_set(ways):
@@ -68,14 +66,14 @@ def test_lru_gets_full_hits_on_recency_pattern_within_ways():
 
 
 def test_recency_states_stay_a_permutation():
-    """The stack depths of the valid ways are always a permutation of 1..n."""
+    """The stack depths of the filled ways are always a permutation of 1..n."""
     failures = []
 
     class Checked(type(make_policy("lru"))):
         def _check(self, view):
-            valid = [w for w, s in enumerate(view.slots) if s.valid]
-            depths = sorted(self.depth(view, w) for w in valid)
-            if depths != list(range(1, len(valid) + 1)):
+            filled = range(len(view.state))
+            depths = sorted(self.depth(view, w) for w in filled)
+            if depths != list(range(1, len(filled) + 1)):
                 failures.append(depths)
 
         def on_insert(self, view, way):
@@ -114,6 +112,18 @@ def test_dip_single_set_duels_with_shadow_directories():
     t = generate_pattern(PatternSpec("thrash", k=5, n=400))
     dip = simulate(t, one_set(4), make_policy("dip"), seed=3)
     assert dip.hits > 0  # converged to the bimodal side
+
+
+def test_a_reused_policy_reports_as_a_fresh_one():
+    """bind routes hooks per run: a dueling policy reused across a
+    shadow-set cache and a leader-set cache reports what new ones do."""
+    rng = random.Random(5)
+    t = Trace([MemoryAccess(64 * rng.randrange(1200)) for _ in range(6000)])
+    geometries = [one_set(4), CacheGeometry(128, 4, 64), one_set(4)]  # 128 sets have followers
+    for name in ("dip", "drrip2", "grasp", "pin50"):
+        reused = make_policy(name)
+        for geom in geometries:
+            assert simulate(t, geom, reused, seed=2) == simulate(t, geom, make_policy(name), seed=2)
 
 
 # -- set dueling ------------------------------------------------------------
@@ -182,10 +192,10 @@ def test_nru_inserts_and_promotes_to_class_zero():
     pol.reset(one_set(4), SplitMix64(0))
     view = make_view([1, 1, 1, 1])
     pol.on_insert(view, 2)
-    assert view.slots[2].state == 0
-    view.slots[1].state = 1
+    assert view.state[2] == 0
+    view.state[1] = 1
     pol.on_hit(view, 1)
-    assert view.slots[1].state == 0
+    assert view.state[1] == 0
 
 
 def test_nru_evicts_only_from_the_maximum_class():
@@ -204,7 +214,7 @@ def test_nru_ages_everyone_when_no_block_is_at_the_maximum():
     view = make_view([1, 0, 2])
     victim = pol.choose_victim(view)
     assert victim == 2  # aged by one: [2, 1, 3] puts way 2 at class max 3
-    assert [s.state for s in view.slots] == [2, 1, 3]
+    assert view.state == [2, 1, 3]
 
 
 def test_nru_tie_break_is_reproducible_per_seed():
@@ -230,27 +240,27 @@ def test_srrip3_inserts_at_long_interval_and_promotes_to_zero():
     assert pol.rrpv_max == 7
     view = make_view([0, 0, 0, 0])
     pol.on_insert(view, 1)
-    assert view.slots[1].state == 6
+    assert view.state[1] == 6
     pol.on_hit(view, 1)
-    assert view.slots[1].state == 0
+    assert view.state[1] == 0
 
 
 def test_rrip_victim_takes_lowest_way_at_max():
     view = make_view([7, 3, 7, 0])
-    assert rrip_victim(view.slots, range(4), 7) == 0
+    assert rrip_victim(view.state, 7) == 0
 
 
 def test_rrip_victim_ages_until_a_block_reaches_max():
     view = make_view([5, 3, 6, 0])
-    assert rrip_victim(view.slots, range(4), 7) == 2
-    assert [s.state for s in view.slots] == [6, 4, 7, 1]
+    assert rrip_victim(view.state, 7) == 2
+    assert view.state == [6, 4, 7, 1]
 
 
 def test_rrip_victim_ignores_ways_outside_the_subset():
     view = make_view([7, 5, 6, 0])
     # way 0 is excluded, so aging proceeds until way 2 reaches the max
-    assert rrip_victim(view.slots, [1, 2, 3], 7) == 2
-    assert [s.state for s in view.slots] == [7, 6, 7, 1]
+    assert rrip_victim(view.state, 7, [1, 2, 3]) == 2
+    assert view.state == [7, 6, 7, 1]
 
 
 def test_brrip_inserts_mostly_at_max():
@@ -260,7 +270,7 @@ def test_brrip_inserts_mostly_at_max():
     view = make_view([0, 0, 0, 0])
     for _ in range(3200):
         pol.on_insert(view, 0)
-        states.append(view.slots[0].state)
+        states.append(view.state[0])
     assert set(states) == {6, 7}
     near = states.count(6)
     assert 40 <= near <= 200  # epsilon is 1/32
@@ -276,25 +286,25 @@ def test_drrip_leaders_insert_their_own_constituency():
 
     view = make_view([0, 0, 0, 0], set_index=a_set)
     pol.on_insert(view, 0)
-    assert view.slots[0].state == 6  # static long-interval insertion
+    assert view.state[0] == 6  # static long-interval insertion
 
     states = set()
     for _ in range(200):
         view = make_view([0, 0, 0, 0], set_index=b_set)
         pol.on_insert(view, 0)
-        states.add(view.slots[0].state)
+        states.add(view.state[0])
     assert states == {6, 7}  # bimodal insertion
 
     pol.duel.psel = 0  # force winner a
     view = make_view([0, 0, 0, 0], set_index=follower)
     pol.on_insert(view, 0)
-    assert view.slots[0].state == 6
+    assert view.state[0] == 6
     pol.duel.psel = pol.duel.psel_max  # force winner b
     mostly_max = 0
     for _ in range(200):
         view = make_view([0, 0, 0, 0], set_index=follower)
         pol.on_insert(view, 0)
-        mostly_max += view.slots[0].state == 7
+        mostly_max += view.state[0] == 7
     assert mostly_max > 150
 
 
@@ -319,7 +329,7 @@ class RecordingShip(ShipMemPolicy):
 
     def on_insert(self, view, way):
         super().on_insert(view, way)
-        self.inserted.append(view.slots[way].state)
+        self.inserted.append(view.state[way])
 
 
 def test_ship_inserts_at_max_once_a_region_decays_and_backs_off_after_reuse():
