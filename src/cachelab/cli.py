@@ -4,11 +4,13 @@ Subcommands: simulate, compare, gen-trace, reorder, opt, stats.
 A flat JSON config file can pre-set any flag of a subcommand
 (--config file.json); explicit flags win.  Wider program counters can
 be folded to the 14-bit signature space by xoring 14-bit slices.
+Failures print one `error:` line (CACHELAB_DEBUG=1: the traceback).
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from cachelab import graphs as graphmod
@@ -352,6 +354,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except Exception as e:  # one-line diagnostics, nonzero exit
+        if os.environ.get("CACHELAB_DEBUG") == "1":
+            raise
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -172,7 +172,10 @@ def read_remap(path):
     (v_count,) = struct.unpack_from("<Q", data, 0)
     if len(data) != 8 + 8 * v_count:
         raise CsrTruncatedError("remap length does not match header")
-    return np.frombuffer(data, dtype="<u8", offset=8).astype(np.int64)
+    remap = np.frombuffer(data, dtype="<u8", offset=8)
+    if not np.array_equal(np.sort(remap), np.arange(v_count, dtype=np.uint64)):
+        raise GraphError("remap is not a permutation")
+    return remap.astype(np.int64)
 
 
 class GroupingSpec:
@@ -234,13 +237,10 @@ def _remap_from_groups(group_index):
 
 
 def dbg_reorder(graph, spec=None, degrees=None):
-    """Degree-based grouping under the given (or default) spec."""
-    if degrees is None:
-        degrees = graph.reuse_degrees()
-    degrees = np.asarray(degrees)
+    """Degree-based grouping under the given spec, or DBG's default one."""
     if spec is None:
-        avg = degrees.mean() if len(degrees) else 0.0
-        spec = default_grouping(avg)
+        return family_reorder(graph, "dbg", degrees)
+    degrees = graph.reuse_degrees() if degrees is None else np.asarray(degrees)
     return _remap_from_groups(spec.group_array(degrees))
 
 
@@ -270,24 +270,17 @@ def family_reorder(graph, kind, degrees=None):
     degrees = np.asarray(degrees)
     avg = degrees.mean() if len(degrees) else 0.0
     if kind == "dbg":
-        return dbg_reorder(graph, degrees=degrees)
-    if kind == "sort":
-        distinct = np.unique(degrees)[::-1]
-        spec = GroupingSpec(_per_degree_ranges(distinct, 0))
-    elif kind == "hubsort":
-        if avg <= 0:
-            spec = GroupingSpec([(0, np.inf)])
-        else:
-            hot = np.unique(degrees[degrees >= avg])[::-1]
-            ranges = _per_degree_ranges(hot, 0) if len(hot) else [(0, np.inf)]
-            spec = GroupingSpec(ranges)
-    elif kind == "hubcluster":
-        if avg <= 0:
-            spec = GroupingSpec([(0, np.inf)])
-        else:
-            spec = GroupingSpec([(avg, np.inf), (0, avg)])
-    else:
+        spec = default_grouping(avg)
+    elif kind == "sort":
+        spec = GroupingSpec(_per_degree_ranges(np.unique(degrees)[::-1], 0))
+    elif kind not in ("hubsort", "hubcluster"):
         raise GraphError("unknown reorder kind: %r" % (kind,))
+    elif avg <= 0:
+        spec = GroupingSpec([(0, np.inf)])
+    elif kind == "hubsort":  # avg > 0, so the largest degree is hot
+        spec = GroupingSpec(_per_degree_ranges(np.unique(degrees[degrees >= avg])[::-1], 0))
+    else:
+        spec = GroupingSpec([(avg, np.inf), (0, avg)])
     return _remap_from_groups(spec.group_array(degrees))
 
 
@@ -318,9 +311,7 @@ def apply_remap(graph, remap):
     v_count = graph.vertex_count
     if len(remap) != v_count:
         raise GraphError("remap length != vertex count")
-    check = np.zeros(v_count, dtype=bool)
-    check[remap] = True
-    if not check.all():
+    if not np.array_equal(np.sort(remap), np.arange(v_count)):
         raise GraphError("remap is not a permutation")
     old_rows = np.repeat(np.arange(v_count), np.diff(graph.offsets))
     new_rows = remap[old_rows]

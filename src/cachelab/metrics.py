@@ -1,10 +1,12 @@
 """Reuse-distance analysis and cross-policy comparison tables.
 
-Reuse distance here is the per-set stack distance: the number of
-distinct cache blocks touched in a block's set since its previous
-access, counting the block itself (a back-to-back re-reference has
-distance 1).  A first touch has infinite distance.  Under true LRU an
-access hits exactly when its distance is at most the associativity.
+Reuse distance here is the per-set stack distance (Mattson et al., IBM
+Sys. J. 1970): the number of distinct cache blocks touched in a block's
+set since its previous access, counting the block itself (a back-to-back
+re-reference has distance 1).  A first touch has infinite distance.
+Under true LRU an access hits exactly when its distance is at most the
+associativity.  Every distance comes from one array pass, a level-by-level
+tree walk in the spirit of Bennett & Kruskal (IBM J. R&D 1975).
 """
 
 import math
@@ -12,59 +14,73 @@ import math
 import numpy as np
 
 
+def _stack_distances(trace, geometry):
+    """Stack distance of each access as an int array, -1 for a first touch.
+
+    Over positions grouped set by set, node m of tree level k covers
+    [m << k, (m + 1) << k).  The live interval [l, r) of a query takes
+    node l when l is odd and node r - 1 when r is odd, then both bounds
+    halve, so the one loop runs about log2(largest reuse gap) times.  A
+    node counts its prev(j) <= p with one searchsorted into the level's
+    sorted keys (j >> k) * (n + 1) + prev(j) + 1, less its start m << k.
+    """
+    blocks = geometry.blocks(trace.addresses)
+    n = len(blocks)
+    index = np.int32 if n < 2**31 - 1 else np.int64  # positions and bounds up to n + 1
+    mask = geometry.num_sets - 1  # sets up to 2**16 narrow to a radix-sortable type
+    order = (blocks & mask).astype(np.min_scalar_type(mask)).argsort(kind="stable").astype(index)
+    blocks = blocks[order]  # set by set, trace order within each
+    by_block = np.argsort(blocks, kind="stable").astype(index)
+    same = blocks[by_block[1:]] == blocks[by_block[:-1]]
+    del blocks
+    dist = np.full(n, -1, dtype=index)  # prev(j) until the walk starts
+    dist[by_block[1:][same]] = by_block[:-1][same]
+    del by_block, same
+    width = n + 1
+    keys = np.arange(1, n * width + 1, width, dtype=np.int64) + dist  # level 0, sorted
+    live = np.flatnonzero(dist >= 0).astype(index)  # each query's q
+    lo = below = dist[live] + 1  # a node counts keys up to its start + p + 1
+    hi = live + 1
+    np.minimum(dist, 0, out=dist)
+    k = 0
+    while len(live):
+        if k:  # level k - 1 keys to level k: two sorted runs per node merge
+            keys -= ((keys // width + 1) >> 1) * width
+            keys.sort(kind="stable")
+        for bound, right in ((lo, 0), (hi, 1)):
+            odd = (bound & 1).astype(bool)
+            node = bound[odd] - right
+            needle = np.multiply(node, width, dtype=np.int64) + below[odd]
+            dist[live[odd]] += np.searchsorted(keys, needle, side="right") - (node << k)
+            del odd, node, needle
+        lo, hi = (lo + 1) >> 1, hi >> 1  # an odd l steps past its node first
+        going = lo < hi
+        live, lo = live[going], lo[going]
+        hi, below = hi[going], below[going]
+        k += 1
+    out = np.empty(n, dtype=index)
+    out[order] = dist
+    return out
+
+
 def reuse_distances(trace, geometry):
     """Per-access stack distances (math.inf for first touches).
 
-    With p the previous access to the block in its set's stream and q
-    this one, the distance is q - p less the accesses j in (p, q) whose
-    own previous access lies after p (each repeats a block already
-    counted).  Those are the j < q with prev(j) > p, counted per set
-    with a Fenwick tree over prev positions.
-    """
-    num_sets = geometry.num_sets
-    blocks = geometry.blocks(trace.addresses)
-    sets = blocks & (num_sets - 1)
-    order = np.argsort(sets, kind="stable")  # set by set, trace order within each
-    counts = np.bincount(sets, minlength=num_sets)
-    ends = np.cumsum(counts)
-    local = np.arange(len(order)) - np.repeat(ends - counts, counts)
-    grouped = blocks[order]
-    by_block = np.argsort(grouped, kind="stable")
-    same = grouped[by_block[1:]] == grouped[by_block[:-1]]
-    prev = np.full(len(order), -1, dtype=np.int64)
-    prev[by_block[1:][same]] = local[by_block[:-1][same]]
-
-    dist = np.empty(len(order), dtype=np.int64)  # -1 for a first touch
-    for start, c in zip((ends - counts).tolist(), counts.tolist()):
-        tree = [0] * (c + 1)  # Fenwick tree over prev positions 0..c-1
-        inserted = 0
-        out = [-1] * c
-        for pos, p in enumerate(prev[start : start + c].tolist()):
-            if p >= 0:
-                i = p + 1
-                at_most_p = 0
-                while i:
-                    at_most_p += tree[i]
-                    i &= i - 1
-                out[pos] = pos - p - (inserted - at_most_p)
-                i = p + 1
-                while i <= c:
-                    tree[i] += 1
-                    i += i & -i
-                inserted += 1
-        dist[order[start : start + c]] = out
-    result = dist.tolist()
-    for i in np.flatnonzero(dist < 0).tolist():
-        result[i] = math.inf
-    return result
+    With accesses grouped set by set and prev(j) the position of the
+    previous access to j's block (-1 for none), access q with p = prev(q)
+    has distance #{j in (p, q] : prev(j) <= p}: q plus the first touch
+    since p of each other block, counted for every q in one bottom-up
+    segment-tree walk, a level at a time."""
+    dist = _stack_distances(trace, geometry)
+    result = dist.astype(object)
+    result[dist < 0] = math.inf
+    return result.tolist()
 
 
 def reuse_distance_distribution(trace, geometry):
     """Histogram {distance: count}; key math.inf buckets first touches."""
-    hist = {}
-    for d in reuse_distances(trace, geometry):
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    values, counts = np.unique(_stack_distances(trace, geometry), return_counts=True)
+    return {(math.inf if v < 0 else v): c for v, c in zip(values.tolist(), counts.tolist())}
 
 
 def histogram_rows(hist, cumulative=False):
@@ -73,15 +89,11 @@ def histogram_rows(hist, cumulative=False):
     cumulative=True yields the running fraction of all accesses with
     distance <= d (first touches never count as covered)."""
     total = sum(hist.values())
-    keys = sorted(k for k in hist if k != math.inf)
     rows = []
     running = 0
-    for k in keys:
+    for k in sorted(hist):  # math.inf sorts last
         running += hist[k]
         rows.append((k, running / total if cumulative else hist[k]))
-    if math.inf in hist:
-        value = 1.0 if cumulative else hist[math.inf]
-        rows.append((math.inf, value))
     return rows
 
 
@@ -98,32 +110,25 @@ def compare_reports(reports, baseline="lru"):
     """
     if not reports:
         raise ReportMismatchError("no reports to compare")
-    ident = (reports[0].trace_fingerprint, reports[0].num_sets, reports[0].ways,
-             reports[0].block_bytes)
+    ident = lambda r: (r.trace_fingerprint, r.num_sets, r.ways, r.block_bytes)
     for r in reports:
-        if (r.trace_fingerprint, r.num_sets, r.ways, r.block_bytes) != ident:
-            raise ReportMismatchError(
-                "report %s is from a different trace or geometry" % r.policy
-            )
+        if ident(r) != ident(reports[0]):
+            raise ReportMismatchError("report %s is from a different trace or geometry"
+                                      % r.policy)
     base = next((r for r in reports if r.policy == baseline), None)
     if base is None:
         raise ReportMismatchError("baseline %r not among reports" % baseline)
-    rows = []
-    for r in reports:
-        if base.misses:
-            eliminated = 100.0 * (base.misses - r.misses) / base.misses
-        else:
-            eliminated = 0.0
-        rows.append(
-            {
-                "policy": r.policy,
-                "misses": r.misses,
-                "eliminated_pct": eliminated,
-                "coverage": r.coverage,
-                "accuracy": r.accuracy,
-            }
-        )
-    return rows
+    return [
+        {
+            "policy": r.policy,
+            "misses": r.misses,
+            "eliminated_pct": (100.0 * (base.misses - r.misses) / base.misses
+                               if base.misses else 0.0),
+            "coverage": r.coverage,
+            "accuracy": r.accuracy,
+        }
+        for r in reports
+    ]
 
 
 COMPARE_HEADER = "policy,misses,eliminated_pct,coverage,accuracy"

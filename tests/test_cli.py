@@ -116,6 +116,18 @@ def test_simulate_rejects_ambiguous_sources(tmp_path, capsys):
     assert code == 2
 
 
+def test_errors_are_one_line_unless_cachelab_debug_is_set(capsys, monkeypatch):
+    argv = ("simulate", "--policy", "lru", "--trace", "missing.ctr", "--gen", "stream:k=2")
+    monkeypatch.delenv("CACHELAB_DEBUG", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: need exactly one of --trace or --gen"]
+    monkeypatch.setenv("CACHELAB_DEBUG", "1")
+    with pytest.raises(CliError, match="exactly one of --trace or --gen"):
+        main(list(argv))
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_unknown_policy_is_a_clean_error(capsys):
     code, _, err = run(capsys, "simulate", "--policy", "mru", "--gen", "stream:k=2")
     assert code == 2

@@ -168,6 +168,41 @@ def test_remap_file_round_trip(tmp_path):
         read_remap(path)
 
 
+@pytest.mark.parametrize("kind", ["csr", "remap"])
+def test_graph_reader_fuzz_truncations_and_bit_flips(tmp_path, kind):
+    """Every cut and every single-bit flip of a valid CSR or remap file is
+    either rejected with a GraphError subtype or read back into a value
+    that the matching writer reproduces byte for byte."""
+    g = synth_powerlaw(6, 2, seed=4)
+    read, write, value = {
+        "csr": (read_csr, write_csr, g),
+        "remap": (read_remap, write_remap, random_reorder(g, seed=1)),
+    }[kind]
+    src, bad, out = tmp_path / "src", tmp_path / "bad", tmp_path / "out"
+    write(value, src)
+    data = src.read_bytes()
+
+    def outcome(blob):
+        bad.write_bytes(blob)
+        try:
+            back = read(bad)
+        except GraphError:
+            return "rejected"
+        write(back, out)
+        assert out.read_bytes() == blob
+        return "accepted"
+
+    cuts = [outcome(data[:n]) for n in range(len(data) + 1)]
+    assert cuts == ["rejected"] * len(data) + ["accepted"]
+    seen = set()
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        seen.add(outcome(bytes(flipped)))
+    # a remap with one id changed is no permutation
+    assert seen == ({"accepted", "rejected"} if kind == "csr" else {"rejected"})
+
+
 # -- grouping ---------------------------------------------------------------------
 
 
@@ -308,6 +343,9 @@ def test_apply_remap_rejects_non_permutations():
         apply_remap(g, [0, 0, 1])
     with pytest.raises(GraphError):
         apply_remap(g, [0, 1])
+    for ids in ([0, 1, 5], [0, 1, -1]):  # out of range, or negative
+        with pytest.raises(GraphError):
+            apply_remap(g, ids)
 
 
 def test_apply_remap_preserves_the_degree_histogram():

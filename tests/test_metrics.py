@@ -2,8 +2,12 @@
 
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from cachelab.engine import CacheGeometry, simulate
 from cachelab.metrics import (
@@ -86,6 +90,44 @@ def test_distances_match_the_list_stack_reference():
             assert reuse_distances(t, g) == reference_distances(t, g)
 
 
+@st.composite
+def block_traces(draw):
+    """A random block trace on 1, 2, 4 or 16 sets.  About one in three
+    holds a block that comes back after more than 2**10 accesses to other
+    blocks of its set, so the tree walk climbs past level 10."""
+    num_sets = draw(st.sampled_from([1, 2, 4, 16]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # fast draws for long traces
+    span = rnd.randint(1, 200)
+    blocks = [rnd.randrange(span) for _ in range(rnd.randint(0, 300))]
+    if rnd.random() < 1 / 3:
+        home, others = rnd.randrange(span), rnd.randint(1, 1200)
+        gap = [home + num_sets * rnd.randint(1, others) for _ in range(rnd.randint(1025, 2600))]
+        at = rnd.randint(0, len(blocks))
+        blocks[at:at] = [home] + gap + [home]
+    return blocks, num_sets
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@example(([], 1))
+@example(([3], 4))
+@given(block_traces())
+def _check_against_the_list_stack(case):
+    blocks, num_sets = case
+    g = CacheGeometry(num_sets, 4, 64)
+    t = block_trace(blocks)
+    distances = reuse_distances(t, g)
+    assert distances == reference_distances(t, g)
+    assert reuse_distance_distribution(t, g) == Counter(distances)
+
+
+def test_distances_match_the_list_stack_on_random_traces():
+    t0 = time.perf_counter()
+    _check_against_the_list_stack()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, "exceeded 5s budget (%.1fs)" % elapsed
+
+
 def test_distances_are_computed_per_set():
     g = CacheGeometry(2, 4, 64)
     # blocks 0 and 2 land in set 0, block 1 in set 1: the set-1 access
@@ -112,6 +154,17 @@ def test_histogram_rows_order_and_cumulative_fractions():
     assert cum[1][1] == pytest.approx(0.4)
     assert cum[2][1] == pytest.approx(0.9)  # first touches never covered
     assert cum[3][1] == 1.0
+
+
+def test_cumulative_fraction_is_the_lru_hit_ratio_at_every_way_count():
+    rng = random.Random(9)
+    t = block_trace([rng.randrange(40) for _ in range(600)])
+    hist = reuse_distance_distribution(t, CacheGeometry(4, 1, 64))  # ways do not matter
+    rows = histogram_rows(hist, cumulative=True)
+    for ways in range(1, 13):
+        hits = simulate(t, CacheGeometry(4, ways, 64), make_policy("lru")).hits
+        covered = max((f for d, f in rows if d <= ways), default=0.0)
+        assert covered == pytest.approx(hits / len(t)), ways
 
 
 def test_compare_reports_elimination_percentages():
