@@ -324,6 +324,10 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     tag_col = geometry.blocks(trace.addresses)
     set_col = tag_col & (num_sets - 1)
     tag_col >>= geometry.set_bits  # block numbers become tags in place
+    lo, hi = (int(tag_col.min()), int(tag_col.max())) if n else (0, n)
+    if hi - lo < n:  # dense tags share one int object per value, however large
+        tag_col -= lo
+        tag_col = np.array(range(lo, hi + 1), dtype=object)[tag_col]
     tags = tag_col.tolist()
 
     views = [SetView(i, ways) for i in range(num_sets)]
@@ -340,8 +344,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
 
     dead_log = []
     hit_at = bytearray(n)
-    hits = misses = bypasses = evictions = dead_predicted = 0
-    insertions = 0
+    hits = misses = bypasses = evictions = dead_predicted = insertions = 0
 
     for index, (si, tag) in enumerate(zip(set_col.tolist(), tags)):
         view = views[si]
@@ -379,17 +382,14 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
                 bypasses += 1
 
         if interval and (index + 1) % interval == 0:
-            policy.on_interval(
-                {"accesses": index + 1, "hits": hits, "misses": misses}
-            )
+            policy.on_interval({"accesses": index + 1, "hits": hits, "misses": misses})
     del tags  # the passes below build lists of their own
 
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
     if insertions != misses - bypasses:
-        raise RuntimeError(
-            "%d insertions for %d non-bypassed misses" % (insertions, misses - bypasses)
-        )
+        raise RuntimeError("%d insertions for %d non-bypassed misses"
+                           % (insertions, misses - bypasses))
     if evictions > insertions:
         raise RuntimeError("%d evictions exceed %d insertions" % (evictions, insertions))
 

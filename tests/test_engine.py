@@ -170,6 +170,29 @@ def test_simulate_rejects_a_victim_outside_the_set(victim):
         simulate(t, CacheGeometry(4, 4, 64), Stub())
 
 
+@pytest.mark.parametrize("base, stride", [(1 << 40, 1), (0, 1 << 30)])
+def test_bind_tags_share_one_object_per_dense_value(base, stride):
+    """Dense tags, however large, reach bind as one int object per
+    distinct value, so the tag list costs the same at any address;
+    sparse tags still arrive as their exact values."""
+    seen = {}
+
+    class Spy(Policy):
+        def bind(self, trace, tags):
+            seen["tags"] = tags
+
+        def choose_victim(self, view):
+            return 0
+
+    rng = random.Random(3)
+    blocks = [base + stride * rng.randrange(32) for _ in range(400)]
+    t = Trace([MemoryAccess(64 * b) for b in blocks])
+    simulate(t, CacheGeometry(1, 4, 64), Spy())
+    assert seen["tags"] == blocks
+    if stride == 1:
+        assert len({id(tag) for tag in seen["tags"]}) == len(set(blocks))
+
+
 def test_classify_accounting_totals_match(tmp_path):
     g = CacheGeometry(8, 2, 64)
     t = random_trace(5)
