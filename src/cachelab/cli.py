@@ -110,19 +110,15 @@ def _emit(text, args):
         print(text)
 
 
-def _run_policy(name, trace, geometry, args, abrs):
+def _run_policy(name, trace, geometry, args, abrs, by_class=False):
+    """by_class: count accesses and hits per hint class, for an output
+    that prints them."""
     if name == "opt":
         return opt_oracle(trace, geometry, allow_bypass=getattr(args, "bypass", False),
                           seed=args.seed)
     policy = make_policy(name, abrs=abrs)
-    classify = RegionMap(abrs, geometry.capacity_bytes).classify if abrs else None
-    return simulate(
-        trace,
-        geometry,
-        policy,
-        seed=args.seed,
-        classify=classify,
-    )
+    classify = RegionMap(abrs, geometry.capacity_bytes).classify if abrs and by_class else None
+    return simulate(trace, geometry, policy, seed=args.seed, classify=classify)
 
 
 def cmd_simulate(args):
@@ -131,7 +127,8 @@ def cmd_simulate(args):
     trace = _load_source(args)
     geometry = _geometry(args)
     abrs = [parse_abr(a) for a in args.abr or []]
-    report = _run_policy(args.policy, trace, geometry, args, abrs)
+    report = _run_policy(args.policy, trace, geometry, args, abrs,
+                         by_class=args.format == "json")
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args)
     else:

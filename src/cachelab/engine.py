@@ -7,6 +7,7 @@ run comes from one seeded splitmix64 generator, so identical
 (trace, geometry, policy, seed) inputs reproduce identical reports.
 """
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -108,11 +109,12 @@ class Policy:
     """Replacement policy contract.
 
     Each run calls reset, then bind with the trace and the engine's
-    per-access tag list, then exactly one of on_hit / decide_insert per
+    per-access tag buffer, then exactly one of on_hit / decide_insert per
     access, in trace order.  Hooks get the set's view, whose
     access_index is the access's position in the trace; a policy that
-    reads a per-access field takes it in bind as a plain-int list and
-    indexes it by view.access_index.
+    reads a per-access field takes it in bind as a typed buffer (a
+    memoryview over the numpy column, at most 8 bytes per access, never
+    a list) and indexes it by view.access_index.
 
     view.state is the policy's list of per-way values.  The engine fills
     ways in order, appending to view.tags and view.state together, so a
@@ -256,9 +258,9 @@ class SimReport:
         return d
 
 
-def lru_would_miss(stream, start, tag, ways):
-    """True if tag's next reference in stream[start:] comes at or after
-    `ways` distinct other blocks, or never comes.
+def lru_would_miss(stream, start, tag, ways, stop=None):
+    """True if tag's next reference in stream[start:stop] comes at or
+    after `ways` distinct other blocks, or never comes.
 
     This is the dead-eviction correctness rule: an eviction at stream
     position `start` (the position of the access that triggered it) is
@@ -266,7 +268,7 @@ def lru_would_miss(stream, start, tag, ways):
     would have missed its next reference.
     """
     seen = set()
-    for k in range(start, len(stream)):
+    for k in range(start, len(stream) if stop is None else stop):
         t = stream[k]
         if t == tag:
             return False
@@ -278,20 +280,19 @@ def lru_would_miss(stream, start, tag, ways):
 
 def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
     """Count the correct entries of dead_log, (access index, set, victim
-    tag) per predicted-dead eviction, against each set's tag stream."""
-    order = np.argsort(set_col, kind="stable")
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    counts = np.bincount(set_col, minlength=num_sets)
-    ends = np.cumsum(counts)
-    starts = (ends - counts).tolist()
-    streams = [s.tolist() for s in np.split(tag_col[order], ends[:-1])]
-    rank = rank.tolist()
-    correct = 0
-    for index, si, vtag in dead_log:
-        if lru_would_miss(streams[si], rank[index] - starts[si], vtag, ways):
-            correct += 1
-    return correct
+    tag) per predicted-dead eviction, against each set's tag stream: the
+    tag column grouped set by set, scanned within the set's bounds."""
+    order = np.argsort(set_col, kind="stable")  # within a set, ascending
+    ends = np.cumsum(np.bincount(set_col, minlength=num_sets)).tolist()
+    starts = [0] + ends[:-1]
+    position = memoryview(order)
+    rows = [bisect_left(position, index, starts[si], ends[si]) for index, si, _ in dead_log]
+    grouped = memoryview(tag_col[order])
+    del position, order
+    return sum(
+        lru_would_miss(grouped, row, vtag, ways, stop=ends[si])
+        for row, (_, si, vtag) in zip(rows, dead_log)
+    )
 
 
 def _class_counts(classify, addresses, hit_at):
@@ -299,8 +300,9 @@ def _class_counts(classify, addresses, hit_at):
     distinct address."""
     distinct, inverse = np.unique(addresses, return_inverse=True)
     labels = {}
-    codes = np.array(
-        [labels.setdefault(classify(a), len(labels)) for a in distinct.tolist()], dtype=np.intp
+    codes = np.fromiter(
+        (labels.setdefault(classify(a), len(labels)) for a in memoryview(distinct)),
+        dtype=np.intp, count=len(distinct),
     )[inverse.reshape(-1)]
     accesses = np.bincount(codes, minlength=len(labels)).tolist()
     hits = np.bincount(codes[np.frombuffer(hit_at, dtype=bool)], minlength=len(labels)).tolist()
@@ -322,13 +324,10 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     ways = geometry.ways
     n = len(trace)
     tag_col = geometry.blocks(trace.addresses)
-    set_col = tag_col & (num_sets - 1)
+    set_col = tag_col.astype(np.min_scalar_type(num_sets - 1))
+    set_col &= num_sets - 1  # a narrowing cast keeps the low bits
     tag_col >>= geometry.set_bits  # block numbers become tags in place
-    lo, hi = (int(tag_col.min()), int(tag_col.max())) if n else (0, n)
-    if hi - lo < n:  # dense tags share one int object per value, however large
-        tag_col -= lo
-        tag_col = np.array(range(lo, hi + 1), dtype=object)[tag_col]
-    tags = tag_col.tolist()
+    sets, tags = memoryview(set_col), memoryview(tag_col)
 
     views = [SetView(i, ways) for i in range(num_sets)]
     lookup = [dict() for _ in range(num_sets)]
@@ -346,7 +345,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
     hit_at = bytearray(n)
     hits = misses = bypasses = evictions = dead_predicted = insertions = 0
 
-    for index, (si, tag) in enumerate(zip(set_col.tolist(), tags)):
+    for index, (si, tag) in enumerate(zip(sets, tags)):
         view = views[si]
         view.access_index = index
         where = lookup[si]
@@ -383,7 +382,6 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
 
         if interval and (index + 1) % interval == 0:
             policy.on_interval({"accesses": index + 1, "hits": hits, "misses": misses})
-    del tags  # the passes below build lists of their own
 
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
@@ -427,8 +425,8 @@ def filter_trace(trace, num_sets, ways, block_bytes=64):
     """
     front_geom = CacheGeometry(num_sets, ways, block_bytes)
     front = [OrderedDict() for _ in range(num_sets)]
-    kept = []
-    for index, blk in enumerate(front_geom.blocks(trace.addresses).tolist()):
+    miss = bytearray(len(trace))
+    for index, blk in enumerate(memoryview(front_geom.blocks(trace.addresses))):
         tags = front[blk % num_sets]
         if blk in tags:
             tags.move_to_end(blk)
@@ -436,8 +434,8 @@ def filter_trace(trace, num_sets, ways, block_bytes=64):
         tags[blk] = True
         if len(tags) > ways:
             tags.popitem(last=False)
-        kept.append(index)
-    kept = np.array(kept, dtype=np.intp)
+        miss[index] = 1
+    kept = np.flatnonzero(miss)
     records = trace.records[kept]
     ran = np.cumsum(trace.records["inst_delta"], dtype=np.uint64)[kept]
     folded = np.diff(ran, prepend=np.uint64(0))

@@ -112,7 +112,7 @@ class GraspPolicy(DrripPolicy):
                        int(trace.addresses[i]))
                 )
             hints = by_region
-        self.hints = hints.tolist()
+        self.hints = memoryview(hints)
         super().bind(trace, tags)
 
     def on_insert(self, view, way):

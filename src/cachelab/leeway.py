@@ -116,7 +116,7 @@ class LeewayPolicy(Policy):
 
     def bind(self, trace, tags):
         self.base.bind(trace, tags)
-        self.pcs = trace.pcs.tolist()
+        self.pcs = memoryview(trace.pcs)
 
     # -- predictor table ------------------------------------------------
 

@@ -15,13 +15,16 @@ NEVER = 1 << 62  # farther than any trace position
 
 
 def next_use_index(trace, geometry):
-    """next_use[i] = index of the next access to the same block, else NEVER."""
+    """next_use[i] = index of the next access to the same block, else
+    NEVER, as an int64 buffer."""
     blocks = geometry.blocks(trace.addresses)
     order = np.argsort(blocks, kind="stable")  # each block's accesses in trace order
-    nxt = np.full(len(blocks), NEVER, dtype=np.int64)
-    same = blocks[order[1:]] == blocks[order[:-1]]
-    nxt[order[:-1][same]] = order[1:][same]
-    return nxt.tolist()
+    blocks = blocks[order]
+    same = blocks[1:] == blocks[:-1]
+    del blocks
+    nxt = np.full(len(order), NEVER, dtype=np.int64)
+    nxt[order[:-1]] = np.where(same, order[1:], NEVER)
+    return memoryview(nxt)
 
 
 class OptPolicy(Policy):

@@ -384,7 +384,7 @@ class ShipMemPolicy(SrripPolicy):
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 
     def bind(self, trace, tags):
-        self.regions = (trace.addresses // self.region_bytes).tolist()
+        self.regions = memoryview(trace.addresses // self.region_bytes)
 
     def on_insert(self, view, way):
         region = self.regions[view.access_index]
@@ -440,7 +440,7 @@ class PinPolicy(Policy):
 
     def bind(self, trace, tags):
         self.base.bind(trace, tags)
-        self.hints = trace.hints.tolist()
+        self.hints = memoryview(trace.hints)
         self.route(PinPolicy, on_hit=self.base.on_hit)
 
     def decide_insert(self, view):

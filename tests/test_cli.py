@@ -6,7 +6,11 @@ import pytest
 
 from cachelab import graphs as graphmod
 from cachelab.cli import CliError, main, parse_abr, parse_pattern
-from cachelab.trace import read_trace
+from cachelab.engine import CacheGeometry, simulate
+from cachelab.grasp import RegionMap
+from cachelab.metrics import compare_reports
+from cachelab.policies import make_policy
+from cachelab.trace import read_trace, write_trace
 
 
 def run(capsys, *argv):
@@ -146,6 +150,38 @@ def test_compare_inserts_the_baseline_and_reports_each_policy(capsys):
     lru_misses = int(lines[1].split(",")[1])
     opt_misses = int(lines[3].split(",")[1])
     assert opt_misses <= lru_misses
+
+
+def test_compare_rows_equal_tabled_reports_that_count_hint_classes(tmp_path, capsys,
+                                                                    monkeypatch):
+    """Only an output that prints hint-class counts computes them:
+    simulate's JSON report, not its CSV row and not compare's rows,
+    which still equal those of reports that did count them."""
+    trace, abrs = graphmod.gen_graph_trace(graphmod.synth_powerlaw(2000, 8, seed=3))
+    path = tmp_path / "g.ctr"
+    write_trace(trace, path)
+    geometry = CacheGeometry(16, 8, 64)
+    names = ["lru", "drrip3", "leeway-lru", "grasp"]
+    source = ["--trace", str(path), "--sets", "16", "--ways", "8", "--abr", "%d:%d" % abrs[0]]
+    calls = []
+    plain = RegionMap.classify
+    monkeypatch.setattr(RegionMap, "classify", lambda self, a: calls.append(a) or plain(self, a))
+    for argv, classified in ((["simulate", "--policy", "grasp"], False),
+                             (["simulate", "--policy", "grasp", "--format", "json"], True)):
+        del calls[:]
+        assert run(capsys, *argv, *source)[0] == 0
+        assert bool(calls) == classified
+    del calls[:]
+    code, out, _ = run(capsys, "compare", *source, "--policies", ",".join(names), "--seed", "3",
+                       "--format", "json")
+    assert code == 0
+    assert not calls
+    monkeypatch.undo()
+    classify = RegionMap(abrs, geometry.capacity_bytes).classify
+    reports = [simulate(read_trace(path), geometry, make_policy(n, abrs=abrs), seed=3,
+                        classify=classify) for n in names]
+    assert all(sum(r.hint_class_accesses.values()) == r.accesses for r in reports)
+    assert json.loads(out) == compare_reports(reports, baseline="lru")
 
 
 def test_gen_trace_writes_the_binary_format(tmp_path, capsys):

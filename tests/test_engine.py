@@ -1,6 +1,7 @@
 """Cache geometry, the seeded generator, the simulation loop, and reports."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,27 +171,35 @@ def test_simulate_rejects_a_victim_outside_the_set(victim):
         simulate(t, CacheGeometry(4, 4, 64), Stub())
 
 
-@pytest.mark.parametrize("base, stride", [(1 << 40, 1), (0, 1 << 30)])
-def test_bind_tags_share_one_object_per_dense_value(base, stride):
-    """Dense tags, however large, reach bind as one int object per
-    distinct value, so the tag list costs the same at any address;
-    sparse tags still arrive as their exact values."""
+def test_bind_tags_are_the_block_tags_at_any_address():
+    """bind receives the engine's int64 tag buffer, equal to the block
+    tags, dense or sparse; and with no Python int held per access, a run
+    costs the same memory whether its tags are small or past 2**40."""
     seen = {}
 
     class Spy(Policy):
         def bind(self, trace, tags):
-            seen["tags"] = tags
+            seen["tags"] = list(tags)
 
         def choose_victim(self, view):
             return 0
 
+    def peak(trace):
+        tracemalloc.start()
+        try:
+            simulate(trace, CacheGeometry(1, 4, 64), make_policy("lru"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     rng = random.Random(3)
-    blocks = [base + stride * rng.randrange(32) for _ in range(400)]
-    t = Trace([MemoryAccess(64 * b) for b in blocks])
-    simulate(t, CacheGeometry(1, 4, 64), Spy())
-    assert seen["tags"] == blocks
-    if stride == 1:
-        assert len({id(tag) for tag in seen["tags"]}) == len(set(blocks))
+    offsets = [rng.randrange(32) for _ in range(20000)]
+    for base, stride in ((0, 1), (1 << 40, 1), (0, 1 << 30)):
+        blocks = [base + stride * o for o in offsets]
+        simulate(Trace([MemoryAccess(64 * b) for b in blocks[:400]]), CacheGeometry(1, 4, 64), Spy())
+        assert seen["tags"] == blocks[:400]
+    small, large = (Trace([MemoryAccess(64 * (base + o)) for o in offsets]) for base in (0, 1 << 40))
+    assert peak(large) <= 1.1 * peak(small)
 
 
 def test_classify_accounting_totals_match(tmp_path):

@@ -20,14 +20,14 @@ def random_trace(seed, n=400, blocks=24):
 def test_next_use_index_exact():
     t = block_trace([0, 1, 0, 2, 1, 0])
     g = CacheGeometry(1, 2, 64)
-    assert next_use_index(t, g) == [2, 4, 5, NEVER, NEVER, NEVER]
+    assert list(next_use_index(t, g)) == [2, 4, 5, NEVER, NEVER, NEVER]
 
 
 def test_next_use_index_works_on_block_granularity():
     # two addresses inside one block are the same stream element
     t = Trace([MemoryAccess(0), MemoryAccess(32), MemoryAccess(64)])
     g = CacheGeometry(1, 2, 64)
-    assert next_use_index(t, g) == [1, NEVER, NEVER]
+    assert list(next_use_index(t, g)) == [1, NEVER, NEVER]
 
 
 def test_next_use_index_matches_a_backward_scan():
@@ -41,7 +41,7 @@ def test_next_use_index_matches_a_backward_scan():
             block = t[i].address // 64
             expected[i] = last.get(block, NEVER)
             last[block] = i
-        assert next_use_index(t, g) == expected
+        assert list(next_use_index(t, g)) == expected
 
 
 def test_opt_on_cyclic_three_block_two_way_trace():
