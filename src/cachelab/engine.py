@@ -124,8 +124,7 @@ class Policy:
     an insertion meets a full set and returns a way in 0..ways-1; it sets
     `predicted_dead` to True when the victim was taken from a
     predicted-dead set.  The engine looks the hooks up once, after bind,
-    so bind may route them.  on_interval observes the run's counters and
-    must not change any later decision.
+    so bind may route them.
     """
 
     name = "policy"
@@ -162,9 +161,6 @@ class Policy:
         pass
 
     def on_hit(self, view, way):
-        pass
-
-    def on_interval(self, counters):
         pass
 
 
@@ -312,27 +308,20 @@ def _class_counts(classify, addresses, hit_at):
     )
 
 
-def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
-    """Run a policy over a trace and return its SimReport.
+def run_policy(policy, geometry, rng, trace, sets, tags):
+    """The cache loop: reset and bind policy, then run it over one set
+    index and one tag per access of trace.
 
-    classify: optional address -> class used purely for per-class
-    hit-rate accounting (the policy never sees it).
-    interval: optional access count between policy.on_interval calls,
-    which observe the counters without changing any decision.
+    Returns (hit_at, counters, dead_log): one byte per access, 1 on a
+    hit; the hits, misses, bypasses and evictions; and (access index,
+    set, victim tag) per predicted-dead eviction.  The run's counters
+    are checked against each other before they are returned.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
-    n = len(trace)
-    tag_col = geometry.blocks(trace.addresses)
-    set_col = tag_col.astype(np.min_scalar_type(num_sets - 1))
-    set_col &= num_sets - 1  # a narrowing cast keeps the low bits
-    tag_col >>= geometry.set_bits  # block numbers become tags in place
-    sets, tags = memoryview(set_col), memoryview(tag_col)
-
     views = [SetView(i, ways) for i in range(num_sets)]
     lookup = [dict() for _ in range(num_sets)]
 
-    rng = SplitMix64(seed)
     policy.reset(geometry, rng)
     policy.bind(trace, tags)
     on_hit, decide_insert = policy.on_hit, policy.decide_insert
@@ -341,9 +330,10 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
         decide_insert = None  # inserts on every miss, no call needed
     policy.predicted_dead = False
 
+    n = len(tags)
     dead_log = []
     hit_at = bytearray(n)
-    hits = misses = bypasses = evictions = dead_predicted = insertions = 0
+    hits = misses = bypasses = evictions = insertions = 0
 
     for index, (si, tag) in enumerate(zip(sets, tags)):
         view = views[si]
@@ -370,7 +360,6 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
                     victim = resident[way]
                     if policy.predicted_dead:
                         policy.predicted_dead = False
-                        dead_predicted += 1
                         dead_log.append((index, si, victim))
                     del where[victim]
                     resident[way] = tag
@@ -380,9 +369,6 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
             else:
                 bypasses += 1
 
-        if interval and (index + 1) % interval == 0:
-            policy.on_interval({"accesses": index + 1, "hits": hits, "misses": misses})
-
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
     if insertions != misses - bypasses:
@@ -390,21 +376,37 @@ def simulate(trace, geometry, policy, seed=0, classify=None, interval=None):
                            % (insertions, misses - bypasses))
     if evictions > insertions:
         raise RuntimeError("%d evictions exceed %d insertions" % (evictions, insertions))
+    counters = dict(hits=hits, misses=misses, bypasses=bypasses, evictions=evictions)
+    return hit_at, counters, dead_log
 
+
+def simulate(trace, geometry, policy, seed=0, classify=None):
+    """Run a policy over a trace and return its SimReport.
+
+    classify: optional address -> class used purely for per-class
+    hit-rate accounting (the policy never sees it).
+    """
+    num_sets = geometry.num_sets
+    ways = geometry.ways
+    tag_col = geometry.blocks(trace.addresses)
+    set_col = tag_col.astype(np.min_scalar_type(num_sets - 1))
+    set_col &= num_sets - 1  # a narrowing cast keeps the low bits
+    tag_col >>= geometry.set_bits  # block numbers become tags in place
+
+    hit_at, counters, dead_log = run_policy(
+        policy, geometry, SplitMix64(seed), trace, memoryview(set_col), memoryview(tag_col)
+    )
     report = SimReport(
         policy=policy.name,
         num_sets=num_sets,
         ways=ways,
         block_bytes=geometry.block_bytes,
         seed=seed,
-        accesses=n,
-        hits=hits,
-        misses=misses,
-        bypasses=bypasses,
-        evictions=evictions,
-        dead_predicted_evictions=dead_predicted,
+        accesses=len(trace),
+        dead_predicted_evictions=len(dead_log),
         total_instructions=trace.total_instructions(),
         trace_fingerprint=trace.digest(),
+        **counters,
     )
     if dead_log:
         report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)

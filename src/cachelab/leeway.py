@@ -17,7 +17,7 @@ stored distance of 0 is reserved for blocks never re-referenced.
 """
 
 from cachelab.engine import Policy
-from cachelab.policies import LruPolicy, NruPolicy, SetDuel
+from cachelab.policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
 
 BOP = 0  # bypass-oriented: raising the distance needs 7 confirmations
 ROP = 1  # reuse-oriented: lowering the distance needs 7 confirmations
@@ -94,20 +94,15 @@ class LeewayPolicy(Policy):
         self.stable = [[self.maxpos] * self.entries for _ in range(self.banks)]
         self.var_count = [[0] * self.entries for _ in range(self.banks)]
         self.var_dir = [[0] * self.entries for _ in range(self.banks)]
-        self.sampler_bank = {}
         num_sets = geometry.num_sets
         if self.banks == 2:
             layout = SetDuel(num_sets, self.sampler_cfg)
-            for set_index, side in layout.kind.items():
-                self.sampler_bank[set_index] = BOP if side == "a" else ROP
+            self.sampler_bank = {s: BOP if side == "a" else ROP for s, side in layout.kind.items()}
             self.duel_enabled = not layout.shadow
             if layout.shadow:
                 self.sampler_bank[0] = BOP  # single set: train BOP only
         else:
-            n = min(self.sampler_cfg, num_sets)
-            stride = max(1, num_sets // n)
-            for i in range(n):
-                self.sampler_bank[i * stride] = 0
+            self.sampler_bank = dict.fromkeys(sampler_layout(num_sets, self.sampler_cfg), 0)
             self.duel_enabled = False
         self.winner = BOP if self.banks == 2 else 0
         self.sampler_misses = [0] * self.banks

@@ -24,7 +24,7 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 
 from copy import copy
 
-from cachelab.engine import CacheGeometry, Policy, SetView, SplitMix64
+from cachelab.engine import Policy, SplitMix64, run_policy
 from cachelab.trace import ReuseHint
 
 BIP_EPSILON = 1.0 / 32.0
@@ -78,6 +78,13 @@ class SetDuel:
 
     def governing(self, set_index):
         return self.kind.get(set_index) or self.winner()
+
+
+def sampler_layout(num_sets, count):
+    """Indexes of min(count, num_sets) sampler sets, evenly strided."""
+    n = min(count, num_sets)
+    stride = max(1, num_sets // n)
+    return [i * stride for i in range(n)]
 
 
 class LruPolicy(Policy):
@@ -135,47 +142,16 @@ class BipPolicy(LruPolicy):
         view.state[way] = i if self.rng.random() < self.epsilon else -i - 1
 
 
-def _shadow_hits(policy, geometry, rng, tags):
-    """Run policy on a one-set, tag-only shadow cache over the tag
-    stream, yielding True for each access that hits.
-
-    A victim's tag and state are deleted and each fill is appended, so
-    way order is fill order.  RRIP victim ties therefore go to the oldest
-    fill, not to the lowest way as in the real cache, so shadow
-    SRRIP/BRRIP are not exactly the policies they shadow.  Every
-    single-set DRRIP result recorded so far depends on this order;
-    breaking ties by way instead moves drrip3 on thrash:k=32,n=64 over
-    1x16 (seed 7) from 1,118 to 1,108 misses.
-    """
-    ways = geometry.ways
-    policy.reset(CacheGeometry(1, ways, geometry.block_bytes), rng)
-    on_hit, on_insert, choose_victim = policy.on_hit, policy.on_insert, policy.choose_victim
-    view = SetView(0, ways)
-    resident, state = view.tags, view.state
-    for index, tag in enumerate(tags):
-        view.access_index = index
-        if tag in resident:
-            on_hit(view, resident.index(tag))
-            yield True
-            continue
-        if len(resident) == ways:
-            way = choose_victim(view)
-            del resident[way], state[way]
-        resident.append(tag)
-        state.append(None)
-        on_insert(view, len(resident) - 1)
-        yield False
-
-
 class DuelPolicy(Policy):
     """Set dueling between policies a and b that differ in insertion.
 
     Hits promote and victims are chosen as a does; each fill is inserted
     by the side governing its set.  A cache too small for leader sets
-    duels on shadow sets: bind runs a copy of each side over the tag
-    stream, drawing from a generator forked off the run's generator at
-    reset, and each shadow miss votes against its side.  The shadows
-    never see the real cache, so bind knows the winner at every access.
+    duels on shadow sets: bind runs a copy of each side as a full policy
+    through the engine's own loop (`run_policy`) over the tag stream,
+    drawing from a generator forked off the run's generator at reset,
+    and each shadow miss votes against its side.  The shadows never see
+    the real cache, so bind knows the winner at every access.
     """
 
     def __init__(self, a, b, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
@@ -196,16 +172,17 @@ class DuelPolicy(Policy):
         self.a.bind(trace, tags)
         self.b.bind(trace, tags)
         if self.duel.shadow:
-            self.b_won = self._shadow_duel(tags)
+            self.b_won = self._shadow_duel(trace, tags)
         # a shadow duel has no leader sets to vote for
         no_vote = super().decide_insert if self.duel.shadow else None
         self.route(DuelPolicy, on_hit=self.a.on_hit, choose_victim=self.a.choose_victim,
                    decide_insert=no_vote)
 
-    def _shadow_duel(self, tags):
+    def _shadow_duel(self, trace, tags):
         duel = self.duel
         a_hits, b_hits = (
-            _shadow_hits(copy(p), self.geometry, self.shadow_rng, tags) for p in (self.a, self.b)
+            run_policy(copy(p), self.geometry, self.shadow_rng, trace, bytes(len(tags)), tags)[0]
+            for p in (self.a, self.b)
         )
         b_won = bytearray(len(tags))
         for index, (a_hit, b_hit) in enumerate(zip(a_hits, b_hits)):
@@ -377,9 +354,7 @@ class ShipMemPolicy(SrripPolicy):
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        n = min(self.sampler_sets, geometry.num_sets)
-        stride = max(1, geometry.num_sets // n)
-        self.sampler = set(i * stride for i in range(n))
+        self.sampler = set(sampler_layout(geometry.num_sets, self.sampler_sets))
         self.table = {}
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 

@@ -15,9 +15,8 @@ from cachelab.engine import (
     lru_would_miss,
     simulate,
 )
-from cachelab.leeway import LeewayPolicy
 from cachelab.metrics import reuse_distances
-from cachelab.policies import POLICY_NAMES, make_policy
+from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
 
@@ -232,33 +231,6 @@ def test_classify_runs_once_per_distinct_address():
     assert sorted(calls) == [0, 64, 128]
     assert r.hint_class_accesses == {True: 4, False: 2}
     assert r.hint_class_hits == {True: 1}
-
-
-def test_interval_hook_fires_each_n_accesses():
-    g = CacheGeometry(2, 2, 64)
-    t = random_trace(1, n=100)
-    seen = []
-
-    class Probe(type(make_policy("lru"))):
-        def on_interval(self, counters):
-            seen.append(counters["accesses"])
-
-    simulate(t, g, Probe(), interval=25)
-    assert seen == [25, 50, 75, 100]
-
-
-def test_interval_hook_never_changes_a_report():
-    # the hook observes the counters; no policy may decide anything on it.
-    # Two sampler sets leave followers on 16 sets, so Leeway's duel winner
-    # matters here.
-    g = CacheGeometry(16, 4, 64)
-    t = random_trace(0, n=1000, blocks=96, pcs=4)
-    makers = [lambda name=name: make_policy(name) for name in POLICY_NAMES if name != "opt"]
-    makers.append(lambda: LeewayPolicy(base="lru", mode="dynamic", sampler_sets=2))
-    for make in makers:
-        plain = simulate(t, g, make(), seed=0)
-        watched = simulate(t, g, make(), seed=0, interval=10)
-        assert watched == plain, plain.policy
 
 
 def test_report_properties_and_csv_row():

@@ -4,10 +4,12 @@ The tracemalloc peak of a call, per access of a fixed 65,536-access
 trace, stays under a bound.  Each bound sits between the peak of the
 typed-buffer engine, with room to spare, and the peak of the earlier
 engine that turned every column into a list of Python ints (measured on
-this trace: lru 42.0, leeway-lru 142.2, opt 81.2 B/access), so going
-back to per-access lists fails here.  The peak also counts the cache's
-own state (one dict and two lists per set, Leeway's predictor tables),
-which a trace this short spreads over few accesses.
+this trace: lru 42.0, leeway-lru 142.2, opt 81.2, one-set drrip3 66.9
+B/access), so going back to per-access lists fails here.  The one-set
+drrip3 run covers the shadow duel, whose two shadow runs each keep a
+hit byte per access.  The peak also counts the cache's own state (one
+dict and two lists per set, Leeway's predictor tables), which a trace
+this short spreads over few accesses.
 """
 
 import tracemalloc
@@ -36,14 +38,16 @@ def gate_trace():
 
 
 CALLS = {
+    "drrip3-1set": lambda t, g: simulate(t, CacheGeometry(1, 16, 64), make_policy("drrip3")),
     "lru": lambda t, g: simulate(t, g, make_policy("lru")),
     "leeway-lru": lambda t, g: simulate(t, g, make_policy("leeway-lru")),
     "opt": lambda t, g: opt_oracle(t, g),
 }
 
 
-# measured on numpy 2.4 / CPython 3.11: 20.9, 49.3 and 28.7 B/access
-BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 45}
+# measured on numpy 2.4 / CPython 3.11: 20.9, 49.3 and 28.7 B/access,
+# and 12.9 for drrip3-1set
+BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 45, "drrip3-1set": 20}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

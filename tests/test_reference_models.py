@@ -2,10 +2,12 @@
 
 Each model below is one flat loop written from its paper's description
 and imports nothing from cachelab: a list-based LRU stack (Mattson et
-al., IBM Sys. J. 1970) and SRRIP with m-bit RRPVs (Jaleel et al., ISCA
-2010).  hypothesis draws short block traces over small geometries, and
-every access must agree with `simulate`: the same hit or miss and, on an
-eviction, the same victim block.
+al., IBM Sys. J. 1970), SRRIP with m-bit RRPVs (Jaleel et al., ISCA
+2010), and single-set DRRIP-m, whose set dueling (Qureshi et al., ISCA
+2007) runs on shadow SRRIP and BRRIP sets.  hypothesis draws short block
+traces over small geometries, and every access must agree with
+`simulate`: the same hit or miss and, on an eviction, the same victim
+block.
 """
 
 import time
@@ -17,8 +19,30 @@ from cachelab.engine import CacheGeometry, simulate
 from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, Trace
 
-BUDGET_S = 15.0  # both tests together
+BUDGET_S = 15.0  # the three tests together
+SHARE = {"lru": 0.3, "srrip": 0.3, "drrip": 0.4}  # of BUDGET_S; they take about 2 : 2 : 3
 EXAMPLES = 300
+
+_U64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """A copy of the engine's generator (splitmix64), so that the DRRIP
+    model draws the same bimodal insertions."""
+
+    def __init__(self, seed):
+        self.state = seed & _U64
+
+    def next_u64(self):
+        self.state = (self.state + _GOLDEN) & _U64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+        return z ^ (z >> 31)
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def lru_stack_model(blocks, num_sets, ways):
@@ -68,7 +92,53 @@ def srrip_model(blocks, num_sets, ways, m):
     return out
 
 
-def engine_log(name, blocks, num_sets, ways):
+def drrip_model(blocks, ways, m, seed):
+    """Single-set DRRIP-m per access: (hit, evicted block or None).
+
+    One set has no room for leader sets, so a shadow SRRIP set and a
+    shadow BRRIP set see every access beside the real set.  A shadow
+    SRRIP miss moves the 10-bit PSEL (starting at 511) up, a shadow BRRIP
+    miss moves it down, and a real fill is inserted as BRRIP does when,
+    after those votes, PSEL >= 512, else as SRRIP does.  Every set hits
+    and evicts as SRRIP: a hit sets the RRPV to 0, a miss fills the
+    lowest empty way, else evicts the lowest way at 2^m - 1 after aging
+    every way until one gets there.  SRRIP fills at 2^m - 2; BRRIP fills
+    there with probability 1/32, else at 2^m - 1.  The real set draws
+    from the run's generator, the shadow BRRIP set from one forked off
+    it before the run as next_u64() ^ 0x9E3779B97F4A7C15."""
+    top = (1 << m) - 1
+    rng = SplitMix64(seed)
+    shadow_rng = SplitMix64(rng.next_u64() ^ _GOLDEN)
+    psel, mid, psel_max = 511, 512, 1023
+    sets = [([None] * ways, [0] * ways) for _ in range(3)]  # SRRIP, BRRIP, real
+    out = []
+    for b in blocks:
+        for k, (resident, rrpv) in enumerate(sets):
+            hit, victim = b in resident, None
+            if hit:
+                rrpv[resident.index(b)] = 0
+                continue
+            if k == 0:
+                psel = min(psel + 1, psel_max)
+            elif k == 1:
+                psel = max(psel - 1, 0)
+            if None in resident:
+                way = resident.index(None)
+            else:
+                while top not in rrpv:
+                    for w in range(ways):
+                        rrpv[w] += 1
+                way = rrpv.index(top)
+                victim = resident[way]
+            resident[way] = b
+            bimodal = k == 1 or (k == 2 and psel >= mid)
+            near = not bimodal or (shadow_rng if k == 1 else rng).random() < 1 / 32
+            rrpv[way] = top - 1 if near else top
+        out.append((hit, victim))  # the real set's outcome
+    return out
+
+
+def engine_log(name, blocks, num_sets, ways, seed=0):
     """The same log, recorded from simulate through the policy's hooks."""
     policy = make_policy(name)
     on_hit, choose_victim, on_insert = policy.on_hit, policy.choose_victim, policy.on_insert
@@ -89,15 +159,15 @@ def engine_log(name, blocks, num_sets, ways):
 
     policy.on_hit, policy.choose_victim, policy.on_insert = hit, victim, insert
     trace = Trace([MemoryAccess(64 * b) for b in blocks])
-    simulate(trace, CacheGeometry(num_sets, ways, 64), policy)
+    simulate(trace, CacheGeometry(num_sets, ways, 64), policy, seed=seed)
     return log
 
 
 @st.composite
-def cases(draw):
+def cases(draw, set_counts=(1, 2, 4, 8, 16)):
     """A random block trace of 1-300 accesses on 1-16 sets of 1-16 ways,
     over few enough blocks that sets both hit and evict."""
-    num_sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    num_sets = draw(st.sampled_from(set_counts))
     ways = draw(st.integers(1, 16))
     rnd = draw(st.randoms(use_true_random=False))
     span = rnd.randint(ways, 3 * num_sets * ways)
@@ -121,15 +191,30 @@ def _check_srrip(case, m):
     assert got == srrip_model(blocks, num_sets, ways, m)
 
 
-def test_lru_matches_the_stack_model_access_for_access():
+@seed(20261018)
+@settings(max_examples=EXAMPLES, deadline=None, database=None)
+@given(cases(set_counts=(1,)), st.sampled_from([2, 3]), st.integers(0, _U64))
+def _check_drrip(case, m, run_seed):
+    blocks, _, ways = case
+    got = engine_log("drrip%d" % m, blocks, 1, ways, seed=run_seed)
+    assert got == drrip_model(blocks, ways, m, run_seed)
+
+
+def within_budget(check, share):
+    budget = BUDGET_S * SHARE[share]
     t0 = time.perf_counter()
-    _check_lru()
+    check()
     elapsed = time.perf_counter() - t0
-    assert elapsed < BUDGET_S / 2, "exceeded %.1fs budget (%.1fs)" % (BUDGET_S / 2, elapsed)
+    assert elapsed < budget, "exceeded %.1fs budget (%.1fs)" % (budget, elapsed)
+
+
+def test_lru_matches_the_stack_model_access_for_access():
+    within_budget(_check_lru, "lru")
 
 
 def test_srrip_matches_the_rrpv_model_access_for_access():
-    t0 = time.perf_counter()
-    _check_srrip()
-    elapsed = time.perf_counter() - t0
-    assert elapsed < BUDGET_S / 2, "exceeded %.1fs budget (%.1fs)" % (BUDGET_S / 2, elapsed)
+    within_budget(_check_srrip, "srrip")
+
+
+def test_single_set_drrip_matches_the_shadow_duel_model_access_for_access():
+    within_budget(_check_drrip, "drrip")
