@@ -16,28 +16,46 @@ import numpy as np
 from cachelab.trace import Trace
 
 _U64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 class SplitMix64:
-    """Named 64-bit PRNG (splitmix64); tiny, portable, deterministic."""
+    """Named 64-bit PRNG (splitmix64); tiny, portable, deterministic.
+
+    Draw k of seed s is mix(s + k * gamma mod 2**64) (Steele, Lea & Flood,
+    OOPSLA 2014), so draws are computed ahead in numpy blocks, 16 at first
+    and doubling up to 1,024, and read through memoryviews.  Every method
+    takes the next draw of the one stream, so the sequence is the scalar
+    generator's, bit for bit."""
 
     def __init__(self, seed):
-        self._state = seed & _U64
+        self._state = seed & _U64  # s + k * gamma of the last computed draw
+        self._size, self._pos, self._floats = 8, 0, b""  # the block's draws as random() floats
 
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return z ^ (z >> 31)
+        self.random()  # steps past the next draw, computing a block if needed
+        return self._block[self._pos - 1]
 
     def random(self):
         """Uniform float in [0, 1) with 53 random bits: the top bits of
-        next_u64(), with its step written out to save a call."""
-        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _U64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return ((z ^ (z >> 31)) >> 11) * (2.0**-53)
+        next_u64()."""
+        pos = self._pos
+        try:
+            x = self._floats[pos]
+        except IndexError:  # the block is used up: compute the next one
+            self._size = size = min(2 * self._size, 1024)
+            z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z += np.uint64(self._state)  # wraps mod 2**64, as the state does
+            self._state = (self._state + size * _GAMMA) & _U64
+            z = (z ^ (z >> np.uint64(30))) * _MIX1
+            z = (z ^ (z >> np.uint64(27))) * _MIX2
+            z ^= z >> np.uint64(31)
+            self._block = memoryview(z)
+            self._floats = memoryview((z >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+            pos, x = 0, self._floats[0]
+        self._pos = pos + 1
+        return x
 
     def randrange(self, n):
         """Uniform integer in [0, n)."""
@@ -314,8 +332,8 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
 
     Returns (hit_at, counters, dead_log): one byte per access, 1 on a
     hit; the hits, misses, bypasses and evictions; and (access index,
-    set, victim tag) per predicted-dead eviction.  The run's counters
-    are checked against each other before they are returned.
+    set, victim tag) per predicted-dead eviction.  Hits are counted from
+    hit_at, and the end state is checked against the counters.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
@@ -333,7 +351,7 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     n = len(tags)
     dead_log = []
     hit_at = bytearray(n)
-    hits = misses = bypasses = evictions = insertions = 0
+    misses = bypasses = evictions = 0
 
     for index, (si, tag) in enumerate(zip(sets, tags)):
         view = views[si]
@@ -341,41 +359,41 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
         where = lookup[si]
         way = where.get(tag)
         if way is not None:
-            hits += 1
             hit_at[index] = 1
             on_hit(view, way)
+            continue
+        misses += 1
+        if decide_insert is not None and not decide_insert(view):
+            bypasses += 1
+            continue
+        resident = view.tags
+        way = len(resident)
+        if way < ways:
+            resident.append(tag)
+            view.state.append(None)
         else:
-            misses += 1
-            if decide_insert is None or decide_insert(view):
-                resident = view.tags
-                way = len(resident)
-                if way < ways:
-                    resident.append(tag)
-                    view.state.append(None)
-                else:
-                    way = choose_victim(view)
-                    if not 0 <= way < ways:
-                        raise RuntimeError("victim way %r outside 0..%d" % (way, ways - 1))
-                    evictions += 1
-                    victim = resident[way]
-                    if policy.predicted_dead:
-                        policy.predicted_dead = False
-                        dead_log.append((index, si, victim))
-                    del where[victim]
-                    resident[way] = tag
-                where[tag] = way
-                insertions += 1
-                on_insert(view, way)
-            else:
-                bypasses += 1
+            way = choose_victim(view)
+            if not 0 <= way < ways:
+                raise RuntimeError("victim way %r outside 0..%d" % (way, ways - 1))
+            evictions += 1
+            victim = resident[way]
+            if policy.predicted_dead:
+                policy.predicted_dead = False
+                dead_log.append((index, si, victim))
+            del where[victim]
+            resident[way] = tag
+        where[tag] = way
+        on_insert(view, way)
 
+    hits, resident = hit_at.count(1), sum(len(view.tags) for view in views)
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
-    if insertions != misses - bypasses:
-        raise RuntimeError("%d insertions for %d non-bypassed misses"
-                           % (insertions, misses - bypasses))
-    if evictions > insertions:
-        raise RuntimeError("%d evictions exceed %d insertions" % (evictions, insertions))
+    if resident + evictions != misses - bypasses:
+        raise RuntimeError("%d resident + %d evicted blocks != %d filled"
+                           % (resident, evictions, misses - bypasses))
+    if any(where != {tag: way for way, tag in enumerate(view.tags)}
+           for view, where in zip(views, lookup)):
+        raise RuntimeError("a set's lookup disagrees with its resident tags")
     counters = dict(hits=hits, misses=misses, bypasses=bypasses, evictions=evictions)
     return hit_at, counters, dead_log
 

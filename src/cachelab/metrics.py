@@ -71,10 +71,8 @@ def reuse_distances(trace, geometry):
     has distance #{j in (p, q] : prev(j) <= p}: q plus the first touch
     since p of each other block, counted for every q in one bottom-up
     segment-tree walk, a level at a time."""
-    dist = _stack_distances(trace, geometry)
-    result = dist.astype(object)
-    result[dist < 0] = math.inf
-    return result.tolist()
+    shared = {-1: math.inf}  # a first touch, then one int object per distinct distance
+    return [shared.setdefault(d, d) for d in memoryview(_stack_distances(trace, geometry))]
 
 
 def reuse_distance_distribution(trace, geometry):

@@ -66,6 +66,19 @@ class SetDuel:
         if self.psel > 0:
             self.psel -= 1
 
+    def replay(self, a_hits, b_hits):
+        """Vote each miss of two shadow runs, a's then b's per access, and
+        return per access whether b governs after its votes; on locals."""
+        psel, top, mid, b_won = self.psel, self.psel_max, self.mid, bytearray()
+        for a_hit, b_hit in zip(a_hits, b_hits):
+            if not a_hit and psel < top:
+                psel += 1
+            if not b_hit and psel:
+                psel -= 1
+            b_won.append(psel >= mid)
+        self.psel = psel
+        return b_won
+
     def record_leader_miss(self, set_index):
         k = self.kind.get(set_index)
         if k == "a":
@@ -145,13 +158,12 @@ class BipPolicy(LruPolicy):
 class DuelPolicy(Policy):
     """Set dueling between policies a and b that differ in insertion.
 
-    Hits promote and victims are chosen as a does; each fill is inserted
-    by the side governing its set.  A cache too small for leader sets
-    duels on shadow sets: bind runs a copy of each side as a full policy
-    through the engine's own loop (`run_policy`) over the tag stream,
-    drawing from a generator forked off the run's generator at reset,
-    and each shadow miss votes against its side.  The shadows never see
-    the real cache, so bind knows the winner at every access.
+    Hits promote and victims are chosen as a does; each fill goes to
+    `fill`, which inserts as the side governing its set.  A cache too
+    small for leader sets duels on shadow sets: bind runs a copy of each
+    side through the engine's own loop (`run_policy`) on a generator
+    forked off the run's at reset, `SetDuel.replay` votes their misses,
+    and on_insert is routed to the side that governs each access.
     """
 
     def __init__(self, a, b, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
@@ -164,34 +176,24 @@ class DuelPolicy(Policy):
         self.a.reset(geometry, rng)
         self.b.reset(geometry, rng)
         self.duel = SetDuel(geometry.num_sets, self.leaders, self.psel_bits)
-        self.b_won = None  # per access, on a shadow duel: b governed the fill
-        if self.duel.shadow:  # one set: the only set index is 0
+        a, b, duel = self.a, self.b, self.duel  # no reference back to self, so no cycle
+        self.fill = lambda view, way: (
+            b if duel.governing(view.set_index) == "b" else a).on_insert(view, way)
+        if duel.shadow:  # one set: the only set index is 0
             self.shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
 
     def bind(self, trace, tags):
         self.a.bind(trace, tags)
         self.b.bind(trace, tags)
-        if self.duel.shadow:
-            self.b_won = self._shadow_duel(trace, tags)
-        # a shadow duel has no leader sets to vote for
-        no_vote = super().decide_insert if self.duel.shadow else None
+        no_vote = None
+        if self.duel.shadow:  # no leader sets to vote for
+            a_hits, b_hits = (run_policy(copy(p), self.geometry, self.shadow_rng, trace,
+                                         bytes(len(tags)), tags)[0] for p in (self.a, self.b))
+            sides, b_won = (self.a.on_insert, self.b.on_insert), self.duel.replay(a_hits, b_hits)
+            self.fill = lambda view, way: sides[b_won[view.access_index]](view, way)
+            no_vote = super().decide_insert
         self.route(DuelPolicy, on_hit=self.a.on_hit, choose_victim=self.a.choose_victim,
-                   decide_insert=no_vote)
-
-    def _shadow_duel(self, trace, tags):
-        duel = self.duel
-        a_hits, b_hits = (
-            run_policy(copy(p), self.geometry, self.shadow_rng, trace, bytes(len(tags)), tags)[0]
-            for p in (self.a, self.b)
-        )
-        b_won = bytearray(len(tags))
-        for index, (a_hit, b_hit) in enumerate(zip(a_hits, b_hits)):
-            if not a_hit:
-                duel.vote_against_a()
-            if not b_hit:
-                duel.vote_against_b()
-            b_won[index] = duel.psel >= duel.mid
-        return b_won
+                   decide_insert=no_vote, on_insert=self.fill)
 
     def decide_insert(self, view):
         self.duel.record_leader_miss(view.set_index)
@@ -204,11 +206,7 @@ class DuelPolicy(Policy):
         return self.a.choose_victim(view)
 
     def on_insert(self, view, way):
-        if self.b_won is None:
-            b_governs = self.duel.governing(view.set_index) == "b"
-        else:
-            b_governs = self.b_won[view.access_index]
-        (self.b if b_governs else self.a).on_insert(view, way)
+        self.fill(view, way)
 
 
 class DipPolicy(DuelPolicy):

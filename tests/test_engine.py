@@ -1,6 +1,10 @@
 """Cache geometry, the seeded generator, the simulation loop, and reports."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -64,6 +68,116 @@ def test_splitmix64_random_is_the_top_53_bits_of_next_u64():
         got = [g.random() for _ in range(16)]
         assert got == [(twin.next_u64() >> 11) * 2.0**-53 for _ in range(16)]
         assert g.next_u64() == twin.next_u64()  # and leaves the same state
+
+
+class ScalarSplitMix64:
+    """splitmix64 one draw at a time in Python ints, the twin the
+    batched generator must match."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randrange(self, n):
+        return self.next_u64() % n
+
+    def choice(self, seq):
+        return seq[self.next_u64() % len(seq)]
+
+
+DRAWS = (
+    lambda g: g.next_u64(),
+    lambda g: g.random(),
+    lambda g: g.randrange(13),
+    lambda g: g.choice("abcdefg"),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_splitmix64_blocks_match_the_scalar_stream_across_every_boundary(seed):
+    """Blocks of 16, 32, ..., 1,024, 1,024, ... end after draw 16, 48,
+    ..., 1,008, 2,032, 3,056 and 4,080: 4,500 draws of one kind cross
+    each of them with that kind, and a mixed sequence crosses them with
+    every kind; a generator forked as DuelPolicy forks its shadow
+    generator then draws alongside its parent."""
+    calls = [[kind] * 4500 for kind in DRAWS]
+    mix = random.Random(seed % 1000)
+    calls.append([mix.choice(DRAWS) for _ in range(4500)])
+    for sequence in calls:
+        g, twin = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert [draw(g) for draw in sequence] == [draw(twin) for draw in sequence]
+    g, twin = SplitMix64(seed), ScalarSplitMix64(seed)
+    assert [g.random() for _ in range(20)] == [twin.random() for _ in range(20)]
+    fork = SplitMix64(g.next_u64() ^ 0x9E3779B97F4A7C15)
+    fork_twin = ScalarSplitMix64(twin.next_u64() ^ 0x9E3779B97F4A7C15)
+    for i in range(2100):
+        draw = DRAWS[i % len(DRAWS)]
+        assert (draw(fork), draw(g)) == (draw(fork_twin), draw(twin))
+
+
+ENGINE_CHECKS = """
+import numpy as np
+from cachelab.engine import CacheGeometry, Policy, SplitMix64, run_policy
+from cachelab.trace import MemoryAccess, Trace
+
+class DropsFill(Policy):
+    def on_insert(self, view, way):  # takes back the block the engine filled
+        view.tags.pop()
+        view.state.pop()
+
+class FlipsTag(Policy):
+    def on_insert(self, view, way):
+        view.tags[way] = ~view.tags[way]
+
+def run(case):
+    blocks = [0, 1, 0, 2]
+    sets = bytes(len(blocks) - (case == "short"))
+    policy = {"short": Policy(), "drop": DropsFill(), "flip": FlipsTag()}[case]
+    try:
+        run_policy(policy, CacheGeometry(1, 4, 64), SplitMix64(0),
+                   Trace([MemoryAccess(64 * b) for b in blocks]), sets,
+                   memoryview(np.array(blocks, dtype=np.int64)))
+    except RuntimeError as error:
+        return str(error)
+    return "no check fired"
+"""
+
+CHECK_MESSAGES = {
+    "short": "hits + misses 3 != 4 accesses",
+    "drop": "0 resident + 0 evicted blocks != 3 filled",
+    "flip": "a set's lookup disagrees with its resident tags",
+}
+
+
+def test_end_of_run_checks_fire_with_and_without_python_O():
+    """Each end-of-run check of run_policy catches its fault: a set
+    column shorter than the tags (hits + misses), a policy that takes
+    back a fill (resident blocks + evictions), one that rewrites a
+    resident tag (lookup against view.tags); also under python -O."""
+    space = {}
+    exec(ENGINE_CHECKS, space)
+    assert {case: space["run"](case) for case in CHECK_MESSAGES} == CHECK_MESSAGES
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = ENGINE_CHECKS + (
+        "import json, sys\n"
+        "assert False  # stripped by -O\n"
+        "print(json.dumps([sys.flags.optimize, {c: run(c) for c in %r}]))\n"
+        % sorted(CHECK_MESSAGES)
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [1, CHECK_MESSAGES]
 
 
 def test_geometry_validation():

@@ -8,16 +8,18 @@ this trace: lru 42.0, leeway-lru 142.2, opt 81.2, one-set drrip3 66.9
 B/access), so going back to per-access lists fails here.  The one-set
 drrip3 run covers the shadow duel, whose two shadow runs each keep a
 hit byte per access.  The peak also counts the cache's own state (one
-dict and two lists per set, Leeway's predictor tables), which a trace
-this short spreads over few accesses.
+dict and two lists per set, Leeway's predictor tables, the generators'
+draw blocks), which a trace this short spreads over few accesses.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cachelab.engine import CacheGeometry, simulate
+from cachelab import metrics
+from cachelab.engine import CacheGeometry, SplitMix64, simulate
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import RECORD_DTYPE, Trace
@@ -42,12 +44,14 @@ CALLS = {
     "lru": lambda t, g: simulate(t, g, make_policy("lru")),
     "leeway-lru": lambda t, g: simulate(t, g, make_policy("leeway-lru")),
     "opt": lambda t, g: opt_oracle(t, g),
+    "reuse_distances": lambda t, g: metrics.reuse_distances(t, g),
 }
 
 
-# measured on numpy 2.4 / CPython 3.11: 20.9, 49.3 and 28.7 B/access,
-# and 12.9 for drrip3-1set
-BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 45, "drrip3-1set": 20}
+# measured on numpy 2.4 / CPython 3.11: 20.1, 43.9 and 28.7 B/access,
+# 13.6 for drrip3-1set (12.9 before the generators drew in blocks) and
+# 37.1 for reuse_distances, set by its stack-distance pass
+BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 45, "drrip3-1set": 20, "reuse_distances": 45}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -63,3 +67,46 @@ def test_peak_bytes_per_access(name):
     if name == "leeway-lru":
         assert report.dead_predicted_evictions > 0  # the dead-scoring pass ran
     assert peak <= BOUNDS[name], "%s peaks at %.1f B/access, over %d" % (name, peak, BOUNDS[name])
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reuse_distance_list_shares_one_object_per_distance(monkeypatch):
+    """reuse_distances turns the stack pass's int32 distances into a list
+    of one object per distinct distance: on a 4,096-block loop in one set
+    every reuse distance is 4,096 (no cached small int), and with the
+    distances precomputed the list's own peak is its pointers (measured
+    12.8 B/access) where an object array and its list took 52."""
+    records = np.zeros(ACCESSES, dtype=RECORD_DTYPE)
+    records["address"] = np.arange(ACCESSES, dtype=np.uint64) % 4096 * 64
+    trace, geometry = Trace(records), CacheGeometry(1, 16, 64)
+    distances = metrics._stack_distances(trace, geometry)
+    monkeypatch.setattr(metrics, "_stack_distances", lambda t, g: distances)
+    result = []
+    peak = traced_peak(lambda: result.append(metrics.reuse_distances(trace, geometry))) / ACCESSES
+    assert result[0] == [math.inf] * 4096 + [4096] * (ACCESSES - 4096)
+    assert peak <= 20, "the distance list peaks at %.1f B/access, over 20" % peak
+
+
+def test_generator_holds_one_bounded_block_of_draws():
+    """SplitMix64 keeps one block of at most 1,024 draws, so 10**5 mixed
+    draws peak where 10**4 do (measured 43 kB; blocks of 4,096 take
+    167 kB, and a list of 1,024 Python floats with the block took 83)."""
+
+    def draws(count):
+        g = SplitMix64(7)
+        for i in range(count):
+            g.random() if i % 3 else g.next_u64()
+
+    traced_peak(lambda: draws(10**4))  # keep one-time allocations out
+    small, large = traced_peak(lambda: draws(10**4)), traced_peak(lambda: draws(10**5))
+    assert large <= small + 1024, "%d draws peak at %d B, %d draws at %d B" % (
+        10**5, large, 10**4, small)
+    assert small <= 96 * 1024

@@ -153,6 +153,33 @@ def test_set_duel_selector_saturates():
     assert duel.psel == 0
 
 
+@pytest.mark.parametrize("psel_bits", [3, 10])
+def test_set_duel_replay_matches_the_per_access_votes(psel_bits):
+    """replay walks PSEL on locals; it must give the winner after every
+    access and the final psel that vote_against_a/_b give one access at
+    a time.  With 3 bits (0..7) the vectors' runs hit both ends."""
+    rng, seen = random.Random(psel_bits), set()
+    for _ in range(40):
+        n = rng.randrange(1, 600)
+        a_miss, b_miss = rng.random(), rng.random()
+        a_hits = bytes(rng.random() >= a_miss for _ in range(n))
+        b_hits = bytes(rng.random() >= b_miss for _ in range(n))
+        votes = SetDuel(1, psel_bits=psel_bits)
+        expected = bytearray()
+        for a_hit, b_hit in zip(a_hits, b_hits):
+            if not a_hit:
+                votes.vote_against_a()
+            if not b_hit:
+                votes.vote_against_b()
+            expected.append(votes.winner() == "b")
+            seen.add(votes.psel)
+        duel = SetDuel(1, psel_bits=psel_bits)
+        assert duel.replay(a_hits, b_hits) == expected
+        assert duel.psel == votes.psel
+    if psel_bits == 3:
+        assert {0, 7} <= seen
+
+
 def test_set_duel_leaders_are_disjoint_and_balanced():
     duel = SetDuel(128)
     a = [s for s, k in duel.kind.items() if k == "a"]
