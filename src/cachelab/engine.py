@@ -134,15 +134,16 @@ class Policy:
     memoryview over the numpy column, at most 8 bytes per access, never
     a list) and indexes it by view.access_index.
 
-    view.state is the policy's list of per-way values.  The engine fills
-    ways in order, appending to view.tags and view.state together, so a
-    way is filled exactly when way < len(view.state); on_insert must set
-    state[way], which holds a placeholder on a fresh way and the evicted
-    block's value on a refilled one.  choose_victim is called only when
-    an insertion meets a full set and returns a way in 0..ways-1; it sets
-    `predicted_dead` to True when the victim was taken from a
-    predicted-dead set.  The engine looks the hooks up once, after bind,
-    so bind may route them.
+    view.state is the policy's list, a value per way or an order of the
+    filled ways.  The engine fills ways in order, appending the tag to
+    view.tags and the way number to view.state, so a way is filled
+    exactly when way < len(view.state).  A per-way policy's on_insert
+    overwrites state[way] (a refilled way holds the evicted block's
+    value); an order-keeping one moves the way where the fill belongs.
+    choose_victim is called only when an insertion meets a full set and
+    returns a way in 0..ways-1; it sets `predicted_dead` to True when the
+    victim was taken from a predicted-dead set.  The engine looks the
+    hooks up once, after bind, so bind may route them.
     """
 
     name = "policy"
@@ -370,7 +371,7 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
         way = len(resident)
         if way < ways:
             resident.append(tag)
-            view.state.append(None)
+            view.state.append(way)
         else:
             way = choose_victim(view)
             if not 0 <= way < ways:

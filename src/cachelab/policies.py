@@ -1,8 +1,8 @@
 """Baseline replacement policies and the policy name registry.
 
 Families:
-  recency   LRU, LIP, BIP (insertion-position variants over a true
-            recency stack)
+  recency   LRU, LIP, BIP over the set's recency stack, its ways most
+            recently used first; they differ only in where a fill enters
   nru       k-bit Not-Recently-Used classes with aging
   rrip      SRRIP, BRRIP over m-bit re-reference prediction values
   duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP), one
@@ -101,45 +101,45 @@ def sampler_layout(num_sets, count):
 
 
 class LruPolicy(Policy):
-    """True LRU, and the base of the stack family, by recency stamps.
+    """True LRU, and the base of the stack family.
 
-    A way's state is the engine's access index at the block's last hit
-    or MRU fill; an insertion at the LRU end stamps -index-1, below every
-    other stamp in the set.  The victim is the smallest stamp, and stamp
-    order is stack order, so no way is ever re-ranked.
+    view.state is the set's recency stack (Mattson et al., IBM Sys. J.
+    1970): its filled ways, most recently used first.  The engine appends
+    a fresh way at the LRU end; a hit or an MRU fill moves the way to the
+    front, and the victim is the way at the end.
     """
 
     name = "lru"
 
-    def on_insert(self, view, way):
-        view.state[way] = view.access_index
-
     def on_hit(self, view, way):
-        view.state[way] = view.access_index
+        stack = view.state
+        stack.remove(way)
+        stack.insert(0, way)
+
+    on_insert = on_hit  # an MRU fill
 
     def choose_victim(self, view):
-        stamps = view.state
-        return stamps.index(min(stamps))
+        return view.state[-1]
 
     def depth(self, view, way):
         """Stack depth of a filled way, 1 for the most recently used."""
-        stamps = view.state
-        return len(stamps) - sorted(stamps).index(stamps[way])
+        return view.state.index(way) + 1
 
     def depths(self, view):
         """depth() of every way of a full set."""
-        stamps = view.state
-        rank = {stamp: d for d, stamp in enumerate(sorted(stamps, reverse=True), 1)}
-        return [rank[stamp] for stamp in stamps]
+        depths = [0] * len(view.state)
+        for d, way in enumerate(view.state, 1):
+            depths[way] = d
+        return depths
 
 
 class LipPolicy(LruPolicy):
-    """LRU Insertion Policy: new blocks start at the bottom of the stack."""
+    """LRU Insertion Policy: a fill stays at the bottom of the stack."""
 
     name = "lip"
 
     def on_insert(self, view, way):
-        view.state[way] = -view.access_index - 1
+        pass
 
 
 class BipPolicy(LruPolicy):
@@ -151,8 +151,8 @@ class BipPolicy(LruPolicy):
         self.epsilon = epsilon
 
     def on_insert(self, view, way):
-        i = view.access_index
-        view.state[way] = i if self.rng.random() < self.epsilon else -i - 1
+        if self.rng.random() < self.epsilon:
+            LruPolicy.on_hit(self, view, way)
 
 
 class DuelPolicy(Policy):
@@ -191,7 +191,7 @@ class DuelPolicy(Policy):
                                          bytes(len(tags)), tags)[0] for p in (self.a, self.b))
             sides, b_won = (self.a.on_insert, self.b.on_insert), self.duel.replay(a_hits, b_hits)
             self.fill = lambda view, way: sides[b_won[view.access_index]](view, way)
-            no_vote = super().decide_insert
+            no_vote = self.a.decide_insert  # inserts as a does; bound to a, so no cycle
         self.route(DuelPolicy, on_hit=self.a.on_hit, choose_victim=self.a.choose_victim,
                    decide_insert=no_vote, on_insert=self.fill)
 
@@ -260,19 +260,9 @@ class NruPolicy(Policy):
         return list(view.state)
 
 
-def rrip_victim(state, rrpv_max, ways=None):
-    """Shared RRPV victim scan: evict at rrpv_max, aging until one appears.
-
-    When no candidate is at rrpv_max, every candidate ages in one step by
-    rrpv_max minus the largest RRPV, where aging one step at a time would
-    stop.  Ways outside `ways` (e.g. pinned blocks, as an ascending list)
-    are neither candidates nor aged.  Ties go to the lowest way index.
-    """
-    if ways is None:
-        if rrpv_max not in state:
-            gap = rrpv_max - max(state)
-            state[:] = [s + gap for s in state]
-        return state.index(rrpv_max)
+def rrip_victim(state, rrpv_max, ways):
+    """SrripPolicy.choose_victim's scan over `ways`, an ascending list;
+    the other ways (pinned blocks) are neither candidates nor aged."""
     for w in ways:
         if state[w] == rrpv_max:
             return w
@@ -307,7 +297,13 @@ class SrripPolicy(Policy):
         view.state[way] = 0
 
     def choose_victim(self, view):
-        return rrip_victim(view.state, self.rrpv_max)
+        """The lowest way at rrpv_max, after aging every way in one step
+        to where aging one step at a time would stop, if none is there."""
+        state, top = view.state, self.rrpv_max
+        if top not in state:
+            gap = top - max(state)
+            state[:] = [s + gap for s in state]
+        return state.index(top)
 
 
 class BrripPolicy(SrripPolicy):
@@ -378,7 +374,7 @@ class ShipMemPolicy(SrripPolicy):
                 self.table[region] = counter + 1
 
     def choose_victim(self, view):
-        way = rrip_victim(view.state, self.rrpv_max)
+        way = super().choose_victim(view)
         if view.set_index in self.sampler:
             entry = self.meta.pop((view.set_index, way), None)
             if entry is not None and entry[0] == 0:

@@ -20,8 +20,9 @@ def make_view(pol, blocks, set_index=0):
     view = SetView(set_index, len(blocks))
     for way, (pos, pld, pc) in enumerate(blocks):
         view.tags.append(way)
-        view.state.append(-1 - pos)  # recency stamp: larger is more recent
         pol.blocks[set_index][way] = [pld, 0, pc]
+    # the recency stack: ways most recently used first, ties by way
+    view.state[:] = sorted(range(len(blocks)), key=lambda way: blocks[way][0])
     return view
 
 

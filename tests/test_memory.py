@@ -12,8 +12,10 @@ dict and two lists per set, Leeway's predictor tables, the generators'
 draw blocks), which a trace this short spreads over few accesses.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,3 +112,23 @@ def test_generator_holds_one_bounded_block_of_draws():
     assert large <= small + 1024, "%d draws peak at %d B, %d draws at %d B" % (
         10**5, large, 10**4, small)
     assert small <= 96 * 1024
+
+
+@pytest.mark.parametrize("name", ["dip", "drrip3", "grasp", "pin25"])
+def test_a_one_set_duel_is_freed_without_the_cycle_collector(name):
+    """Nothing a one-set duel keeps after a run refers back to it, so the
+    policy, the duel a pin policy wraps, and their per-access vote
+    vectors go with their last reference, not at the next cyclic
+    collection."""
+    records = np.zeros(4096, dtype=RECORD_DTYPE)
+    records["address"] = np.arange(4096, dtype=np.uint64) % 40 * 64
+    policy = make_policy(name)
+    gc.disable()
+    try:
+        simulate(Trace(records), CacheGeometry(1, 16, 64), policy, seed=1)
+        refs = [weakref.ref(p) for p in (policy, getattr(policy, "base", policy))]
+        del policy
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]

@@ -10,6 +10,7 @@ from cachelab.policies import (
     POLICY_NAMES,
     BrripPolicy,
     DrripPolicy,
+    LruPolicy,
     NruPolicy,
     PinPolicy,
     SetDuel,
@@ -66,28 +67,35 @@ def test_lru_gets_full_hits_on_recency_pattern_within_ways():
 
 
 def test_recency_states_stay_a_permutation():
-    """The stack depths of the filled ways are always a permutation of 1..n."""
-    failures = []
-
-    class Checked(type(make_policy("lru"))):
-        def _check(self, view):
-            filled = range(len(view.state))
-            depths = sorted(self.depth(view, w) for w in filled)
-            if depths != list(range(1, len(filled) + 1)):
-                failures.append(depths)
-
-        def on_insert(self, view, way):
-            super().on_insert(view, way)
-            self._check(view)
-
-        def on_hit(self, view, way):
-            super().on_hit(view, way)
-            self._check(view)
-
+    """view.state is a permutation of the filled ways, so their stack
+    depths are a permutation of 1..n, and depths() agrees with depth()
+    on a full set; on two leader sets and on one shadow-duelling set."""
+    stack = LruPolicy()
     rng = random.Random(17)
     t = Trace([MemoryAccess(64 * rng.randrange(9)) for _ in range(800)])
-    simulate(t, CacheGeometry(2, 4, 64), Checked(), seed=1)
-    assert failures == []
+    for name in ("lru", "lip", "bip", "dip"):
+        failures = []
+
+        class Checked(type(make_policy(name))):
+            def _check(self, view):
+                filled = list(range(len(view.tags)))
+                depths = [stack.depth(view, w) for w in filled]
+                full = len(filled) == view.ways
+                if (sorted(view.state) != filled or sorted(depths) != [w + 1 for w in filled]
+                        or full and stack.depths(view) != depths):
+                    failures.append(list(view.state))
+
+            def on_insert(self, view, way):
+                super().on_insert(view, way)
+                self._check(view)
+
+            def on_hit(self, view, way):
+                super().on_hit(view, way)
+                self._check(view)
+
+        for sets in (2, 1):
+            simulate(t, CacheGeometry(sets, 4, 64), Checked(), seed=1)
+        assert failures == [], name
 
 
 def test_lip_keeps_early_blocks_and_evicts_the_newcomer_slot():
@@ -274,12 +282,12 @@ def test_srrip3_inserts_at_long_interval_and_promotes_to_zero():
 
 def test_rrip_victim_takes_lowest_way_at_max():
     view = make_view([7, 3, 7, 0])
-    assert rrip_victim(view.state, 7) == 0
+    assert SrripPolicy(m=3).choose_victim(view) == 0
 
 
 def test_rrip_victim_ages_until_a_block_reaches_max():
     view = make_view([5, 3, 6, 0])
-    assert rrip_victim(view.state, 7) == 2
+    assert SrripPolicy(m=3).choose_victim(view) == 2
     assert view.state == [6, 4, 7, 1]
 
 

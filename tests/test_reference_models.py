@@ -2,12 +2,13 @@
 
 Each model below is one flat loop written from its paper's description
 and imports nothing from cachelab: a list-based LRU stack (Mattson et
-al., IBM Sys. J. 1970), SRRIP with m-bit RRPVs (Jaleel et al., ISCA
-2010), and single-set DRRIP-m, whose set dueling (Qureshi et al., ISCA
-2007) runs on shadow SRRIP and BRRIP sets.  hypothesis draws short block
-traces over small geometries, and every access must agree with
-`simulate`: the same hit or miss and, on an eviction, the same victim
-block.
+al., IBM Sys. J. 1970) that fills at the MRU end (LRU), the LRU end
+(LIP) or bimodally (BIP), single-set DIP, whose set dueling (Qureshi et
+al., ISCA 2007) runs on shadow LRU and BIP stacks, SRRIP with m-bit
+RRPVs (Jaleel et al., ISCA 2010), and single-set DRRIP-m, dueling on
+shadow SRRIP and BRRIP sets.  hypothesis draws short block traces over
+small geometries, and every access must agree with `simulate`: the
+same hit or miss and, on an eviction, the same victim block.
 """
 
 import time
@@ -22,14 +23,15 @@ from cachelab.trace import MemoryAccess, Trace
 BUDGET_S = 15.0  # the three tests together
 SHARE = {"lru": 0.3, "srrip": 0.3, "drrip": 0.4}  # of BUDGET_S; they take about 2 : 2 : 3
 EXAMPLES = 300
+INSERTION_BUDGET_S = 6.0  # the LIP/BIP test and the DIP test each, as long as the DRRIP one
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """A copy of the engine's generator (splitmix64), so that the DRRIP
-    model draws the same bimodal insertions."""
+    """A copy of the engine's generator (splitmix64), so that the models
+    draw the same bimodal insertions."""
 
     def __init__(self, seed):
         self.state = seed & _U64
@@ -45,9 +47,14 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def lru_stack_model(blocks, num_sets, ways):
+def lru_stack_model(blocks, num_sets, ways, insert="mru", seed=0):
     """Per access: (hit, evicted block or None).  Each set is a list of
-    blocks, most recently used first."""
+    blocks, most recently used first.  A hit moves its block to the
+    front; a miss into a full set evicts the last block, and the new
+    block enters at the front ("mru", LRU), at the back ("lru", LIP), or
+    at the front with probability 1/32 of a draw from the run's
+    generator per fill, else at the back ("bimodal", BIP)."""
+    rng = SplitMix64(seed)
     stacks = [[] for _ in range(num_sets)]
     out = []
     for b in blocks:
@@ -58,8 +65,51 @@ def lru_stack_model(blocks, num_sets, ways):
             out.append((True, None))
             continue
         victim = stack.pop() if len(stack) == ways else None
-        stack.insert(0, b)
+        if insert == "mru" or insert == "bimodal" and rng.random() < 1 / 32:
+            stack.insert(0, b)
+        else:
+            stack.append(b)
         out.append((False, victim))
+    return out
+
+
+def dip_model(blocks, ways, seed):
+    """Single-set DIP per access: (hit, evicted block or None).
+
+    One set has no room for leader sets, so a shadow LRU stack and a
+    shadow BIP stack see every access beside the real set.  A shadow LRU
+    miss moves the 10-bit PSEL (starting at 511) up, a shadow BIP miss
+    moves it down, and a real fill enters as BIP does when, after those
+    votes, PSEL >= 512, else as LRU does.  Every set is a stack, most
+    recently used first: a hit moves its block to the front, a miss into
+    a full set evicts the last block.  LRU fills at the front; BIP fills
+    there with probability 1/32, else at the back.  The real set draws
+    from the run's generator, the shadow BIP stack from one forked off
+    it before the run as next_u64() ^ 0x9E3779B97F4A7C15."""
+    rng = SplitMix64(seed)
+    shadow_rng = SplitMix64(rng.next_u64() ^ _GOLDEN)
+    psel, mid, psel_max = 511, 512, 1023
+    stacks = [[], [], []]  # LRU, BIP, real
+    out = []
+    for b in blocks:
+        for k, stack in enumerate(stacks):
+            hit, victim = b in stack, None
+            if hit:
+                stack.remove(b)
+                stack.insert(0, b)
+                continue
+            if k == 0:
+                psel = min(psel + 1, psel_max)
+            elif k == 1:
+                psel = max(psel - 1, 0)
+            if len(stack) == ways:
+                victim = stack.pop()
+            bimodal = k == 1 or (k == 2 and psel >= mid)
+            if not bimodal or (shadow_rng if k == 1 else rng).random() < 1 / 32:
+                stack.insert(0, b)
+            else:
+                stack.append(b)
+        out.append((hit, victim))  # the real set's outcome
     return out
 
 
@@ -200,8 +250,25 @@ def _check_drrip(case, m, run_seed):
     assert got == drrip_model(blocks, ways, m, run_seed)
 
 
-def within_budget(check, share):
-    budget = BUDGET_S * SHARE[share]
+@seed(20261018)
+@settings(max_examples=EXAMPLES, deadline=None, database=None)
+@given(cases(), st.sampled_from(["lip", "bip"]), st.integers(0, _U64))
+def _check_lip_bip(case, name, run_seed):
+    blocks, num_sets, ways = case
+    got = engine_log(name, blocks, num_sets, ways, seed=run_seed)
+    insert = "lru" if name == "lip" else "bimodal"
+    assert got == lru_stack_model(blocks, num_sets, ways, insert, run_seed)
+
+
+@seed(20261018)
+@settings(max_examples=EXAMPLES, deadline=None, database=None)
+@given(cases(set_counts=(1,)), st.integers(0, _U64))
+def _check_dip(case, run_seed):
+    blocks, _, ways = case
+    assert engine_log("dip", blocks, 1, ways, seed=run_seed) == dip_model(blocks, ways, run_seed)
+
+
+def within_budget(check, budget):
     t0 = time.perf_counter()
     check()
     elapsed = time.perf_counter() - t0
@@ -209,12 +276,20 @@ def within_budget(check, share):
 
 
 def test_lru_matches_the_stack_model_access_for_access():
-    within_budget(_check_lru, "lru")
+    within_budget(_check_lru, BUDGET_S * SHARE["lru"])
+
+
+def test_lip_and_bip_match_the_stack_model_access_for_access():
+    within_budget(_check_lip_bip, INSERTION_BUDGET_S)
+
+
+def test_single_set_dip_matches_the_shadow_duel_model_access_for_access():
+    within_budget(_check_dip, INSERTION_BUDGET_S)
 
 
 def test_srrip_matches_the_rrpv_model_access_for_access():
-    within_budget(_check_srrip, "srrip")
+    within_budget(_check_srrip, BUDGET_S * SHARE["srrip"])
 
 
 def test_single_set_drrip_matches_the_shadow_duel_model_access_for_access():
-    within_budget(_check_drrip, "drrip")
+    within_budget(_check_drrip, BUDGET_S * SHARE["drrip"])
