@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: simulate, compare, gen-trace, reorder, opt, stats.
-A flat JSON config file can pre-set any flag of a subcommand
-(--config file.json); explicit flags win.  Wider program counters can
-be folded to the 14-bit signature space by xoring 14-bit slices.
+A flat JSON config file (--config file.json) pre-sets flags of the
+subcommand, and nothing else; explicit flags win.  Wider program counters
+can be folded to the 14-bit signature space by xoring 14-bit slices.
 Failures print one `error:` line (CACHELAB_DEBUG=1: the traceback).
 """
 
@@ -344,9 +344,15 @@ def main(argv=None):
         if not isinstance(defaults, dict):
             print("error: config must be a flat JSON object", file=sys.stderr)
             return 2
-        registry[args.command].set_defaults(
-            **{k.replace("-", "_"): v for k, v in defaults.items()}
-        )
+        defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
+        sub = registry[args.command]
+        flags = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
+        unknown = sorted(set(defaults) - flags)
+        if unknown:
+            print("error: no %s flag for config keys: %s" % (args.command, ", ".join(unknown)),
+                  file=sys.stderr)
+            return 2
+        sub.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
         return args.fn(args)

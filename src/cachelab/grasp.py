@@ -74,10 +74,10 @@ class RegionMap:
 
 
 class GraspPolicy(DrripPolicy):
-    """DRRIP with insertion/promotion specialized by reuse class."""
+    """DRRIP-3 with insertion/promotion specialized by reuse class."""
 
-    def __init__(self, abrs=(), variant="full", m=3, **kwargs):
-        super().__init__(m=m, **kwargs)
+    def __init__(self, abrs=(), variant="full"):
+        super().__init__(m=3)
         if variant not in VARIANTS:
             raise GraspConfigError("variant must be one of %s" % (VARIANTS,))
         self.abrs = tuple(abrs)

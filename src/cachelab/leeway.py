@@ -18,18 +18,25 @@ stored distance of 0 is reserved for blocks never re-referenced.
 
 from cachelab.engine import Policy
 from cachelab.policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
+from cachelab.trace import PC_SIGNATURE_BITS
 
-BOP = 0  # bypass-oriented: raising the distance needs 7 confirmations
-ROP = 1  # reuse-oriented: lowering the distance needs 7 confirmations
+BOP = 0  # the bypass-oriented bank of the dynamic mode
+ROP = 1  # the reuse-oriented bank
 
-VTT_BY_POLICY = {BOP: (7, 1), ROP: (1, 7)}  # (increase, decrease) thresholds
-RETRAIN_PROB = {BOP: 0.01, ROP: 0.03}
+# each mode's banks, one rule per bank: ((increase, decrease) variance
+# thresholds, retrain probability of a sampler fill from a dead PC)
+_BOP_RULE = ((7, 1), 0.01)  # raising the distance needs 7 confirmations
+_ROP_RULE = ((1, 7), 0.03)  # lowering the distance needs 7 confirmations
+_MODES = {
+    "dynamic": (_BOP_RULE, _ROP_RULE),
+    "static-bop": (_BOP_RULE,),
+    "static-rop": (_ROP_RULE,),
+    "static-vtt7": (((7, 7), 0.01),),  # conservative in both directions
+}
 
-LDPT_ENTRIES = 16384
+LDPT_ENTRIES = 1 << PC_SIGNATURE_BITS  # one entry per PC signature: a PC is its own index
 SAMPLER_SETS = 64
 DUEL_INTERVAL = 100000  # sampler accesses between dueling decisions
-
-_MODES = ("dynamic", "static-bop", "static-rop", "static-vtt7")
 
 
 class LeewayPolicy(Policy):
@@ -39,61 +46,36 @@ class LeewayPolicy(Policy):
     the fallback victim and each way's depth.  Leeway's own state per
     (set, way) is the entry [predicted, observed, pc]: the block's
     predicted live distance, its deepest depth seen at a sampler hit,
-    and its fill signature.
+    and its fill signature.  The mode's rules fix its banks: two for
+    "dynamic", which duels them every DUEL_INTERVAL sampler accesses,
+    else one.  sampler_sets bounds the sampler sets (SAMPLER_SETS).
     """
 
-    def __init__(
-        self,
-        base="lru",
-        nru_bits=2,
-        mode="dynamic",
-        ldpt_entries=LDPT_ENTRIES,
-        sampler_sets=SAMPLER_SETS,
-        interval=DUEL_INTERVAL,
-    ):
+    def __init__(self, base="lru", nru_bits=2, mode="dynamic", sampler_sets=SAMPLER_SETS):
         if base not in ("lru", "nru"):
             raise ValueError("base must be 'lru' or 'nru'")
         if mode not in _MODES:
-            raise ValueError("mode must be one of %s" % (_MODES,))
+            raise ValueError("mode must be one of %s" % (tuple(_MODES),))
         self.base = LruPolicy() if base == "lru" else NruPolicy(nru_bits)
-        self.mode = mode
-        self.entries = ldpt_entries
         self.sampler_cfg = sampler_sets
-        self.interval = interval
+        self.vtt, self.retrain = map(list, zip(*_MODES[mode]))
+        self.banks = len(self.vtt)
+        suffix = "lru" if base == "lru" else "nru%d" % nru_bits
         if mode == "dynamic":
-            self.banks = 2
-            self.vtt = dict(VTT_BY_POLICY)
-            self.retrain = dict(RETRAIN_PROB)
+            self.name = "leeway-" + suffix
         else:
-            self.banks = 1
-            if mode == "static-bop":
-                self.vtt = {0: VTT_BY_POLICY[BOP]}
-                self.retrain = {0: RETRAIN_PROB[BOP]}
-            elif mode == "static-rop":
-                self.vtt = {0: VTT_BY_POLICY[ROP]}
-                self.retrain = {0: RETRAIN_PROB[ROP]}
-            else:  # static-vtt7: conservative in both directions
-                self.vtt = {0: (7, 7)}
-                self.retrain = {0: RETRAIN_PROB[BOP]}
-        if base == "lru":
-            suffix = "lru"
-        else:
-            suffix = "nru%d" % nru_bits
-        if mode == "dynamic":
-            self.name = "leeway-%s" % suffix
-        else:
-            self.name = "leeway-%s" % mode if base == "lru" else "leeway-%s-%s" % (suffix, mode)
+            self.name = "leeway-" + mode if base == "lru" else "leeway-%s-%s" % (suffix, mode)
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
         self.base.reset(geometry, rng)
-        self.maxpos = geometry.ways if isinstance(self.base, LruPolicy) else self.base.class_max
+        self.maxpos = geometry.ways if isinstance(self.base, LruPolicy) else self.base.rrpv_max
         self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: stable distance starts at the ceiling so an
         # untrained PC is never bypassed and never flags blocks dead
-        self.stable = [[self.maxpos] * self.entries for _ in range(self.banks)]
-        self.var_count = [[0] * self.entries for _ in range(self.banks)]
-        self.var_dir = [[0] * self.entries for _ in range(self.banks)]
+        self.stable = [[self.maxpos] * LDPT_ENTRIES for _ in range(self.banks)]
+        self.var_count = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
+        self.var_dir = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
         num_sets = geometry.num_sets
         if self.banks == 2:
             layout = SetDuel(num_sets, self.sampler_cfg)
@@ -104,7 +86,7 @@ class LeewayPolicy(Policy):
         else:
             self.sampler_bank = dict.fromkeys(sampler_layout(num_sets, self.sampler_cfg), 0)
             self.duel_enabled = False
-        self.winner = BOP if self.banks == 2 else 0
+        self.winner = BOP  # bank 0 governs until a duel says otherwise
         self.sampler_misses = [0] * self.banks
         self.sampler_accesses = 0
         self._pending_pld = self.maxpos
@@ -115,34 +97,30 @@ class LeewayPolicy(Policy):
 
     # -- predictor table ------------------------------------------------
 
-    def _index(self, pc):
-        return pc % self.entries
-
     def stable_distance(self, pc, bank=None):
-        return self.stable[self.winner if bank is None else bank][self._index(pc)]
+        return self.stable[self.winner if bank is None else bank][pc]
 
     def _ldpt_update(self, bank, pc, observed):
-        i = self._index(pc)
-        s = self.stable[bank][i]
+        s = self.stable[bank][pc]
         if observed == s:
-            self.var_count[bank][i] = 0
+            self.var_count[bank][pc] = 0
             return
         direction = 1 if observed > s else 0
-        if direction != self.var_dir[bank][i]:
-            self.var_dir[bank][i] = direction
-            self.var_count[bank][i] = 1
+        if direction != self.var_dir[bank][pc]:
+            self.var_dir[bank][pc] = direction
+            self.var_count[bank][pc] = 1
         else:
-            self.var_count[bank][i] += 1
+            self.var_count[bank][pc] += 1
         inc, dec = self.vtt[bank]
-        if self.var_count[bank][i] >= (inc if direction else dec):
-            self.stable[bank][i] = observed
-            self.var_count[bank][i] = 0
+        if self.var_count[bank][pc] >= (inc if direction else dec):
+            self.stable[bank][pc] = observed
+            self.var_count[bank][pc] = 0
 
     # -- dueling ---------------------------------------------------------
 
     def _sampler_tick(self):
         self.sampler_accesses += 1
-        if self.duel_enabled and self.sampler_accesses % self.interval == 0:
+        if self.duel_enabled and self.sampler_accesses % DUEL_INTERVAL == 0:
             self._duel()
 
     def _duel(self):
@@ -162,7 +140,7 @@ class LeewayPolicy(Policy):
             governing = bank_here
         else:
             governing = self.winner
-        stable = self.stable[governing][self._index(self.pcs[view.access_index])]
+        stable = self.stable[governing][self.pcs[view.access_index]]
         if stable == 0:
             if bank_here is not None and self.rng.random() < self.retrain[governing]:
                 self._pending_pld = 0  # retraining fill

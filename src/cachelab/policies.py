@@ -3,17 +3,18 @@
 Families:
   recency   LRU, LIP, BIP over the set's recency stack, its ways most
             recently used first; they differ only in where a fill enters
-  nru       k-bit Not-Recently-Used classes with aging
-  rrip      SRRIP, BRRIP over m-bit re-reference prediction values
+  rrip      SRRIP, BRRIP over m-bit re-reference prediction values, and
+            k-bit Not-Recently-Used as k-bit RRIP that fills at 0
   duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP), one
             set-dueling wrapper over two base policies
   ship-mem  RRIP with memory-region reuse counters trained on sampler sets
   pin       reserves ways for high-reuse-hinted blocks over a base policy
   random    uniform random victim
 
-NRU breaks victim ties with a uniform draw from the run's seeded
-generator; the RRIP family uses the lowest way index so its victim
-choice is fully deterministic.
+NRU is RRIP's aging with a random tie (Jaleel et al., ISCA 2010): it
+draws among the ways at the top class from the run's seeded generator,
+where SRRIP and BRRIP take the lowest.  BIP's 1/32 throttle and the
+10-bit PSEL are those of Qureshi et al. (ISCA 2007).
 
 SRRIP resists scans but not thrashing: like LRU, on a cyclic loop larger
 than a set it evicts every block before its reuse and scores zero hits.
@@ -30,6 +31,10 @@ from cachelab.trace import ReuseHint
 BIP_EPSILON = 1.0 / 32.0
 LEADER_SETS = 32
 PSEL_BITS = 10
+SHIP_REGION_BYTES = 16384
+SHIP_COUNTER_MAX = 7  # 3-bit region counters
+SHIP_COUNTER_INIT = 1
+SHIP_SAMPLER_SETS = 64
 
 
 class SetDuel:
@@ -42,9 +47,10 @@ class SetDuel:
     owning policy duels on shadow sets instead.
     """
 
-    def __init__(self, num_sets, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
-        self.psel_max = (1 << psel_bits) - 1
-        self.mid = 1 << (psel_bits - 1)
+    psel_max = (1 << PSEL_BITS) - 1
+    mid = 1 << (PSEL_BITS - 1)
+
+    def __init__(self, num_sets, leaders=LEADER_SETS):
         self.psel = self.mid - 1
         self.kind = {}
         n = min(leaders, num_sets // 2)
@@ -54,9 +60,6 @@ class SetDuel:
             for i in range(n):
                 self.kind[2 * i * stride] = "a"
                 self.kind[(2 * i + 1) * stride] = "b"
-
-    def constituency(self, set_index):
-        return self.kind.get(set_index)
 
     def vote_against_a(self):
         if self.psel < self.psel_max:
@@ -143,15 +146,12 @@ class LipPolicy(LruPolicy):
 
 
 class BipPolicy(LruPolicy):
-    """Bimodal insertion: MRU with probability epsilon, else bottom."""
+    """Bimodal insertion: MRU with probability BIP_EPSILON, else bottom."""
 
     name = "bip"
 
-    def __init__(self, epsilon=BIP_EPSILON):
-        self.epsilon = epsilon
-
     def on_insert(self, view, way):
-        if self.rng.random() < self.epsilon:
+        if self.rng.random() < BIP_EPSILON:
             LruPolicy.on_hit(self, view, way)
 
 
@@ -166,16 +166,14 @@ class DuelPolicy(Policy):
     and on_insert is routed to the side that governs each access.
     """
 
-    def __init__(self, a, b, leaders=LEADER_SETS, psel_bits=PSEL_BITS):
+    def __init__(self, a, b):
         self.a, self.b = a, b
-        self.leaders = leaders
-        self.psel_bits = psel_bits
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
         self.a.reset(geometry, rng)
         self.b.reset(geometry, rng)
-        self.duel = SetDuel(geometry.num_sets, self.leaders, self.psel_bits)
+        self.duel = SetDuel(geometry.num_sets)
         a, b, duel = self.a, self.b, self.duel  # no reference back to self, so no cycle
         self.fill = lambda view, way: (
             b if duel.governing(view.set_index) == "b" else a).on_insert(view, way)
@@ -214,8 +212,8 @@ class DipPolicy(DuelPolicy):
 
     name = "dip"
 
-    def __init__(self, epsilon=BIP_EPSILON, **duel):
-        super().__init__(LruPolicy(), BipPolicy(epsilon), **duel)
+    def __init__(self):
+        super().__init__(LruPolicy(), BipPolicy())
 
 
 class RandomPolicy(Policy):
@@ -223,41 +221,6 @@ class RandomPolicy(Policy):
 
     def choose_victim(self, view):
         return self.rng.randrange(view.ways)
-
-
-class NruPolicy(Policy):
-    """k-bit NRU: insert and promote to class 0, evict a random member
-    of the maximum class, aging every block until one reaches it."""
-
-    def __init__(self, bits=1):
-        if bits < 1:
-            raise ValueError("nru needs at least 1 bit")
-        self.bits = bits
-        self.class_max = (1 << bits) - 1
-        self.name = "nru%d" % bits
-
-    def on_insert(self, view, way):
-        view.state[way] = 0
-
-    def on_hit(self, view, way):
-        view.state[way] = 0
-
-    def choose_victim(self, view):
-        """Age every way in one step to where aging by one would stop."""
-        state, top = view.state, self.class_max
-        if top not in state:
-            gap = top - max(state)
-            state[:] = [s + gap for s in state]
-        if state.count(top) == 1:
-            return state.index(top)
-        return self.rng.choice([w for w, s in enumerate(state) if s == top])
-
-    def depth(self, view, way):
-        """A way's class value, the depth Leeway counts live distances in."""
-        return view.state[way]
-
-    def depths(self, view):
-        return list(view.state)
 
 
 def rrip_victim(state, rrpv_max, ways):
@@ -306,58 +269,81 @@ class SrripPolicy(Policy):
         return state.index(top)
 
 
-class BrripPolicy(SrripPolicy):
-    """Bimodal RRIP: insert at rrpv_max except with probability epsilon."""
+class NruPolicy(SrripPolicy):
+    """k-bit NRU as k-bit RRIP (Jaleel et al., ISCA 2010): fill and
+    promote to class 0, and evict at the top class after RRIP's aging,
+    a uniform draw from the run's generator when several ways are there."""
 
-    def __init__(self, m=2, epsilon=BIP_EPSILON):
+    def __init__(self, bits=1):
+        if bits < 1:
+            raise ValueError("nru needs at least 1 bit")
+        super().__init__(bits)
+        self.name = "nru%d" % bits
+
+    def on_insert(self, view, way):
+        view.state[way] = 0
+
+    def choose_victim(self, view):
+        way, state, top = super().choose_victim(view), view.state, self.rrpv_max
+        if state.count(top) == 1:
+            return way
+        return self.rng.choice([w for w, s in enumerate(state) if s == top])
+
+    def depth(self, view, way):
+        """A way's class value, the depth Leeway counts live distances in."""
+        return view.state[way]
+
+    def depths(self, view):
+        return list(view.state)
+
+
+class BrripPolicy(SrripPolicy):
+    """Bimodal RRIP: insert at rrpv_max except with probability BIP_EPSILON."""
+
+    def __init__(self, m=2):
         super().__init__(m)
-        self.epsilon = epsilon
         self.name = "brrip%d" % m
 
     def on_insert(self, view, way):
-        near = self.rng.random() < self.epsilon
+        near = self.rng.random() < BIP_EPSILON
         view.state[way] = self.rrpv_max - 1 if near else self.rrpv_max
 
 
 class DrripPolicy(DuelPolicy):
     """Dynamic RRIP: set-duels SRRIP insertion (a) against BRRIP (b)."""
 
-    def __init__(self, m=2, epsilon=BIP_EPSILON, **duel):
-        super().__init__(SrripPolicy(m), BrripPolicy(m, epsilon), **duel)
+    def __init__(self, m=2):
+        super().__init__(SrripPolicy(m), BrripPolicy(m))
         self.name = "drrip%d" % m
 
 
 class ShipMemPolicy(SrripPolicy):
-    """RRIP steered by per-memory-region reuse counters (SHiP-MEM).
+    """3-bit RRIP steered by per-memory-region reuse counters (SHiP-MEM).
 
-    Addresses map to fixed-size regions; each region has a saturating
-    counter trained by sampler sets: a sampler hit sets the block's
-    outcome bit and increments the region counter, evicting a sampler
-    block that was never re-referenced decrements it.  Blocks from
-    regions whose counter has decayed to zero are inserted at the
-    distant re-reference point, everything else one step closer.
+    Addresses map to 16 KiB regions; each region has a 3-bit saturating
+    counter, starting at 1, trained by 64 sampler sets: a sampler hit
+    sets the block's outcome bit and increments the region counter,
+    evicting a sampler block that was never re-referenced decrements it.
+    Blocks from regions whose counter has decayed to zero are inserted at
+    the distant re-reference point, everything else one step closer.
     """
 
-    def __init__(self, m=3, region_bytes=16384, counter_bits=3, sampler_sets=64):
-        super().__init__(m)
+    def __init__(self):
+        super().__init__(3)
         self.name = "ship-mem"
-        self.region_bytes = region_bytes
-        self.counter_max = (1 << counter_bits) - 1
-        self.counter_init = 1
-        self.sampler_sets = sampler_sets
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        self.sampler = set(sampler_layout(geometry.num_sets, self.sampler_sets))
+        self.sampler = set(sampler_layout(geometry.num_sets, SHIP_SAMPLER_SETS))
         self.table = {}
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 
     def bind(self, trace, tags):
-        self.regions = memoryview(trace.addresses // self.region_bytes)
+        self.regions = memoryview(trace.addresses // SHIP_REGION_BYTES)
 
     def on_insert(self, view, way):
         region = self.regions[view.access_index]
-        counter = self.table.get(region, self.counter_init)
+        counter = self.table.get(region, SHIP_COUNTER_INIT)
         view.state[way] = self.rrpv_max if counter == 0 else self.rrpv_max - 1
         if view.set_index in self.sampler:
             self.meta[(view.set_index, way)] = [0, region]
@@ -369,8 +355,8 @@ class ShipMemPolicy(SrripPolicy):
             if entry is not None:
                 entry[0] = 1
             region = self.regions[view.access_index]
-            counter = self.table.get(region, self.counter_init)
-            if counter < self.counter_max:
+            counter = self.table.get(region, SHIP_COUNTER_INIT)
+            if counter < SHIP_COUNTER_MAX:
                 self.table[region] = counter + 1
 
     def choose_victim(self, view):
@@ -378,7 +364,7 @@ class ShipMemPolicy(SrripPolicy):
         if view.set_index in self.sampler:
             entry = self.meta.pop((view.set_index, way), None)
             if entry is not None and entry[0] == 0:
-                counter = self.table.get(entry[1], self.counter_init)
+                counter = self.table.get(entry[1], SHIP_COUNTER_INIT)
                 if counter > 0:
                     self.table[entry[1]] = counter - 1
         return way

@@ -322,6 +322,23 @@ def test_config_file_must_be_a_flat_object(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_keys_must_name_flags_of_the_subcommand(tmp_path, capsys):
+    """A misspelt flag must not run on the default, and a key such as
+    "fn" must not reach the parser's own fields."""
+    for bad, named in (({"way": 4}, "way"), ({"fn": 1, "bypass": True}, "bypass, fn")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(bad, sets=1)))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--policy", "lru",
+                             "--gen", "stream:k=1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: no simulate flag for config keys: " + named]
+    # the same key is accepted where the subcommand has that flag
+    cfg.write_text(json.dumps({"bypass": True}))
+    code, _, err = run(capsys, "opt", "--config", str(cfg), "--gen", "stream:k=1")
+    assert (code, err) == (0, "")
+
+
 def test_simulate_with_hinted_regions_reports_per_class_stats(capsys):
     code, out, _ = run(
         capsys, "simulate", "--policy", "grasp", "--gen", "thrash:k=64,n=4",

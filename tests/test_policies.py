@@ -161,18 +161,21 @@ def test_set_duel_selector_saturates():
     assert duel.psel == 0
 
 
-@pytest.mark.parametrize("psel_bits", [3, 10])
-def test_set_duel_replay_matches_the_per_access_votes(psel_bits):
+@pytest.mark.parametrize("seed", [3, 10])
+def test_set_duel_replay_matches_the_per_access_votes(seed):
     """replay walks PSEL on locals; it must give the winner after every
     access and the final psel that vote_against_a/_b give one access at
-    a time.  With 3 bits (0..7) the vectors' runs hit both ends."""
-    rng, seen = random.Random(psel_bits), set()
-    for _ in range(40):
+    a time.  Each run starts PSEL next to one end of its 0..1023 range,
+    in turn, so the vectors' runs hit both ends."""
+    rng, seen = random.Random(seed), set()
+    for run in range(40):
         n = rng.randrange(1, 600)
         a_miss, b_miss = rng.random(), rng.random()
         a_hits = bytes(rng.random() >= a_miss for _ in range(n))
         b_hits = bytes(rng.random() >= b_miss for _ in range(n))
-        votes = SetDuel(1, psel_bits=psel_bits)
+        start = 1 if run % 2 else SetDuel.psel_max - 1
+        votes = SetDuel(1)
+        votes.psel = start
         expected = bytearray()
         for a_hit, b_hit in zip(a_hits, b_hits):
             if not a_hit:
@@ -181,11 +184,11 @@ def test_set_duel_replay_matches_the_per_access_votes(psel_bits):
                 votes.vote_against_b()
             expected.append(votes.winner() == "b")
             seen.add(votes.psel)
-        duel = SetDuel(1, psel_bits=psel_bits)
+        duel = SetDuel(1)
+        duel.psel = start
         assert duel.replay(a_hits, b_hits) == expected
         assert duel.psel == votes.psel
-    if psel_bits == 3:
-        assert {0, 7} <= seen
+    assert {0, SetDuel.psel_max} <= seen
 
 
 def test_set_duel_leaders_are_disjoint_and_balanced():
@@ -195,9 +198,9 @@ def test_set_duel_leaders_are_disjoint_and_balanced():
     assert len(a) == len(b) == 32
     assert not set(a) & set(b)
     assert all(0 <= s < 128 for s in a + b)
-    assert duel.constituency(a[0]) == "a"
+    assert duel.kind.get(a[0]) == "a"
     follower = next(s for s in range(128) if s not in duel.kind)
-    assert duel.constituency(follower) is None
+    assert duel.kind.get(follower) is None
     assert duel.governing(follower) == duel.winner()
 
 
@@ -358,8 +361,8 @@ def test_drrip_leader_miss_votes_against_its_side():
 
 
 class RecordingShip(ShipMemPolicy):
-    def __init__(self, **kw):
-        super().__init__(**kw)
+    def __init__(self):
+        super().__init__()
         self.inserted = []
 
     def on_insert(self, view, way):
@@ -378,7 +381,7 @@ def test_ship_inserts_at_max_once_a_region_decays_and_backs_off_after_reuse():
 
 
 def test_ship_counters_are_per_region():
-    pol = RecordingShip(region_bytes=16384)
+    pol = RecordingShip()
     # exhaust region 0's counter, then insert from untouched region 1
     ids = [0, 1, 2, 3, 16384 // 64]
     simulate(block_trace(ids), one_set(2), pol)
