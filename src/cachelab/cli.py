@@ -346,14 +346,23 @@ def main(argv=None):
             return 2
         defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
         sub = registry[args.command]
-        flags = {a.dest for a in sub._actions if a.option_strings} - {"help", "config"}
-        unknown = sorted(set(defaults) - flags)
+        flags = {a.dest: a for a in sub._actions if a.option_strings}
+        del flags["help"], flags["config"]
+        unknown = sorted(set(defaults) - set(flags))
         if unknown:
             print("error: no %s flag for config keys: %s" % (args.command, ", ".join(unknown)),
                   file=sys.stderr)
             return 2
-        sub.set_defaults(**defaults)
-        args = parser.parse_args(argv)
+        # written as flags (a list: repeated) ahead of argv's, so argparse checks them
+        written = []
+        for key, value in defaults.items():
+            name = flags[key].option_strings[-1]
+            for v in value if isinstance(value, list) else [value]:
+                if flags[key].nargs == 0 and isinstance(v, bool):  # a switch: written or not
+                    written += [name] if v else []
+                else:
+                    written.append("%s=%s" % (name, v if isinstance(v, str) else json.dumps(v)))
+        args = parser.parse_args(argv[:1] + written + argv[1:])
     try:
         return args.fn(args)
     except Exception as e:  # one-line diagnostics, nonzero exit

@@ -71,13 +71,15 @@ def _is_pow2(x):
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """num_sets and block_bytes must be powers of two; ways >= 1."""
+    """Three ints: num_sets and block_bytes powers of two, ways >= 1."""
 
     num_sets: int
     ways: int
     block_bytes: int = 64
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.num_sets, self.ways, self.block_bytes)):
+            raise ValueError("num_sets, ways and block_bytes must be ints")
         if not _is_pow2(self.num_sets):
             raise ValueError("num_sets must be a power of two")
         if self.ways < 1:
@@ -107,6 +109,21 @@ class CacheGeometry:
     @property
     def set_bits(self):
         return self.num_sets.bit_length() - 1
+
+
+def _set_runs(geometry, addresses):
+    """Each set's runs of back-to-back accesses to one block, grouped set
+    by set by a stable sort: per run, the trace position and block of its
+    first access, its head, and whether it has more than one access."""
+    blocks = geometry.blocks(addresses)
+    mask = geometry.num_sets - 1  # sets up to 2**16 narrow to a radix-sortable type
+    order = (blocks & mask).astype(np.min_scalar_type(mask)).argsort(kind="stable")
+    blocks = blocks[order]
+    edge = np.empty(len(blocks) + 1, dtype=bool)  # edge[k]: a run ends at k - 1, one starts at k
+    edge[0] = edge[-1] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=edge[1:-1])
+    head = edge[:-1]
+    return order[head], blocks[head], ~edge[1:][head]
 
 
 class SetView:
@@ -399,6 +416,14 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     return hit_at, counters, dead_log
 
 
+def _report(policy, geometry, seed, trace, counters, dead_log):
+    """The SimReport of a run_policy run over trace."""
+    return SimReport(policy.name, geometry.num_sets, geometry.ways, geometry.block_bytes, seed,
+                     accesses=len(trace), dead_predicted_evictions=len(dead_log),
+                     total_instructions=trace.total_instructions(),
+                     trace_fingerprint=trace.digest(), **counters)
+
+
 def simulate(trace, geometry, policy, seed=0, classify=None):
     """Run a policy over a trace and return its SimReport.
 
@@ -415,18 +440,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
     hit_at, counters, dead_log = run_policy(
         policy, geometry, SplitMix64(seed), trace, memoryview(set_col), memoryview(tag_col)
     )
-    report = SimReport(
-        policy=policy.name,
-        num_sets=num_sets,
-        ways=ways,
-        block_bytes=geometry.block_bytes,
-        seed=seed,
-        accesses=len(trace),
-        dead_predicted_evictions=len(dead_log),
-        total_instructions=trace.total_instructions(),
-        trace_fingerprint=trace.digest(),
-        **counters,
-    )
+    report = _report(policy, geometry, seed, trace, counters, dead_log)
     if dead_log:
         report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)
     if classify is not None:

@@ -6,30 +6,33 @@ set since its previous access, counting the block itself (a back-to-back
 re-reference has distance 1).  A first touch has infinite distance.
 Under true LRU an access hits exactly when its distance is at most the
 associativity.  Every distance comes from one array pass, a level-by-level
-tree walk in the spirit of Bennett & Kruskal (IBM J. R&D 1975).
+tree walk in the spirit of Bennett & Kruskal (IBM J. R&D 1975) over run
+heads only (engine._set_runs): a re-reference to the block its set touched
+last has distance 1 and adds to no other access's count of distinct blocks.
 """
 
 import math
 
 import numpy as np
 
+from cachelab.engine import _set_runs
+
 
 def _stack_distances(trace, geometry):
-    """Stack distance of each access as an int array, -1 for a first touch.
+    """The run heads' trace positions and stack distances as int arrays,
+    -1 for a first touch, in the set-grouped order of engine._set_runs.
 
-    Over positions grouped set by set, node m of tree level k covers
-    [m << k, (m + 1) << k).  The live interval [l, r) of a query takes
-    node l when l is odd and node r - 1 when r is odd, then both bounds
-    halve, so the one loop runs about log2(largest reuse gap) times.  A
-    node counts its prev(j) <= p with one searchsorted into the level's
-    sorted keys (j >> k) * (n + 1) + prev(j) + 1, less its start m << k.
+    Over the heads, node m of tree level k covers [m << k, (m + 1) << k).
+    The live interval [l, r) of a query takes node l when l is odd and
+    node r - 1 when r is odd, then both bounds halve, so the one loop
+    runs about log2(largest reuse gap) times.  A node counts its
+    prev(j) <= p with one searchsorted into the level's sorted keys
+    (j >> k) * (n + 1) + prev(j) + 1, less its start m << k.
     """
-    blocks = geometry.blocks(trace.addresses)
+    heads, blocks = _set_runs(geometry, trace.addresses)[:2]
     n = len(blocks)
-    index = np.int32 if n < 2**31 - 1 else np.int64  # positions and bounds up to n + 1
-    mask = geometry.num_sets - 1  # sets up to 2**16 narrow to a radix-sortable type
-    order = (blocks & mask).astype(np.min_scalar_type(mask)).argsort(kind="stable").astype(index)
-    blocks = blocks[order]  # set by set, trace order within each
+    index = np.int32 if len(trace) < 2**31 - 1 else np.int64  # positions and bounds
+    heads = heads.astype(index)
     by_block = np.argsort(blocks, kind="stable").astype(index)
     same = blocks[by_block[1:]] == blocks[by_block[:-1]]
     del blocks
@@ -58,9 +61,7 @@ def _stack_distances(trace, geometry):
         live, lo = live[going], lo[going]
         hi, below = hi[going], below[going]
         k += 1
-    out = np.empty(n, dtype=index)
-    out[order] = dist
-    return out
+    return heads, dist
 
 
 def reuse_distances(trace, geometry):
@@ -69,16 +70,22 @@ def reuse_distances(trace, geometry):
     With accesses grouped set by set and prev(j) the position of the
     previous access to j's block (-1 for none), access q with p = prev(q)
     has distance #{j in (p, q] : prev(j) <= p}: q plus the first touch
-    since p of each other block, counted for every q in one bottom-up
-    segment-tree walk, a level at a time."""
+    since p of each other block."""
+    heads, dist = _stack_distances(trace, geometry)
+    out = np.ones(len(trace), dtype=dist.dtype)  # a run's repeats
+    out[heads] = dist
     shared = {-1: math.inf}  # a first touch, then one int object per distinct distance
-    return [shared.setdefault(d, d) for d in memoryview(_stack_distances(trace, geometry))]
+    return [shared.setdefault(d, d) for d in memoryview(out)]
 
 
 def reuse_distance_distribution(trace, geometry):
     """Histogram {distance: count}; key math.inf buckets first touches."""
-    values, counts = np.unique(_stack_distances(trace, geometry), return_counts=True)
-    return {(math.inf if v < 0 else v): c for v, c in zip(values.tolist(), counts.tolist())}
+    dist = _stack_distances(trace, geometry)[1]
+    values, counts = np.unique(dist, return_counts=True)
+    hist = {(math.inf if v < 0 else v): c for v, c in zip(values.tolist(), counts.tolist())}
+    if len(trace) > len(dist):  # a run's repeats
+        hist[1] = hist.get(1, 0) + len(trace) - len(dist)
+    return hist
 
 
 def histogram_rows(hist, cumulative=False):

@@ -1,38 +1,59 @@
 """Clairvoyant optimal replacement (Belady's MIN).
 
-Two passes: a stable sort by cache block indexes each access with the
-position of the next access to the same block, then a forward simulation
-evicts the resident block whose next use lies farthest in the future.
-With bypass allowed, an incoming block whose next use is farther than
-every resident's is not cached at all.
+Of each run of back-to-back accesses to one block within a set, only the
+first, its head, is simulated (engine._set_runs).  A stable sort by block
+gives each head the position of the next head of its block; a forward
+pass, set after set, evicts the resident block whose next use is
+farthest, and with bypass allowed leaves out a block whose next use is
+farther than every resident's.  This is exact.  Sets never interact, and
+a run's repeats all hit: a head that misses has its run's second access
+as next use, nearer than any resident's, so it is filled even with
+bypass, and its way then holds the next use after the run.  Counted in
+heads, next uses keep their order within a set, so every victim, tie and
+bypass is the same.
 """
 
 import numpy as np
 
-from cachelab.engine import Policy, simulate
+from cachelab.engine import Policy, SplitMix64, _report, _set_runs, run_policy
 
 NEVER = 1 << 62  # farther than any trace position
+
+
+def _next_use(blocks):
+    """nxt[i] = index of the next entry equal to blocks[i], else NEVER."""
+    order = blocks.argsort(kind="stable")  # each block's entries in order
+    succ = blocks[order]
+    last = succ[1:] != succ[:-1]  # a block's last entry
+    succ[:-1] = order[1:]
+    succ[-1:] = NEVER
+    succ[:-1][last] = NEVER
+    nxt = np.empty_like(succ)
+    nxt[order] = succ
+    return nxt
 
 
 def next_use_index(trace, geometry):
     """next_use[i] = index of the next access to the same block, else
     NEVER, as an int64 buffer."""
-    blocks = geometry.blocks(trace.addresses)
-    order = np.argsort(blocks, kind="stable")  # each block's accesses in trace order
-    blocks = blocks[order]
-    same = blocks[1:] == blocks[:-1]
-    del blocks
-    nxt = np.full(len(order), NEVER, dtype=np.int64)
-    nxt[order[:-1]] = np.where(same, order[1:], NEVER)
-    return memoryview(nxt)
+    return memoryview(_next_use(geometry.blocks(trace.addresses)))
 
 
 class OptPolicy(Policy):
-    """Farthest-next-use replacement; a way's state is its next use index."""
+    """Farthest-next-use replacement over a trace's run heads, held as
+    set, tag and next-use columns for opt_oracle to run; a way's state is
+    its block's next use."""
 
     def __init__(self, trace, geometry, allow_bypass=False):
-        self.next_use = next_use_index(trace, geometry)
-        self.allow_bypass = allow_bypass
+        blocks, repeats = _set_runs(geometry, trace.addresses)[1:]
+        next_use = _next_use(blocks)
+        self.next_use = memoryview(next_use)
+        # a head with repeats is nearer than any resident: its own next
+        # use is its run's second access
+        self.decline = memoryview(np.where(repeats, -1, next_use)) if allow_bypass else None
+        self.sets = memoryview(blocks & (geometry.num_sets - 1))
+        blocks >>= geometry.set_bits
+        self.tags = memoryview(blocks)
         self.name = "opt-bypass" if allow_bypass else "opt"
 
     def decide_insert(self, view):
@@ -40,9 +61,9 @@ class OptPolicy(Policy):
         # incoming block's next use is strictly farther away than every
         # resident's
         return (
-            not self.allow_bypass
+            self.decline is None
             or len(view.state) < view.ways
-            or self.next_use[view.access_index] <= max(view.state)
+            or self.decline[view.access_index] <= max(view.state)
         )
 
     def choose_victim(self, view):
@@ -52,10 +73,13 @@ class OptPolicy(Policy):
     def on_insert(self, view, way):
         view.state[way] = self.next_use[view.access_index]
 
-    def on_hit(self, view, way):
-        view.state[way] = self.next_use[view.access_index]
+    on_hit = on_insert
 
 
 def opt_oracle(trace, geometry, allow_bypass=False, seed=0):
     """Simulate the optimal policy and return its SimReport."""
-    return simulate(trace, geometry, OptPolicy(trace, geometry, allow_bypass), seed=seed)
+    policy = OptPolicy(trace, geometry, allow_bypass)
+    _, counters, dead_log = run_policy(policy, geometry, SplitMix64(seed), trace, policy.sets,
+                                       policy.tags)
+    counters["hits"] += len(trace) - len(policy.tags)  # the runs' repeats
+    return _report(policy, geometry, seed, trace, counters, dead_log)

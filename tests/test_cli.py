@@ -339,6 +339,40 @@ def test_config_keys_must_name_flags_of_the_subcommand(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+def test_config_values_go_through_their_flags_checks(tmp_path, capsys):
+    """A config value is taken exactly as the same value written as its
+    flag: {"format": "xml"} and {"ways": 4.5} fail as --format xml and
+    --ways 4.5 do, with one error: line and exit code 2."""
+    cfg = tmp_path / "cfg.json"
+    base = ["simulate", "--policy", "lru", "--gen", "stream:k=1"]
+    for key, value in (("format", "xml"), ("ways", 4.5), ("sets", True)):
+        cfg.write_text(json.dumps({key: value}))
+        errors = []
+        for extra in (["--config", str(cfg)], ["--" + key, json.dumps(value).strip('"')]):
+            with pytest.raises(SystemExit) as exit_:
+                main(base + extra)
+            assert exit_.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append([line for line in captured.err.splitlines() if "error:" in line])
+        assert len(errors[0]) == 1 and errors[0] == errors[1], errors
+    # a string goes through the flag's type, a switch takes true or false
+    cfg.write_text(json.dumps({"sets": "1", "ways": "32", "policy": "lru",
+                               "gen": "thrash:k=32,n=64"}))
+    code, out, _ = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 0
+    assert out.strip().splitlines()[1].split(",")[2] == "2016"
+    for switch, policy in ((True, "opt-bypass"), (False, "opt")):
+        cfg.write_text(json.dumps({"bypass": switch}))
+        code, out, _ = run(capsys, "opt", "--config", str(cfg), "--gen", "thrash:k=3,n=3",
+                           "--sets", "1", "--ways", "2")
+        assert code == 0 and out.splitlines()[1].split(",")[0] == policy
+    cfg.write_text(json.dumps({"bypass": "yes"}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["opt", "--config", str(cfg), "--gen", "stream:k=1"])
+    assert exit_.value.code == 2
+
+
 def test_simulate_with_hinted_regions_reports_per_class_stats(capsys):
     code, out, _ = run(
         capsys, "simulate", "--policy", "grasp", "--gen", "thrash:k=64,n=4",

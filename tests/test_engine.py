@@ -191,6 +191,13 @@ def test_geometry_validation():
         CacheGeometry(4, 4, 4)  # block smaller than one 8-byte element
 
 
+def test_geometry_takes_only_ints():
+    """A float or bool size would run: ways=4.5 once filled 5 ways."""
+    for bad in ((1, 4.5, 64), (4.0, 4, 64), (1, 4, 64.0), (True, 4, 64), (1, True, 64)):
+        with pytest.raises(ValueError, match="must be ints"):
+            CacheGeometry(*bad)
+
+
 def test_geometry_address_mapping():
     g = CacheGeometry(64, 16, 64)
     assert g.capacity_bytes == 64 * 16 * 64

@@ -92,13 +92,21 @@ def test_distances_match_the_list_stack_reference():
 
 @st.composite
 def block_traces(draw):
-    """A random block trace on 1, 2, 4 or 16 sets.  About one in three
+    """A random block trace on 1, 2, 4 or 16 sets.  In half of them a
+    random share of the accesses goes back to the block its set touched
+    last, often with other sets' accesses between.  About one in three
     holds a block that comes back after more than 2**10 accesses to other
     blocks of its set, so the tree walk climbs past level 10."""
     num_sets = draw(st.sampled_from([1, 2, 4, 16]))
     rnd = random.Random(draw(st.integers(0, 2**32)))  # fast draws for long traces
-    span = rnd.randint(1, 200)
-    blocks = [rnd.randrange(span) for _ in range(rnd.randint(0, 300))]
+    span, again = rnd.randint(1, 200), rnd.choice([0, rnd.random()])
+    last, blocks = {}, []
+    for _ in range(rnd.randint(0, 300)):
+        b = rnd.randrange(span)
+        if rnd.random() < again:
+            b = last.get(b % num_sets, b)
+        last[b % num_sets] = b
+        blocks.append(b)
     if rnd.random() < 1 / 3:
         home, others = rnd.randrange(span), rnd.randint(1, 1200)
         gap = [home + num_sets * rnd.randint(1, others) for _ in range(rnd.randint(1025, 2600))]

@@ -1,6 +1,7 @@
 """Clairvoyant replacement: next-use indexing, optimality, bypass rule."""
 
 import random
+import time
 
 from cachelab.engine import CacheGeometry, simulate
 from cachelab.opt import NEVER, OptPolicy, next_use_index, opt_oracle
@@ -109,3 +110,68 @@ def test_opt_policy_exposes_distinct_names():
     assert OptPolicy(t, g).name == "opt"
     assert OptPolicy(t, g, allow_bypass=True).name == "opt-bypass"
     assert opt_oracle(t, g).policy == "opt"
+
+
+def _dp_step(cur, c, num_sets, ways, decline):
+    """One access to block c of a brute-force cache: cur maps each
+    reachable content (a bitmask of blocks) to the fewest misses that
+    reach it.  A miss fills, evicting any resident of c's set when the
+    set is full, or with decline=True may also leave c out."""
+    b = 1 << c
+    same_set = sum(1 << x for x in range(c % num_sets, 32, num_sets))
+    new = {}
+    for mask, m in cur.items():
+        if mask & b:
+            nexts = [mask]
+        else:
+            m += 1
+            resident = mask & same_set
+            nexts = [mask] if decline else []
+            if bin(resident).count("1") < ways:
+                nexts.append(mask | b)
+            else:
+                while resident:  # evict each resident in turn
+                    low = resident & -resident
+                    nexts.append(mask ^ low | b)
+                    resident ^= low
+        for nm in nexts:
+            if new.get(nm, m + 1) > m:
+                new[nm] = m
+    return new
+
+
+def test_opt_bypass_equals_the_exhaustive_minimum_with_a_decline_move():
+    """opt-bypass misses equal a brute-force minimum whose misses may also
+    decline to fill, on every trace of up to 8 accesses over 4 blocks on
+    one 2-way set and of up to 7 over 2 blocks per set on two 1-way sets,
+    up to relabelling.  Back-to-back repeats are included, in a set and
+    across sets, so the oracle's run collapse is exercised."""
+    t0 = time.perf_counter()
+    blocks = [MemoryAccess(64 * b) for b in range(4)]
+    mismatches, checked = [], 0
+    for num_sets, ways, longest in ((1, 2, 8), (2, 1, 7)):
+        geom = CacheGeometry(num_sets, ways, 64)
+        prefix = []
+
+        def walk(seen, cur):
+            nonlocal checked
+            if prefix:
+                got = opt_oracle(Trace([blocks[c] for c in prefix]), geom, allow_bypass=True)
+                checked += 1
+                if got.misses != min(cur.values()):
+                    mismatches.append((num_sets, tuple(prefix), got.misses, min(cur.values())))
+            if len(prefix) == longest:
+                return
+            for c in range(4):
+                # sets open in order, and each set's blocks come in label order
+                below = c - 1 if c < num_sets else c - num_sets
+                if c == 0 or seen >> below & 1:
+                    prefix.append(c)
+                    walk(seen | 1 << c, _dp_step(cur, c, num_sets, ways, decline=True))
+                    prefix.pop()
+
+        walk(0, {0: 0})
+    elapsed = time.perf_counter() - t0
+    assert not mismatches, "opt-bypass != exhaustive minimum: %r" % (mismatches[:3],)
+    assert checked == 3771 + 2794, "enumeration size drifted: %d" % checked
+    assert elapsed < 10.0, "exceeded 10s budget (%.1fs)" % elapsed

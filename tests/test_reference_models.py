@@ -8,15 +8,20 @@ al., ISCA 2007) runs on shadow LRU and BIP stacks, SRRIP with m-bit
 RRPVs (Jaleel et al., ISCA 2010), and single-set DRRIP-m, dueling on
 shadow SRRIP and BRRIP sets.  hypothesis draws short block traces over
 small geometries, and every access must agree with `simulate`: the
-same hit or miss and, on an eviction, the same victim block.
+same hit or miss and, on an eviction, the same victim block.  Belady's
+MIN, with and without bypass (Belady, IBM Sys. J. 1966), is checked by
+its four counters against `opt_oracle` on traces dense in back-to-back
+re-references within a set.
 """
 
+import random
 import time
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cachelab.engine import CacheGeometry, simulate
+from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, Trace
 
@@ -24,6 +29,7 @@ BUDGET_S = 15.0  # the three tests together
 SHARE = {"lru": 0.3, "srrip": 0.3, "drrip": 0.4}  # of BUDGET_S; they take about 2 : 2 : 3
 EXAMPLES = 300
 INSERTION_BUDGET_S = 6.0  # the LIP/BIP test and the DIP test each, as long as the DRRIP one
+BELADY_EXAMPLES, BELADY_BUDGET_S = 200, 6.0
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -188,6 +194,30 @@ def drrip_model(blocks, ways, m, seed):
     return out
 
 
+def belady_model(blocks, num_sets, ways, bypass):
+    """Hits, misses, bypasses and evictions of Belady's MIN.  Each set
+    maps its blocks to their next use, found by scanning ahead (len(blocks)
+    for none).  A miss into a full set evicts a block used farthest
+    ahead; with bypass, a block whose own next use is strictly farther
+    than every resident's is left out instead."""
+    sets = [{} for _ in range(num_sets)]
+    hits = bypasses = evictions = 0
+    for i, b in enumerate(blocks):
+        cache = sets[b % num_sets]
+        next_use = next((j for j in range(i + 1, len(blocks)) if blocks[j] == b), len(blocks))
+        if b in cache:
+            hits += 1
+        elif len(cache) == ways:
+            farthest = max(cache, key=cache.get)
+            if bypass and next_use > cache[farthest]:
+                bypasses += 1
+                continue
+            del cache[farthest]
+            evictions += 1
+        cache[b] = next_use
+    return dict(hits=hits, misses=len(blocks) - hits, bypasses=bypasses, evictions=evictions)
+
+
 def engine_log(name, blocks, num_sets, ways, seed=0):
     """The same log, recorded from simulate through the policy's hooks."""
     policy = make_policy(name)
@@ -222,6 +252,36 @@ def cases(draw, set_counts=(1, 2, 4, 8, 16)):
     rnd = draw(st.randoms(use_true_random=False))
     span = rnd.randint(ways, 3 * num_sets * ways)
     return [rnd.randrange(span) for _ in range(rnd.randint(1, 300))], num_sets, ways
+
+
+@st.composite
+def repeat_cases(draw):
+    """Like cases, but a random share of the accesses goes back to the
+    block its set touched last, often with other sets' accesses between."""
+    num_sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    ways = draw(st.integers(1, 16))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # fast draws for three per access
+    span, again = rnd.randint(ways, 3 * num_sets * ways), rnd.random()
+    last, blocks = {}, []
+    for _ in range(rnd.randint(1, 300)):
+        b = rnd.randrange(span)
+        if rnd.random() < again:
+            b = last.get(b % num_sets, b)
+        last[b % num_sets] = b
+        blocks.append(b)
+    return blocks, num_sets, ways
+
+
+@seed(20261018)
+@settings(max_examples=BELADY_EXAMPLES, deadline=None, database=None)
+@given(repeat_cases())
+def _check_belady(case):
+    blocks, num_sets, ways = case
+    trace = Trace([MemoryAccess(64 * b) for b in blocks])
+    for bypass in (False, True):
+        r = opt_oracle(trace, CacheGeometry(num_sets, ways, 64), allow_bypass=bypass)
+        got = dict(hits=r.hits, misses=r.misses, bypasses=r.bypasses, evictions=r.evictions)
+        assert got == belady_model(blocks, num_sets, ways, bypass), bypass
 
 
 @seed(20261018)
@@ -293,3 +353,7 @@ def test_srrip_matches_the_rrpv_model_access_for_access():
 
 def test_single_set_drrip_matches_the_shadow_duel_model_access_for_access():
     within_budget(_check_drrip, BUDGET_S * SHARE["drrip"])
+
+
+def test_opt_counters_match_the_belady_model_on_set_local_repeats():
+    within_budget(_check_belady, BELADY_BUDGET_S)
