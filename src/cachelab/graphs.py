@@ -21,6 +21,7 @@ import numpy as np
 from cachelab.trace import RECORD_DTYPE, Trace, pack_flags
 
 CSR_MAGIC = b"CSR1"
+MAX_REMAP_VERTICES = 3_037_000_499  # apply_remap's key range: V * V - 1 < 2**63
 
 # pc signatures for the four access streams of a graph iteration
 PC_VERTEX = 0x011
@@ -125,7 +126,8 @@ def load_edge_list(path, direction="in"):
 
 def _csr_from_pairs(src, dst, v_count, direction):
     rows, vals = (dst, src) if direction == "in" else (src, dst)
-    order = np.argsort(rows, kind="stable")
+    # up to 2**16 vertices the narrowed rows sort by radix, in the same stable order
+    order = rows.astype(np.min_scalar_type(v_count - 1)).argsort(kind="stable")
     counts = np.bincount(rows, minlength=v_count)
     offsets = np.zeros(v_count + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -306,21 +308,29 @@ def random_reorder(graph, granularity_blocks=0, seed=0, prop_bytes=8, block_byte
 
 
 def apply_remap(graph, remap):
-    """Relabel vertices; neighbor lists come out sorted (canonical)."""
-    remap = np.asarray(remap, dtype=np.int64)
+    """Relabel vertices: vertex v becomes remap[v], and each neighbor u
+    becomes remap[u].  Rows come out in new-id order with each neighbor
+    list sorted (the canonical form); duplicate edges stay.  One sort of
+    one int64 key per edge, new_row * V + new_neighbor, does both, so V
+    is at most MAX_REMAP_VERTICES, the largest V with V * V - 1 < 2**63."""
     v_count = graph.vertex_count
+    if v_count > MAX_REMAP_VERTICES:
+        raise GraphError("apply_remap takes at most %d vertices" % MAX_REMAP_VERTICES)
+    remap = np.asarray(remap, dtype=np.int64)
     if len(remap) != v_count:
         raise GraphError("remap length != vertex count")
     if not np.array_equal(np.sort(remap), np.arange(v_count)):
         raise GraphError("remap is not a permutation")
-    old_rows = np.repeat(np.arange(v_count), np.diff(graph.offsets))
-    new_rows = remap[old_rows]
-    new_vals = remap[graph.edges]
-    order = np.lexsort((new_vals, new_rows))
-    counts = np.bincount(new_rows, minlength=v_count)
+    degree = np.diff(graph.offsets)
+    key = np.repeat(remap * v_count, degree)
+    key += remap[graph.edges]
+    key.sort()
+    key %= v_count  # the key becomes the new neighbor, in place
+    counts = np.empty(v_count, dtype=np.int64)
+    counts[remap] = degree
     offsets = np.zeros(v_count + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return CsrGraph(offsets, new_vals[order], graph.direction)
+    return CsrGraph(offsets, key, graph.direction)
 
 
 def skew_metrics(graph, prop_bytes=8, block_bytes=64, degrees=None):
@@ -448,38 +458,42 @@ def gen_graph_trace(
     block_start[nonempty] = first_block + shared
     block_count[nonempty] = last_block - block_start[nonempty] + 1
 
-    # per vertex: its vertex entry, edge blocks, gathers, output write
+    # per vertex: its vertex entry, edge blocks, gathers, output write;
+    # contiguous columns take the scatters and fill the records once
     length = 2 + block_count + degree
     seg = np.zeros(v_count + 1, dtype=np.int64)
     np.cumsum(length, out=seg[1:])
-    records = np.zeros(int(seg[-1]), dtype=RECORD_DTYPE)
-    address = records["address"]
-    pc = records["pc"]
+    address = np.zeros(int(seg[-1]), dtype=np.uint64)
+    pc = np.full(len(address), PC_GATHER, dtype=np.uint16)
     vertices = np.arange(v_count, dtype=np.uint64)
 
     address[seg[:-1]] = np.uint64(vertex_base) + np.uint64(8) * vertices
     pc[seg[:-1]] = PC_VERTEX
 
-    owner = np.repeat(np.arange(v_count), block_count)
-    k = np.arange(len(owner)) - np.repeat(np.cumsum(block_count) - block_count, block_count)
-    at = seg[owner] + 1 + k
-    blocks = (block_start[owner] + k).astype(np.uint64)
+    # the k-th edge-block record sits at k plus a shift per vertex
+    k = np.arange(block_count.sum())
+    before = np.cumsum(block_count) - block_count
+    at = k + np.repeat(seg[:-1] + 1 - before, block_count)
+    blocks = (k + np.repeat(block_start - before, block_count)).astype(np.uint64)
     address[at] = np.uint64(edge_base) + np.uint64(block_bytes) * blocks
     pc[at] = PC_EDGE
-
-    owner = np.repeat(np.arange(v_count), degree)
-    at = seg[owner] + 1 + block_count[owner] + np.arange(len(owner)) - lo[owner]
-    address[at] = np.uint64(prop_base) + np.uint64(prop_bytes) * graph.edges.astype(np.uint64)
-    pc[at] = PC_GATHER
 
     at = seg[1:] - 1
     address[at] = np.uint64(out_base) + np.uint64(prop_bytes) * vertices
     pc[at] = PC_APPLY
-    write = np.zeros(len(records), dtype=np.uint8)
+    write = np.zeros(len(address), dtype=np.uint8)
     write[at] = 1
 
+    # every other record is a gather, one per neighbor-list entry in order
+    at = pc == PC_GATHER
+    address[at] = np.uint64(prop_base) + np.uint64(prop_bytes) * graph.edges.astype(np.uint64)
+
     hints = None if region_map is None else region_map.classify_array(address)
+    records = np.zeros(len(address), dtype=RECORD_DTYPE)
+    records["address"] = address
+    records["pc"] = pc
     records["flags"] = pack_flags(write, hints)
     records["inst_delta"] = 1
+    del address, pc, write, hints  # copied: free them before Trace checks the records
     return Trace(records, name="graph-pull"), abrs
 

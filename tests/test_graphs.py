@@ -1,10 +1,16 @@
 """Graph containers, binary formats, reordering transforms, skew
 statistics, synthetic generators, and trace generation."""
 
+import random
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from cachelab.graphs import (
+    MAX_REMAP_VERTICES,
     PC_APPLY,
     PC_EDGE,
     PC_GATHER,
@@ -356,6 +362,71 @@ def test_apply_remap_preserves_the_degree_histogram():
     assert sorted(g.reuse_degrees()) == sorted(h.reuse_degrees())
     # and pointwise: vertex v's degree travels to its new id
     assert np.array_equal(h.degree_array()[remap], g.degree_array())
+
+
+def test_apply_remap_refuses_graphs_whose_sort_key_would_overflow():
+    """The key new_row * V + new_neighbor stays below 2**63 only up to
+    MAX_REMAP_VERTICES vertices; above that the call is refused before
+    the remap or the graph's arrays are read."""
+
+    class Huge:  # a stand-in: no arrays that large are ever made
+        vertex_count = 2**32
+        offsets = edges = None
+
+    assert (MAX_REMAP_VERTICES**2 - 1 < 2**63) and (MAX_REMAP_VERTICES + 1) ** 2 - 1 >= 2**63
+    with pytest.raises(GraphError, match="at most 3037000499 vertices"):
+        apply_remap(Huge(), [0, 1])
+
+
+def reference_relabel(offsets, edges, remap):
+    """The relabelled CSR, row by row: old row v's neighbors u become
+    sorted(remap[u]) at row remap[v].  Plain lists, nothing from graphs."""
+    rows = [None] * len(remap)
+    for v in range(len(remap)):
+        rows[remap[v]] = sorted(remap[u] for u in edges[offsets[v] : offsets[v + 1]])
+    new_offsets = [0]
+    for row in rows:
+        new_offsets.append(new_offsets[-1] + len(row))
+    return new_offsets, [u for row in rows for u in row]
+
+
+@st.composite
+def remap_cases(draw):
+    """A CSR graph of 1-40 vertices with empty rows, duplicate edges and,
+    in about half the graphs, vertices no edge touches; a direction; and
+    a random permutation of its vertex ids."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    v_count = rnd.randint(1, 40)
+    touched = range(v_count)
+    if rnd.random() < 0.5:  # the other vertices have no edges in or out
+        touched = rnd.sample(range(v_count), rnd.randint(1, v_count))
+    offsets = [0]
+    for v in range(v_count):
+        offsets.append(offsets[-1] + (rnd.choice([0, 0, 1, 2, 5, 12]) if v in touched else 0))
+    edges = [rnd.choice(touched) for _ in range(offsets[-1])]
+    remap = list(range(v_count))
+    rnd.shuffle(remap)
+    return offsets, edges, remap, rnd.choice(["in", "out"])
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@example(([0, 0], [], [0], "in"))
+@example(([0, 3], [0, 0, 0], [0], "out"))
+@example(([0, 2, 2, 4], [2, 2, 0, 0], [2, 0, 1], "in"))
+@given(remap_cases())
+def _check_relabel(case):
+    offsets, edges, remap, direction = case
+    h = apply_remap(CsrGraph(offsets, edges, direction), remap)
+    assert (h.offsets.tolist(), h.edges.tolist()) == reference_relabel(offsets, edges, remap)
+    assert h.direction == direction
+
+
+def test_apply_remap_matches_the_row_by_row_relabel():
+    t0 = time.perf_counter()
+    _check_relabel()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, "exceeded 5s budget (%.1fs)" % elapsed
 
 
 def test_remapping_does_not_change_propagation_results():
