@@ -100,11 +100,12 @@ class CacheGeometry:
     def tag(self, address):
         return (address // self.block_bytes) // self.num_sets
 
-    def blocks(self, addresses):
+    def blocks(self, addresses, out=None):
         """Block number of each address in a uint64 array, as int64 (a
-        block number has at most 61 bits); set index and tag are its low
-        and high parts, `blocks & (num_sets - 1)` and `blocks >> set_bits`."""
-        return (addresses >> (self.block_bytes.bit_length() - 1)).view(np.int64)
+        block number has at most 61 bits), into `out` when given (it may
+        be `addresses`); set index and tag are its low and high parts,
+        `blocks & (num_sets - 1)` and `blocks >> set_bits`."""
+        return np.right_shift(addresses, self.block_bytes.bit_length() - 1, out=out).view(np.int64)
 
     @property
     def set_bits(self):
@@ -113,17 +114,22 @@ class CacheGeometry:
 
 def _set_runs(geometry, addresses):
     """Each set's runs of back-to-back accesses to one block, grouped set
-    by set by a stable sort: per run, the trace position and block of its
-    first access, its head, and whether it has more than one access."""
-    blocks = geometry.blocks(addresses)
-    mask = geometry.num_sets - 1  # sets up to 2**16 narrow to a radix-sortable type
-    order = (blocks & mask).astype(np.min_scalar_type(mask)).argsort(kind="stable")
-    blocks = blocks[order]
+    by set by a stable sort: per run, the trace position of its first
+    access, its head (int32 while it fits), the head's block, and whether
+    the run has more than one access."""
+    mask, index = geometry.num_sets - 1, np.int32 if len(addresses) < 2**31 - 1 else np.int64
+    order = geometry.blocks(addresses).astype(np.min_scalar_type(mask))  # keeps the set bits
+    order = (order & mask).argsort(kind="stable").astype(index)  # up to 2**16 sets: radix
+    blocks = addresses[order]
+    blocks = geometry.blocks(blocks, out=blocks)
     edge = np.empty(len(blocks) + 1, dtype=bool)  # edge[k]: a run ends at k - 1, one starts at k
     edge[0] = edge[-1] = True
     np.not_equal(blocks[1:], blocks[:-1], out=edge[1:-1])
-    head = edge[:-1]
-    return order[head], blocks[head], ~edge[1:][head]
+    del blocks
+    heads = order[edge[:-1]]
+    del order
+    blocks = addresses[heads]
+    return heads, geometry.blocks(blocks, out=blocks), ~edge[1:][edge[:-1]]
 
 
 class SetView:

@@ -13,7 +13,9 @@ whose half-open degree range contains it, then assigns new ids group by
 group from hottest to coldest; within a group original order is kept.
 """
 
+import os
 import random
+import stat
 import struct
 
 import numpy as np
@@ -144,19 +146,22 @@ def write_csr(graph, path):
 
 def read_csr(path, direction="in"):
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 20:
-        raise CsrTruncatedError("file shorter than CSR header")
-    if data[:4] != CSR_MAGIC:
-        raise CsrMagicError("bad magic %r" % (data[:4],))
-    v_count, e_count = struct.unpack_from("<QQ", data, 4)
-    expected = 20 + 8 * (v_count + 1 + e_count)
-    if len(data) != expected:
-        raise CsrTruncatedError("CSR holds %d bytes, header promises %d" % (len(data), expected))
-    body = np.frombuffer(data, dtype="<u8", offset=20)
-    offsets = body[: v_count + 1].astype(np.int64)
-    edges = body[v_count + 1 :].astype(np.int64)
-    return CsrGraph(offsets, edges, direction)
+        head = fh.read(20)
+        if len(head) < 20:
+            raise CsrTruncatedError("file shorter than CSR header")
+        if head[:4] != CSR_MAGIC:
+            raise CsrMagicError("bad magic %r" % (head[:4],))
+        v_count, e_count = struct.unpack_from("<QQ", head, 4)
+        st = os.fstat(fh.fileno())
+        piped = None if stat.S_ISREG(st.st_mode) else fh.read()  # a pipe's size comes from reading
+        size = st.st_size if piped is None else 20 + len(piped)
+        expected = 20 + 8 * (v_count + 1 + e_count)
+        if size != expected:
+            raise CsrTruncatedError("CSR holds %d bytes, header promises %d" % (size, expected))
+        # u64 values past 2**63 wrap into int64 as astype does; the graph rejects them
+        body = (np.fromfile(fh, "<u8", count=v_count + 1 + e_count) if piped is None
+                else np.frombuffer(bytearray(piped), "<u8")).view(np.int64)
+    return CsrGraph(body[: v_count + 1], body[v_count + 1 :], direction)
 
 
 def write_remap(remap, path):
@@ -443,57 +448,54 @@ def gen_graph_trace(
     if out_base + prop_bytes * v_count > 1 << 64:
         raise GraphError("graph trace addresses overflow u64")
 
-    # edge-array blocks per vertex, counted from edge_base: its neighbor
-    # range's blocks, less the first one when the previous non-empty
-    # range already ended in it
-    lo, hi = graph.offsets[:-1], graph.offsets[1:]
-    degree = hi - lo
-    nonempty = np.flatnonzero(degree)
-    first_block = 8 * lo[nonempty] // block_bytes
-    last_block = (8 * hi[nonempty] - 8) // block_bytes
-    shared = np.zeros(len(nonempty), dtype=bool)
-    shared[1:] = first_block[1:] == last_block[:-1]
-    block_start = np.zeros(v_count, dtype=np.int64)
-    block_count = np.zeros(v_count, dtype=np.int64)
-    block_start[nonempty] = first_block + shared
-    block_count[nonempty] = last_block - block_start[nonempty] + 1
+    # per vertex: its vertex entry, edge blocks, gathers, output write.  A
+    # non-empty neighbor range's edge blocks, counted from edge_base, are its
+    # blocks less the first one when the previous non-empty range ended in it
+    offsets = graph.offsets
+    nonempty = np.flatnonzero(np.diff(offsets))
+    start = 8 * offsets[nonempty] // block_bytes
+    count = (8 * offsets[nonempty + 1] - 8) // block_bytes + 1  # one past the last block
+    start[1:] += start[1:] == count[:-1] - 1
+    count -= start
+    seg = np.zeros(v_count + 1, dtype=np.int64)  # edge blocks before each vertex
+    seg[nonempty + 1] = count
+    np.cumsum(seg, out=seg)
+    # the k-th edge block sits k past a per-vertex shift, in the edge
+    # array and in the records (after 2v entries and writes, offsets[v] gathers)
+    k = np.arange(seg[-1])
+    edge_block = np.repeat(start - seg[nonempty], count) + k
+    edge_at = np.repeat(2 * nonempty + offsets[nonempty] + 1, count) + k
+    del nonempty, start, count, k
+    seg += offsets
+    seg += np.arange(0, 2 * v_count + 1, 2)  # seg[v]: v's first record
 
-    # per vertex: its vertex entry, edge blocks, gathers, output write;
-    # contiguous columns take the scatters and fill the records once
-    length = 2 + block_count + degree
-    seg = np.zeros(v_count + 1, dtype=np.int64)
-    np.cumsum(length, out=seg[1:])
-    address = np.zeros(int(seg[-1]), dtype=np.uint64)
+    # contiguous columns take the scatters, the records are filled once
+    address = np.empty(int(seg[-1]), dtype=np.uint64)
     pc = np.full(len(address), PC_GATHER, dtype=np.uint16)
     vertices = np.arange(v_count, dtype=np.uint64)
-
     address[seg[:-1]] = np.uint64(vertex_base) + np.uint64(8) * vertices
     pc[seg[:-1]] = PC_VERTEX
-
-    # the k-th edge-block record sits at k plus a shift per vertex
-    k = np.arange(block_count.sum())
-    before = np.cumsum(block_count) - block_count
-    at = k + np.repeat(seg[:-1] + 1 - before, block_count)
-    blocks = (k + np.repeat(block_start - before, block_count)).astype(np.uint64)
-    address[at] = np.uint64(edge_base) + np.uint64(block_bytes) * blocks
-    pc[at] = PC_EDGE
-
+    address[edge_at] = np.uint64(edge_base) + np.uint64(block_bytes) * edge_block.view(np.uint64)
+    pc[edge_at] = PC_EDGE
     at = seg[1:] - 1
     address[at] = np.uint64(out_base) + np.uint64(prop_bytes) * vertices
     pc[at] = PC_APPLY
-    write = np.zeros(len(address), dtype=np.uint8)
-    write[at] = 1
-
+    del edge_block, edge_at, seg, vertices, at
     # every other record is a gather, one per neighbor-list entry in order
-    at = pc == PC_GATHER
-    address[at] = np.uint64(prop_base) + np.uint64(prop_bytes) * graph.edges.astype(np.uint64)
+    gather = graph.edges.view(np.uint64) * np.uint64(prop_bytes)
+    gather += np.uint64(prop_base)
+    address[pc == PC_GATHER] = gather
+    del gather
 
-    hints = None if region_map is None else region_map.classify_array(address)
     records = np.zeros(len(address), dtype=RECORD_DTYPE)
     records["address"] = address
+    del address
     records["pc"] = pc
-    records["flags"] = pack_flags(write, hints)
+    flags = records["flags"]
+    np.equal(pc, PC_APPLY, out=flags)  # the store bit, FLAG_WRITE = 1
+    del pc
     records["inst_delta"] = 1
-    del address, pc, write, hints  # copied: free them before Trace checks the records
+    if region_map is not None:
+        flags |= pack_flags(0, region_map.classify_array(records["address"]))
     return Trace(records, name="graph-pull"), abrs
 

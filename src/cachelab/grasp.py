@@ -54,10 +54,12 @@ class RegionMap:
         if not self.regions:
             return np.full(addresses.shape, ReuseHint.DEFAULT, dtype=np.uint8)
         out = np.full(addresses.shape, ReuseHint.LOW, dtype=np.uint8)
+        inside, below = np.empty(addresses.shape, bool), np.empty(addresses.shape, bool)
         for start, high_end, mod_end, end in self.regions:
-            inside = (addresses >= start) & (addresses < end)
-            out[inside & (addresses < mod_end)] = ReuseHint.MODERATE
-            out[inside & (addresses < high_end)] = ReuseHint.HIGH
+            np.greater_equal(addresses, start, out=inside)
+            inside &= np.less(addresses, end, out=below)
+            for bound in (mod_end, high_end):  # each bound above an inside address: LOW -> MODERATE -> HIGH
+                out -= np.logical_and(np.less(addresses, bound, out=below), inside, out=below)
         return out
 
     def classify(self, address):

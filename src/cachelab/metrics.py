@@ -31,8 +31,7 @@ def _stack_distances(trace, geometry):
     """
     heads, blocks = _set_runs(geometry, trace.addresses)[:2]
     n = len(blocks)
-    index = np.int32 if len(trace) < 2**31 - 1 else np.int64  # positions and bounds
-    heads = heads.astype(index)
+    index = heads.dtype.type  # positions and bounds: int32 while they fit
     by_block = np.argsort(blocks, kind="stable").astype(index)
     same = blocks[by_block[1:]] == blocks[by_block[:-1]]
     del blocks

@@ -20,16 +20,17 @@ from cachelab.engine import Policy, SplitMix64, _report, _set_runs, run_policy
 NEVER = 1 << 62  # farther than any trace position
 
 
-def _next_use(blocks):
-    """nxt[i] = index of the next entry equal to blocks[i], else NEVER."""
+def _next_use(blocks, dtype=np.int64):
+    """nxt[i] = index of the next entry equal to blocks[i], as dtype, else
+    NEVER, or the largest int32 for an int32 nxt (above every index)."""
     order = blocks.argsort(kind="stable")  # each block's entries in order
     succ = blocks[order]
-    last = succ[1:] != succ[:-1]  # a block's last entry
-    succ[:-1] = order[1:]
-    succ[-1:] = NEVER
-    succ[:-1][last] = NEVER
-    nxt = np.empty_like(succ)
-    nxt[order] = succ
+    last = np.ones(len(order), dtype=bool)  # a block's last entry
+    np.not_equal(succ[1:], succ[:-1], out=last[:-1])
+    del succ
+    nxt = np.empty(len(order), dtype=dtype)
+    nxt[order[:-1]] = order[1:]
+    nxt[order[last]] = NEVER if dtype == np.int64 else np.iinfo(dtype).max
     return nxt
 
 
@@ -41,17 +42,18 @@ def next_use_index(trace, geometry):
 
 class OptPolicy(Policy):
     """Farthest-next-use replacement over a trace's run heads, held as
-    set, tag and next-use columns for opt_oracle to run; a way's state is
-    its block's next use."""
+    narrow set, tag and next-use columns for opt_oracle to run; a way's
+    state is its block's next use."""
 
     def __init__(self, trace, geometry, allow_bypass=False):
         blocks, repeats = _set_runs(geometry, trace.addresses)[1:]
-        next_use = _next_use(blocks)
+        next_use = _next_use(blocks, np.int32 if len(blocks) < 2**31 - 1 else np.int64)
         self.next_use = memoryview(next_use)
         # a head with repeats is nearer than any resident: its own next
         # use is its run's second access
         self.decline = memoryview(np.where(repeats, -1, next_use)) if allow_bypass else None
-        self.sets = memoryview(blocks & (geometry.num_sets - 1))
+        mask = geometry.num_sets - 1  # the narrowing cast keeps the set bits
+        self.sets = memoryview(blocks.astype(np.min_scalar_type(mask)) & mask)
         blocks >>= geometry.set_bits
         self.tags = memoryview(blocks)
         self.name = "opt-bypass" if allow_bypass else "opt"

@@ -1,6 +1,7 @@
 """Graph containers, binary formats, reordering transforms, skew
 statistics, synthetic generators, and trace generation."""
 
+import os
 import random
 import time
 
@@ -162,6 +163,22 @@ def test_csr_read_rejects_malformed_files(tmp_path):
     path.write_bytes(data + b"\0" * 8)  # trailing junk
     with pytest.raises(CsrTruncatedError):
         read_csr(path)
+
+
+def test_read_csr_from_a_pipe(tmp_path):
+    g, path = small_csr(), tmp_path / "g.csr"
+    write_csr(g, path)
+    data = path.read_bytes()
+    for body in (data, data[:-8], data + b"\0" * 8):
+        r, w = os.pipe()
+        os.write(w, body)  # far below the pipe's buffer, so this cannot block
+        os.close(w)
+        if body == data:
+            back = read_csr(r)  # open() takes the descriptor
+            assert np.array_equal(back.offsets, g.offsets) and np.array_equal(back.edges, g.edges)
+        else:
+            with pytest.raises(CsrTruncatedError):
+                read_csr(r)
 
 
 def test_remap_file_round_trip(tmp_path):

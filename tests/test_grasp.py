@@ -1,6 +1,7 @@
 """Software-hinted graph replacement: region classification and the
 specialized insertion/promotion rules over the dynamic RRIP base."""
 
+import numpy as np
 import pytest
 
 from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
@@ -87,6 +88,28 @@ def test_classify_chunks_clip_to_small_regions():
     assert rm.classify(0) == ReuseHint.HIGH
     assert rm.classify(CAP // 2 - 1) == ReuseHint.HIGH
     assert rm.classify(CAP // 2) == ReuseHint.LOW  # past the region
+
+
+@pytest.mark.parametrize("abrs, capacity", [
+    ([(0, 10 * CAP)], CAP),  # High, Moderate and Low chunks
+    ([(4096, 4096 + CAP // 2)], CAP),  # the chunks clip to a small region
+    ([(0, 3 * CAP), (3 * CAP, 4 * CAP), (9 * CAP, 9 * CAP + 100)], CAP),  # regions back to back
+    ([(1000, 2000), (5000, 7000)], 1),  # empty High and Moderate chunks
+    ([((1 << 64) - 3 * CAP, (1 << 64) - 1)], CAP),  # the top of the address space
+    ([], CAP),
+])
+def test_classify_array_equals_classify_at_every_boundary(abrs, capacity):
+    """Every region and chunk bound, one byte either side, in a plain
+    array and in a record array's strided address column."""
+    rm = RegionMap(abrs, capacity)
+    bounds = {b for region in rm.regions for b in region} | {0, (1 << 64) - 1}
+    addresses = sorted({b + d for b in bounds for d in (-1, 0, 1) if 0 <= b + d < 1 << 64})
+    want = [rm.classify(a) for a in addresses]
+    records = np.zeros(len(addresses), dtype=[("address", "<u8"), ("pc", "<u2")])
+    records["address"] = addresses
+    for column in (np.array(addresses, dtype=np.uint64), records["address"]):
+        got = rm.classify_array(column)
+        assert got.dtype == np.uint8 and got.tolist() == want
 
 
 def test_region_map_rejects_bad_and_overlapping_bounds():

@@ -1,5 +1,6 @@
 """Memory gate: a run holds typed per-access columns, not Python ints,
-and relabelling a graph holds one key per edge.
+relabelling a graph holds one key per edge, and building, reading and
+grouping a trace holds no column it no longer needs.
 
 The tracemalloc peak of a call, per access of a fixed 65,536-access
 trace, stays under a bound.  Each bound sits between the peak of the
@@ -22,8 +23,9 @@ import numpy as np
 import pytest
 
 from cachelab import metrics
-from cachelab.engine import CacheGeometry, SplitMix64, simulate
-from cachelab.graphs import apply_remap, dbg_reorder, synth_powerlaw
+from cachelab.engine import CacheGeometry, SplitMix64, _set_runs, simulate
+from cachelab.graphs import (apply_remap, dbg_reorder, gen_graph_trace, read_csr, synth_powerlaw,
+                             synth_uniform, write_csr)
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import RECORD_DTYPE, Trace
@@ -52,10 +54,11 @@ CALLS = {
 }
 
 
-# measured on numpy 2.4 / CPython 3.11: 20.1, 43.9 and 28.7 B/access,
-# 13.6 for drrip3-1set (12.9 before the generators drew in blocks) and
-# 37.1 for reuse_distances, set by its stack-distance pass
-BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 45, "drrip3-1set": 20, "reuse_distances": 45}
+# measured on numpy 2.4 / CPython 3.11: 18.4, 43.9 and 20.0 B/access
+# (opt held int64 columns and a full-length block column at 29.2), 13.2
+# for drrip3-1set and 22.8 for reuse_distances (29.2 with int64 heads),
+# set by its stack-distance pass
+BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 26, "drrip3-1set": 20, "reuse_distances": 30}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -92,6 +95,43 @@ def test_apply_remap_peak_bytes_per_edge():
     remap = dbg_reorder(graph)
     peak = traced_peak(lambda: apply_remap(graph, remap)) / graph.edge_count
     assert peak <= 22, "apply_remap peaks at %.1f B/edge, over 22" % peak
+
+
+def test_set_runs_peak_bytes_per_access():
+    """_set_runs holds an int32 sort order, one gathered block column and
+    the run edges, then only the heads: measured 13.1 B/access on the
+    gate trace, where holding the unsorted and sorted block columns and
+    an int64 order took 29.3.  One more int64 column goes over 18."""
+    trace = gate_trace()
+    peak = traced_peak(lambda: _set_runs(CacheGeometry(256, 16, 64), trace.addresses))
+    assert peak / ACCESSES <= 18, "_set_runs peaks at %.1f B/access, over 18" % (peak / ACCESSES)
+
+
+def test_gen_graph_trace_with_baked_hints_peak_bytes_per_record():
+    """gen_graph_trace holds its address and pc columns and then the
+    records, whose flags take the store and hint bits in place: measured
+    26.0 B/record on this graph, with hints spanning all three classes,
+    where the per-vertex arrays, the gather column and a flag column
+    beside the records took 46.7.  Keeping the gather column (30.9) or
+    the per-vertex arrays (30.3) until the records are built goes over 29."""
+    graph = synth_uniform(20_000, 4, seed=3)
+    result = []
+    peak = traced_peak(lambda: result.append(
+        gen_graph_trace(graph, bake_hints=True, llc_capacity=1 << 16)[0]))
+    per_record = peak / len(result[0])
+    assert len(set(result[0].hints.tolist())) == 3
+    assert per_record <= 29, "gen_graph_trace peaks at %.1f B/record, over 29" % per_record
+
+
+def test_read_csr_peak_bytes_per_edge(tmp_path):
+    """read_csr reads the body straight into the graph's two columns: the
+    graph itself is 10 B/edge at degree 4 and the read peaks at 12.3, where
+    a bytes copy of the file and astype copies took 22.3.  One more copy of
+    the edges goes over 16."""
+    graph, path = synth_uniform(20_000, 4, seed=3), tmp_path / "g.csr"
+    write_csr(graph, path)
+    peak = traced_peak(lambda: read_csr(path)) / graph.edge_count
+    assert peak <= 16, "read_csr peaks at %.1f B/edge, over 16" % peak
 
 
 def test_reuse_distance_list_shares_one_object_per_distance(monkeypatch):
