@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cachelab.trace import Trace
+from cachelab.trace import ReuseHint, Trace
 
 _U64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -90,15 +90,6 @@ class CacheGeometry:
     @property
     def capacity_bytes(self):
         return self.num_sets * self.ways * self.block_bytes
-
-    def block_index(self, address):
-        return address // self.block_bytes
-
-    def set_index(self, address):
-        return (address // self.block_bytes) % self.num_sets
-
-    def tag(self, address):
-        return (address // self.block_bytes) // self.num_sets
 
     def blocks(self, addresses, out=None):
         """Block number of each address in a uint64 array, as int64 (a
@@ -290,9 +281,8 @@ class SimReport:
             "mpki": self.mpki,
         }
         if self.hint_class_accesses:
-            label = lambda k: getattr(k, "name", str(k)).lower()
-            d["hint_class_accesses"] = {label(k): v for k, v in self.hint_class_accesses.items()}
-            d["hint_class_hits"] = {label(k): v for k, v in self.hint_class_hits.items()}
+            for key in ("hint_class_accesses", "hint_class_hits"):
+                d[key] = {k.name.lower(): v for k, v in getattr(self, key).items()}
         return d
 
 
@@ -330,23 +320,6 @@ def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
     return sum(
         lru_would_miss(grouped, row, vtag, ways, stop=ends[si])
         for row, (_, si, vtag) in zip(rows, dead_log)
-    )
-
-
-def _class_counts(classify, addresses, hit_at):
-    """Per-class access and hit counts, calling classify once per
-    distinct address."""
-    distinct, inverse = np.unique(addresses, return_inverse=True)
-    labels = {}
-    codes = np.fromiter(
-        (labels.setdefault(classify(a), len(labels)) for a in memoryview(distinct)),
-        dtype=np.intp, count=len(distinct),
-    )[inverse.reshape(-1)]
-    accesses = np.bincount(codes, minlength=len(labels)).tolist()
-    hits = np.bincount(codes[np.frombuffer(hit_at, dtype=bool)], minlength=len(labels)).tolist()
-    return (
-        {label: accesses[c] for label, c in labels.items()},
-        {label: hits[c] for label, c in labels.items() if hits[c]},
     )
 
 
@@ -433,8 +406,10 @@ def _report(policy, geometry, seed, trace, counters, dead_log):
 def simulate(trace, geometry, policy, seed=0, classify=None):
     """Run a policy over a trace and return its SimReport.
 
-    classify: optional address -> class used purely for per-class
-    hit-rate accounting (the policy never sees it).
+    classify: optional labeller, called once with the address column and
+    returning a ReuseHint code per access (`RegionMap.classify` is one),
+    used purely for per-class access and hit counts, which are keyed by
+    ReuseHint and leave out classes with none; the policy never sees it.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
@@ -450,9 +425,11 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
     if dead_log:
         report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)
     if classify is not None:
-        report.hint_class_accesses, report.hint_class_hits = _class_counts(
-            classify, trace.addresses, hit_at
-        )
+        codes = classify(trace.addresses)
+        accesses, hits = (np.bincount(c, minlength=len(ReuseHint)).tolist()
+                          for c in (codes, codes[np.frombuffer(hit_at, dtype=bool)]))
+        report.hint_class_accesses = {ReuseHint(c): n for c, n in enumerate(accesses) if n}
+        report.hint_class_hits = {ReuseHint(c): n for c, n in enumerate(hits) if n}
     return report
 
 

@@ -201,14 +201,8 @@ class GroupingSpec:
             raise GraphError("coldest range must start at degree 0")
         self.ranges = list(ranges)
 
-    def group_of(self, degree):
-        for k, (lo, hi) in enumerate(self.ranges):
-            if lo <= degree < hi:
-                return k
-        raise GraphError("degree %r not covered" % (degree,))
-
     def group_array(self, degrees):
-        """Vectorized group_of: lowest group index = hottest."""
+        """Index of the range holding each degree, 0 the hottest."""
         lows = np.array([lo for lo, _ in self.ranges], dtype=float)
         top = self.ranges[0][1]
         if top != np.inf and len(degrees) and degrees.max() >= top:
@@ -496,6 +490,6 @@ def gen_graph_trace(
     del pc
     records["inst_delta"] = 1
     if region_map is not None:
-        flags |= pack_flags(0, region_map.classify_array(records["address"]))
+        flags |= pack_flags(0, region_map.classify(records["address"]))
     return Trace(records, name="graph-pull"), abrs
 

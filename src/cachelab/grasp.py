@@ -29,7 +29,9 @@ class RegionMap:
 
     Each region [start, end) is split into a High-Reuse leading chunk
     and a Moderate-Reuse second chunk, both of size
-    llc_capacity_bytes // region_count, clipped to the region.
+    llc_capacity_bytes // region_count, clipped to the region; the rest
+    of it and every other address are Low-Reuse, and with no region
+    declared every address is Default.
     """
 
     def __init__(self, abrs, llc_capacity_bytes):
@@ -48,8 +50,9 @@ class RegionMap:
             for start, end in regions
         ]
 
-    def classify_array(self, addresses):
-        """classify() of every address in an array, as uint8 hint values."""
+    def classify(self, addresses):
+        """The class of each address of an array, as uint8 ReuseHint codes;
+        this is a labeller for simulate(classify=)."""
         addresses = np.asarray(addresses, dtype=np.uint64)
         if not self.regions:
             return np.full(addresses.shape, ReuseHint.DEFAULT, dtype=np.uint8)
@@ -61,18 +64,6 @@ class RegionMap:
             for bound in (mod_end, high_end):  # each bound above an inside address: LOW -> MODERATE -> HIGH
                 out -= np.logical_and(np.less(addresses, bound, out=below), inside, out=below)
         return out
-
-    def classify(self, address):
-        if not self.regions:
-            return ReuseHint.DEFAULT
-        for start, high_end, mod_end, end in self.regions:
-            if start <= address < end:
-                if address < high_end:
-                    return ReuseHint.HIGH
-                if address < mod_end:
-                    return ReuseHint.MODERATE
-                return ReuseHint.LOW
-        return ReuseHint.LOW
 
 
 class GraspPolicy(DrripPolicy):
@@ -104,7 +95,7 @@ class GraspPolicy(DrripPolicy):
         trace costs no shadow duel."""
         hints = trace.hints
         if self.region_map is not None:
-            by_region = self.region_map.classify_array(trace.addresses)
+            by_region = self.region_map.classify(trace.addresses)
             bad = trace.hint_valid & (hints != by_region)
             if bad.any():
                 i = int(np.argmax(bad))

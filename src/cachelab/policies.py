@@ -37,14 +37,22 @@ SHIP_COUNTER_INIT = 1
 SHIP_SAMPLER_SETS = 64
 
 
+def sampler_layout(num_sets, count):
+    """Indexes of min(count, num_sets) sampler sets, evenly strided."""
+    n = min(count, num_sets)
+    stride = max(1, num_sets // n)
+    return [i * stride for i in range(n)]
+
+
 class SetDuel:
     """Two-constituency set dueling with a saturating selector.
 
-    Leader sets are strided across the cache and always run their own
-    constituency's policy; a miss in a leader set votes against that
-    constituency.  Followers run the current winner.  A single-set
-    cache has no room for disjoint leaders, so `shadow` is set and the
-    owning policy duels on shadow sets instead.
+    Leader sets are sampler_layout's strided sets, alternately a's and
+    b's, and always run their own constituency's policy; a miss in a
+    leader set votes against that constituency.  Followers run the
+    current winner.  A single-set cache (or no leader asked for) has no
+    room for disjoint leaders, so `shadow` is set and the owning policy
+    duels on shadow sets instead.
     """
 
     psel_max = (1 << PSEL_BITS) - 1
@@ -52,14 +60,9 @@ class SetDuel:
 
     def __init__(self, num_sets, leaders=LEADER_SETS):
         self.psel = self.mid - 1
-        self.kind = {}
         n = min(leaders, num_sets // 2)
         self.shadow = n < 1
-        if n >= 1:
-            stride = num_sets // (2 * n)
-            for i in range(n):
-                self.kind[2 * i * stride] = "a"
-                self.kind[(2 * i + 1) * stride] = "b"
+        self.kind = {} if self.shadow else dict(zip(sampler_layout(num_sets, 2 * n), "ab" * n))
 
     def vote_against_a(self):
         if self.psel < self.psel_max:
@@ -94,13 +97,6 @@ class SetDuel:
 
     def governing(self, set_index):
         return self.kind.get(set_index) or self.winner()
-
-
-def sampler_layout(num_sets, count):
-    """Indexes of min(count, num_sets) sampler sets, evenly strided."""
-    n = min(count, num_sets)
-    stride = max(1, num_sets // n)
-    return [i * stride for i in range(n)]
 
 
 class LruPolicy(Policy):

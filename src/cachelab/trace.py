@@ -156,12 +156,9 @@ class Trace:
             _check_records(records)
         else:
             records = np.array([r.row() for r in records], dtype=RECORD_DTYPE)
-        self._hold(records)
-        self.name = name
-
-    def _hold(self, records):
         self.records = records.view()
         self.records.flags.writeable = False
+        self.name = name
         self._digest = None
         self._total_instructions = None
 
@@ -173,9 +170,6 @@ class Trace:
 
     def __getitem__(self, i):
         return MemoryAccess.from_row(self.records[i].item())
-
-    def append(self, record):
-        self._hold(np.append(self.records, np.array([record.row()], dtype=RECORD_DTYPE)))
 
     @property
     def addresses(self):

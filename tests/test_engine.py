@@ -5,10 +5,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cachelab.engine import (
     CacheGeometry,
@@ -21,7 +24,7 @@ from cachelab.engine import (
 )
 from cachelab.metrics import reuse_distances
 from cachelab.policies import make_policy
-from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
+from cachelab.trace import MemoryAccess, PatternSpec, ReuseHint, Trace, generate_pattern
 
 
 def random_trace(seed, n=500, blocks=40, pcs=8, block_bytes=64):
@@ -198,18 +201,24 @@ def test_geometry_takes_only_ints():
             CacheGeometry(*bad)
 
 
+def set_and_tag(g, *addresses):
+    """Each address's (set index, tag) under g, split off its block number."""
+    blocks = g.blocks(np.array(addresses, dtype=np.uint64))
+    return list(zip((blocks & (g.num_sets - 1)).tolist(), (blocks >> g.set_bits).tolist()))
+
+
 def test_geometry_address_mapping():
     g = CacheGeometry(64, 16, 64)
     assert g.capacity_bytes == 64 * 16 * 64
     a = 0x12345
-    assert g.block_index(a) == a // 64
-    assert g.set_index(a) == (a // 64) % 64
-    assert g.tag(a) == (a // 64) // 64
+    assert g.blocks(np.array([a], dtype=np.uint64)).tolist() == [a // 64]
+    assert set_and_tag(g, a) == [((a // 64) % 64, (a // 64) // 64)]
     # same block, same mapping for every byte in it
-    assert g.set_index(0x12340) == g.set_index(0x1237F)
-    assert g.tag(0x12340) == g.tag(0x1237F)
+    first, last = set_and_tag(g, 0x12340, 0x1237F)
+    assert first == last
     # addresses one block apart land in adjacent sets
-    assert g.set_index(64) == (g.set_index(0) + 1) % 64
+    (s0, _), (s1, _) = set_and_tag(g, 0, 64)
+    assert s1 == (s0 + 1) % 64
 
 
 def test_geometry_block_column_is_signed_and_matches_the_scalar_mapping():
@@ -217,9 +226,9 @@ def test_geometry_block_column_is_signed_and_matches_the_scalar_mapping():
     addresses = [0, 0x12345, 1 << 63, (1 << 64) - 1]
     blocks = g.blocks(np.array(addresses, dtype=np.uint64))
     assert blocks.dtype == np.int64
-    assert blocks.tolist() == [g.block_index(a) for a in addresses]
-    assert (blocks & 63).tolist() == [g.set_index(a) for a in addresses]
-    assert (blocks >> g.set_bits).tolist() == [g.tag(a) for a in addresses]
+    assert blocks.tolist() == [a // 64 for a in addresses]
+    assert (blocks & 63).tolist() == [(a // 64) % 64 for a in addresses]
+    assert (blocks >> g.set_bits).tolist() == [(a // 64) // 64 for a in addresses]
 
 
 def test_runs_where_bincount_refuses_unsigned_64_bit_input(monkeypatch):
@@ -242,8 +251,8 @@ def test_runs_where_bincount_refuses_unsigned_64_bit_input(monkeypatch):
 def test_two_addresses_same_set_different_tag_conflict():
     g = CacheGeometry(4, 1, 64)
     a, b = 0, 4 * 64  # both set 0
-    assert g.set_index(a) == g.set_index(b)
-    assert g.tag(a) != g.tag(b)
+    (set_a, tag_a), (set_b, tag_b) = set_and_tag(g, a, b)
+    assert set_a == set_b and tag_a != tag_b
     t = Trace([MemoryAccess(a), MemoryAccess(b), MemoryAccess(a)])
     r = simulate(t, g, make_policy("lru"))
     assert r.misses == 3 and r.hits == 0
@@ -331,27 +340,28 @@ def test_bind_tags_share_one_object_per_dense_value(base, stride):
 def test_classify_accounting_totals_match(tmp_path):
     g = CacheGeometry(8, 2, 64)
     t = random_trace(5)
-    cls = lambda addr: "even" if (addr // 64) % 2 == 0 else "odd"
+    cls = lambda addresses: np.where(addresses // 64 % 2 == 0, ReuseHint.HIGH, ReuseHint.LOW)
     r = simulate(t, g, make_policy("lru"), classify=cls)
     assert sum(r.hint_class_accesses.values()) == r.accesses
     assert sum(r.hint_class_hits.values()) == r.hits
     d = r.to_dict()
-    assert set(d["hint_class_accesses"]) == {"even", "odd"}
+    assert set(d["hint_class_accesses"]) == {"high", "low"}
 
 
-def test_classify_runs_once_per_distinct_address():
+def test_classify_runs_once_per_run():
     calls = []
 
-    def cls(addr):
-        calls.append(addr)
-        return addr % 128 == 0
+    def cls(addresses):
+        calls.append(addresses.tolist())
+        return np.where(addresses % 128 == 0, ReuseHint.HIGH, ReuseHint.MODERATE)
 
     # 1x2 LRU: 0 miss, 64 miss, 0 hit, 128 miss, 64 miss, 0 miss
     t = Trace([MemoryAccess(a) for a in (0, 64, 0, 128, 64, 0)])
     r = simulate(t, CacheGeometry(1, 2, 64), make_policy("lru"), classify=cls)
-    assert sorted(calls) == [0, 64, 128]
-    assert r.hint_class_accesses == {True: 4, False: 2}
-    assert r.hint_class_hits == {True: 1}
+    assert calls == [[0, 64, 0, 128, 64, 0]]
+    assert r.hint_class_accesses == {ReuseHint.HIGH: 4, ReuseHint.MODERATE: 2}
+    assert r.hint_class_hits == {ReuseHint.HIGH: 1}  # no MODERATE key: it has no hit
+    assert r.to_dict()["hint_class_hits"] == {"high": 1}
 
 
 def test_report_properties_and_csv_row():
@@ -398,6 +408,33 @@ def test_filter_trace_drops_front_cache_hits():
     assert [r.address for r in kept] == [0, 64]
     thrash = generate_pattern(PatternSpec("thrash", k=8, n=2))
     assert len(filter_trace(thrash, num_sets=1, ways=4)) == len(thrash)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 16), st.integers(0, 2**32))
+def _check_filter_keeps_stack_misses(num_sets, ways, draws):
+    rnd = random.Random(draws)  # fast draws for two per access
+    span, again = rnd.randint(ways, 3 * num_sets * ways), rnd.random()
+    blocks = []
+    for _ in range(rnd.randint(1, 300)):  # a share of back-to-back repeats
+        blocks.append(blocks[-1] if blocks and rnd.random() < again else rnd.randrange(span))
+    trace = Trace([MemoryAccess(64 * b) for b in blocks])  # one instruction each
+    kept = filter_trace(trace, num_sets, ways)
+    positions = np.cumsum(kept.records["inst_delta"]) - 1  # folding gives each one's position
+    distances = reuse_distances(trace, CacheGeometry(num_sets, ways))
+    assert positions.tolist() == [i for i, d in enumerate(distances) if d > ways]
+
+
+def test_filter_trace_keeps_exactly_the_accesses_past_the_lru_stack():
+    """filter_trace keeps its own LRU front cache, an OrderedDict per set:
+    it must keep exactly the accesses whose stack distance on the front
+    geometry is above its ways, or infinite (Mattson et al.'s stack
+    property), on 1-16 sets of 1-16 ways."""
+    t0 = time.perf_counter()
+    _check_filter_keeps_stack_misses()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, "exceeded 5s budget (%.1fs)" % elapsed
 
 
 def test_filter_trace_folds_inst_deltas():

@@ -38,6 +38,7 @@ from cachelab.graphs import (
     write_remap,
 )
 from cachelab.trace import ReuseHint
+from test_grasp import flat_class
 
 
 def small_csr():
@@ -229,22 +230,36 @@ def test_graph_reader_fuzz_truncations_and_bit_flips(tmp_path, kind):
 # -- grouping ---------------------------------------------------------------------
 
 
+def flat_group(ranges, degree):
+    """Reference model: the index of the [lo, hi) range holding degree,
+    found by walking the ranges hottest first, or None."""
+    for k, (lo, hi) in enumerate(ranges):
+        if lo <= degree < hi:
+            return k
+    return None
+
+
 def test_default_grouping_places_degrees_in_geometric_ranges():
     spec = default_grouping(20)
     assert len(spec.ranges) == 8
-    assert spec.ranges[spec.group_of(45)] == (40, 80)
-    assert spec.group_of(640) == 0  # hottest, open-ended range
-    assert spec.group_of(0) == 7  # coldest
-    assert spec.group_of(20) == 5  # [avg, 2*avg)
-    assert spec.group_of(19) == 6  # [avg/2, avg)
+    group = spec.group_array(np.array([45, 640, 0, 20, 19])).tolist()
+    assert group == [flat_group(spec.ranges, d) for d in (45, 640, 0, 20, 19)]
+    assert spec.ranges[group[0]] == (40, 80)
+    assert group[1] == 0  # hottest, open-ended range
+    assert group[2] == 7  # coldest
+    assert group[3] == 5  # [avg, 2*avg)
+    assert group[4] == 6  # [avg/2, avg)
 
 
-def test_group_array_agrees_with_group_of_elementwise():
+def test_group_array_agrees_with_a_flat_range_lookup():
     spec = default_grouping(16)
     rng = np.random.default_rng(8)
     degrees = rng.integers(0, 1000, size=500)
     grouped = spec.group_array(degrees)
-    assert [spec.group_of(int(d)) for d in degrees] == list(grouped)
+    assert [flat_group(spec.ranges, int(d)) for d in degrees] == list(grouped)
+    # every range bound, one either side
+    edges = np.array([lo + d for lo, _ in spec.ranges for d in (-1, 0, 1) if lo + d >= 0])
+    assert [flat_group(spec.ranges, d) for d in edges] == spec.group_array(edges).tolist()
 
 
 def test_grouping_spec_validation():
@@ -257,10 +272,9 @@ def test_grouping_spec_validation():
     with pytest.raises(GraphError):
         GroupingSpec([(10, 20), (5, 10)])  # coldest range must reach zero
     bounded = GroupingSpec([(10, 20), (0, 10)])
-    with pytest.raises(GraphError):
-        bounded.group_of(25)
-    with pytest.raises(GraphError):
-        bounded.group_array(np.array([3, 25]))
+    for above in (20, 25):  # at and past the top of the hottest range
+        with pytest.raises(GraphError):
+            bounded.group_array(np.array([3, above]))
 
 
 # -- reorderings -------------------------------------------------------------------
@@ -583,22 +597,20 @@ def test_gen_graph_trace_edge_blocks_span_wide_neighbor_ranges():
 
 
 def test_gen_graph_trace_baked_hints_match_the_region_map():
-    from cachelab.grasp import RegionMap
-
     g = synth_powerlaw(4000, 6, seed=8)
     cap = 8 * 16 * 64  # smaller than the property array, so every class appears
     trace, abrs = gen_graph_trace(g, bake_hints=True, llc_capacity=cap)
-    classify = RegionMap(abrs, cap).classify
     assert all(r.hint_valid for r in trace)
     for r in list(trace)[:2000]:
-        assert r.reuse_hint == classify(r.address)
+        assert r.reuse_hint == flat_class(abrs, cap, r.address)
     hints = {r.reuse_hint for r in trace}
     assert {ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW} <= hints
 
 
 def reference_graph_trace(graph, prop_bytes, block_bytes, prop_base, classify):
     """The record-at-a-time walk gen_graph_trace describes, as
-    (address, pc, is_write, reuse_hint, hint_valid) tuples."""
+    (address, pc, is_write, reuse_hint, hint_valid) tuples; classify
+    gives one address's hint, or is None for a trace without hints."""
     v_count = graph.vertex_count
 
     def align_up(x):
@@ -630,8 +642,6 @@ def reference_graph_trace(graph, prop_bytes, block_bytes, prop_base, classify):
 
 
 def test_gen_graph_trace_matches_the_record_at_a_time_walk():
-    from cachelab.grasp import RegionMap
-
     rng = np.random.default_rng(5)
     for trial in range(12):
         v_count = int(rng.integers(1, 60))
@@ -646,7 +656,7 @@ def test_gen_graph_trace_matches_the_record_at_a_time_walk():
         cap = 4 * block_bytes
         trace, abrs = gen_graph_trace(g, prop_bytes=prop_bytes, block_bytes=block_bytes,
                                       prop_base=prop_base, bake_hints=bake, llc_capacity=cap)
-        classify = RegionMap(abrs, cap).classify if bake else None
+        classify = (lambda address: flat_class(abrs, cap, address)) if bake else None
         got = [(r.address, r.pc_signature, r.is_write, r.reuse_hint, r.hint_valid) for r in trace]
         assert got == reference_graph_trace(g, prop_bytes, block_bytes, prop_base, classify), trial
 

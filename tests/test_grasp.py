@@ -47,28 +47,42 @@ def at(view, index):
 
 # -- region classification ----------------------------------------------------
 
+H, M, L = ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW
+
+
+def flat_class(abrs, capacity, address):
+    """Reference model: the GRASP class of one address, read straight off
+    the declared bounds.  The first capacity // len(abrs) bytes of a
+    region are High-Reuse and the next as many Moderate (both cut off at
+    the region's end); the rest of it and every other address are
+    Low-Reuse, and with no region at all every address is Default."""
+    if not abrs:
+        return ReuseHint.DEFAULT
+    chunk = capacity // len(abrs)
+    for start, end in abrs:
+        if start <= address < end:
+            offset = address - start
+            return H if offset < chunk else M if offset < 2 * chunk else L
+    return L
+
+
+def classes(rm, *addresses):
+    return [ReuseHint(c) for c in rm.classify(addresses).tolist()]
+
 
 def test_classify_splits_a_region_into_chunks_of_cache_capacity():
     rm = RegionMap([(0, 10 * CAP)], CAP)
-    assert rm.classify(0) == ReuseHint.HIGH
-    assert rm.classify(CAP - 1) == ReuseHint.HIGH
-    assert rm.classify(CAP) == ReuseHint.MODERATE
-    assert rm.classify(2 * CAP - 1) == ReuseHint.MODERATE
-    assert rm.classify(2 * CAP) == ReuseHint.LOW
-    assert rm.classify(10 * CAP - 1) == ReuseHint.LOW
+    assert classes(rm, 0, CAP - 1, CAP, 2 * CAP - 1, 2 * CAP, 10 * CAP - 1) == [H, H, M, M, L, L]
 
 
 def test_classify_outside_every_region_is_low_reuse():
     rm = RegionMap([(1000, 2000)], CAP)
-    assert rm.classify(999) == ReuseHint.LOW
-    assert rm.classify(2000) == ReuseHint.LOW
-    assert rm.classify(1 << 50) == ReuseHint.LOW
+    assert classes(rm, 999, 2000, 1 << 50) == [L, L, L]
 
 
 def test_classify_with_no_regions_is_default_everywhere():
     rm = RegionMap([], CAP)
-    assert rm.classify(0) == ReuseHint.DEFAULT
-    assert rm.classify(1 << 50) == ReuseHint.DEFAULT
+    assert classes(rm, 0, 1 << 50) == [ReuseHint.DEFAULT] * 2
 
 
 def test_classify_chunk_budget_is_split_across_regions():
@@ -77,17 +91,13 @@ def test_classify_chunk_budget_is_split_across_regions():
     rm = RegionMap([r1, r2], CAP)
     half = CAP // 2
     for base in (0, 20 * CAP):
-        assert rm.classify(base) == ReuseHint.HIGH
-        assert rm.classify(base + half - 1) == ReuseHint.HIGH
-        assert rm.classify(base + half) == ReuseHint.MODERATE
-        assert rm.classify(base + 2 * half) == ReuseHint.LOW
+        assert classes(rm, base, base + half - 1, base + half, base + 2 * half) == [H, H, M, L]
 
 
 def test_classify_chunks_clip_to_small_regions():
     rm = RegionMap([(0, CAP // 2)], CAP)  # region smaller than one chunk
-    assert rm.classify(0) == ReuseHint.HIGH
-    assert rm.classify(CAP // 2 - 1) == ReuseHint.HIGH
-    assert rm.classify(CAP // 2) == ReuseHint.LOW  # past the region
+    assert classes(rm, 0, CAP // 2 - 1) == [H, H]
+    assert classes(rm, CAP // 2) == [L]  # past the region
 
 
 @pytest.mark.parametrize("abrs, capacity", [
@@ -98,17 +108,19 @@ def test_classify_chunks_clip_to_small_regions():
     ([((1 << 64) - 3 * CAP, (1 << 64) - 1)], CAP),  # the top of the address space
     ([], CAP),
 ])
-def test_classify_array_equals_classify_at_every_boundary(abrs, capacity):
+def test_classify_equals_the_flat_model_at_every_boundary(abrs, capacity):
     """Every region and chunk bound, one byte either side, in a plain
     array and in a record array's strided address column."""
     rm = RegionMap(abrs, capacity)
-    bounds = {b for region in rm.regions for b in region} | {0, (1 << 64) - 1}
+    chunk = capacity // max(len(abrs), 1)
+    bounds = {b for start, end in abrs for b in (start, start + chunk, start + 2 * chunk, end)}
+    bounds |= {0, (1 << 64) - 1}
     addresses = sorted({b + d for b in bounds for d in (-1, 0, 1) if 0 <= b + d < 1 << 64})
-    want = [rm.classify(a) for a in addresses]
+    want = [flat_class(abrs, capacity, a) for a in addresses]
     records = np.zeros(len(addresses), dtype=[("address", "<u8"), ("pc", "<u2")])
     records["address"] = addresses
     for column in (np.array(addresses, dtype=np.uint64), records["address"]):
-        got = rm.classify_array(column)
+        got = rm.classify(column)
         assert got.dtype == np.uint8 and got.tolist() == want
 
 
