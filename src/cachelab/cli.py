@@ -110,6 +110,14 @@ def _emit(text, args):
         print(text)
 
 
+def _emit_report(report, args):
+    if args.format == "json":
+        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args)
+    else:
+        _emit(report.CSV_HEADER + "\n" + report.csv_row(), args)
+    return 0
+
+
 def _run_policy(name, trace, geometry, args, abrs, by_class=False):
     """by_class: count accesses and hits per hint class, for an output
     that prints them."""
@@ -127,13 +135,8 @@ def cmd_simulate(args):
     trace = _load_source(args)
     geometry = _geometry(args)
     abrs = [parse_abr(a) for a in args.abr or []]
-    report = _run_policy(args.policy, trace, geometry, args, abrs,
-                         by_class=args.format == "json")
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args)
-    else:
-        _emit(report.CSV_HEADER + "\n" + report.csv_row(), args)
-    return 0
+    return _emit_report(_run_policy(args.policy, trace, geometry, args, abrs,
+                                    by_class=args.format == "json"), args)
 
 
 def cmd_compare(args):
@@ -220,14 +223,7 @@ def cmd_reorder(args):
 
 
 def cmd_opt(args):
-    trace = _load_source(args)
-    geometry = _geometry(args)
-    report = opt_oracle(trace, geometry, allow_bypass=args.bypass, seed=args.seed)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args)
-    else:
-        _emit(report.CSV_HEADER + "\n" + report.csv_row(), args)
-    return 0
+    return _emit_report(_run_policy("opt", _load_source(args), _geometry(args), args, []), args)
 
 
 def cmd_stats(args):

@@ -9,7 +9,12 @@ repeat for the variance-tolerance threshold before the stable value
 moves.  Bypass-oriented thresholds (slow up, fast down) shed dead-on-
 arrival blocks aggressively; reuse-oriented thresholds do the reverse.
 In dynamic mode both variants train side by side on disjoint sampler
-sets and the one with fewer sampler misses governs follower sets.
+sets, the leader sets of one SetDuel (bypass-oriented side a, reuse-
+oriented side b): a sampler-set miss votes against its bank on the
+10-bit PSEL, and follower sets run the reuse-oriented bank while PSEL
+is at or above its midpoint, else the bypass-oriented one, which
+governs first.  On 128 sets or fewer the 64 sampler pairs cover every
+set, so no follower reads PSEL.
 
 Stack positions are counted the way reuse tables usually print them:
 a re-reference to the most recently used block has distance 1, so a
@@ -36,7 +41,6 @@ _MODES = {
 
 LDPT_ENTRIES = 1 << PC_SIGNATURE_BITS  # one entry per PC signature: a PC is its own index
 SAMPLER_SETS = 64
-DUEL_INTERVAL = 100000  # sampler accesses between dueling decisions
 
 
 class LeewayPolicy(Policy):
@@ -47,8 +51,11 @@ class LeewayPolicy(Policy):
     (set, way) is the entry [predicted, observed, pc]: the block's
     predicted live distance, its deepest depth seen at a sampler hit,
     and its fill signature.  The mode's rules fix its banks: two for
-    "dynamic", which duels them every DUEL_INTERVAL sampler accesses,
-    else one.  sampler_sets bounds the sampler sets (SAMPLER_SETS).
+    "dynamic", else one.  sampler_sets bounds the sampler sets
+    (SAMPLER_SETS).  Dynamic samplers are `duel`'s leader sets, and
+    each miss there votes against its set's bank; followers run
+    `winner`.  A one-set cache (`duel.shadow`) and the static modes
+    train bank 0 only, with no votes.
     """
 
     def __init__(self, base="lru", nru_bits=2, mode="dynamic", sampler_sets=SAMPLER_SETS):
@@ -78,22 +85,22 @@ class LeewayPolicy(Policy):
         self.var_dir = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
         num_sets = geometry.num_sets
         if self.banks == 2:
-            layout = SetDuel(num_sets, self.sampler_cfg)
-            self.sampler_bank = {s: BOP if side == "a" else ROP for s, side in layout.kind.items()}
-            self.duel_enabled = not layout.shadow
-            if layout.shadow:
-                self.sampler_bank[0] = BOP  # single set: train BOP only
+            self.duel = SetDuel(num_sets, self.sampler_cfg)
+            kind = self.duel.kind  # empty when shadow: set 0 trains BOP alone
+            self.sampler_bank = {s: BOP if k == "a" else ROP for s, k in kind.items()} or {0: BOP}
         else:
+            self.duel = SetDuel(num_sets, 0)  # no leader sets, so PSEL never moves
             self.sampler_bank = dict.fromkeys(sampler_layout(num_sets, self.sampler_cfg), 0)
-            self.duel_enabled = False
-        self.winner = BOP  # bank 0 governs until a duel says otherwise
-        self.sampler_misses = [0] * self.banks
-        self.sampler_accesses = 0
         self._pending_pld = self.maxpos
 
     def bind(self, trace, tags):
         self.base.bind(trace, tags)
         self.pcs = memoryview(trace.pcs)
+
+    @property
+    def winner(self):
+        """The bank governing follower sets: ROP while PSEL favours it."""
+        return ROP if self.duel.winner() == "b" else BOP
 
     # -- predictor table ------------------------------------------------
 
@@ -116,27 +123,12 @@ class LeewayPolicy(Policy):
             self.stable[bank][pc] = observed
             self.var_count[bank][pc] = 0
 
-    # -- dueling ---------------------------------------------------------
-
-    def _sampler_tick(self):
-        self.sampler_accesses += 1
-        if self.duel_enabled and self.sampler_accesses % DUEL_INTERVAL == 0:
-            self._duel()
-
-    def _duel(self):
-        challenger = 1 - self.winner
-        if self.sampler_misses[challenger] < self.sampler_misses[self.winner]:
-            self.winner = challenger
-        self.sampler_misses = [0, 0]
-
     # -- policy hooks ------------------------------------------------------
 
     def decide_insert(self, view):
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
-            if self.duel_enabled:
-                self.sampler_misses[bank_here] += 1
-            self._sampler_tick()
+            self.duel.record_leader_miss(view.set_index)
             governing = bank_here
         else:
             governing = self.winner
@@ -155,8 +147,6 @@ class LeewayPolicy(Policy):
 
     def on_hit(self, view, way):
         sampler = view.set_index in self.sampler_bank
-        if sampler:
-            self._sampler_tick()
         entry = self.blocks[view.set_index][way]
         # observed never exceeds predicted and no depth exceeds maxpos, so
         # an entry already at maxpos has nothing left to raise

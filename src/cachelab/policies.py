@@ -24,6 +24,7 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 """
 
 from copy import copy
+from functools import partial
 
 from cachelab.engine import Policy, SplitMix64, run_policy
 from cachelab.trace import ReuseHint
@@ -420,65 +421,41 @@ class UnknownPolicyError(ValueError):
     pass
 
 
-def make_policy(name, abrs=()):
-    """Build a policy from its command-line name.
+def _leeway(**kw):
+    from cachelab.leeway import LeewayPolicy  # leeway.py and grasp.py import this module
 
-    Names: lru lip bip dip random nru{1..4} srrip{2,3} brrip{2,3}
-    drrip{2,3} ship-mem pin{25,50,75,100} leeway-lru leeway-nru{1..4}
-    leeway-static-{bop,rop,vtt7} grasp grasp-hints grasp-insert.
-    The optimal oracle ("opt") needs the whole trace and is built by
-    the caller instead.
-    """
+    return LeewayPolicy(**kw)
+
+
+def _grasp(variant, abrs):
     from cachelab.grasp import GraspPolicy
-    from cachelab.leeway import LeewayPolicy
 
+    return GraspPolicy(abrs=abrs, variant=variant)
+
+
+_CONSTRUCTORS = {  # command-line name -> constructor, in the order --help lists them
+    "lru": LruPolicy, "lip": LipPolicy, "bip": BipPolicy, "dip": DipPolicy,
+    "random": RandomPolicy, "ship-mem": ShipMemPolicy,
+    **{"nru%d" % b: partial(NruPolicy, b) for b in (1, 2, 3, 4)},
+    **{kind + str(m): partial(cls, m)
+       for kind, cls in (("srrip", SrripPolicy), ("brrip", BrripPolicy), ("drrip", DrripPolicy))
+       for m in (2, 3)},
+    **{"pin%d" % p: partial(PinPolicy, p) for p in (25, 50, 75, 100)},
+    "leeway-lru": partial(_leeway, base="lru"),
+    **{"leeway-nru%d" % b: partial(_leeway, base="nru", nru_bits=b) for b in (1, 2, 3, 4)},
+    **{"leeway-" + mode: partial(_leeway, mode=mode)
+       for mode in ("static-bop", "static-rop", "static-vtt7")},
+    "grasp": partial(_grasp, "full"), "grasp-hints": partial(_grasp, "hints"),
+    "grasp-insert": partial(_grasp, "insert-only"),
+}
+POLICY_NAMES = list(_CONSTRUCTORS) + ["opt"]
+
+
+def make_policy(name, abrs=()):
+    """Build a policy from its command-line name, any case; abrs are the
+    address bounds of GRASP's regions.  The optimal oracle ("opt") needs
+    the whole trace and is built by the caller instead."""
     key = name.lower()
-    plain = {
-        "lru": LruPolicy,
-        "lip": LipPolicy,
-        "bip": BipPolicy,
-        "dip": DipPolicy,
-        "random": RandomPolicy,
-        "ship-mem": ShipMemPolicy,
-    }
-    if key in plain:
-        return plain[key]()
-    if key.startswith("nru") and key[3:] in ("1", "2", "3", "4"):
-        return NruPolicy(bits=int(key[3:]))
-    if key.startswith("srrip") and key[5:] in ("2", "3"):
-        return SrripPolicy(m=int(key[5:]))
-    if key.startswith("brrip") and key[5:] in ("2", "3"):
-        return BrripPolicy(m=int(key[5:]))
-    if key.startswith("drrip") and key[5:] in ("2", "3"):
-        return DrripPolicy(m=int(key[5:]))
-    if key.startswith("pin") and key[3:] in ("25", "50", "75", "100"):
-        return PinPolicy(percent=int(key[3:]))
-    if key == "leeway-lru":
-        return LeewayPolicy(base="lru", mode="dynamic")
-    if key.startswith("leeway-nru") and key[10:] in ("1", "2", "3", "4"):
-        return LeewayPolicy(base="nru", nru_bits=int(key[10:]), mode="dynamic")
-    if key == "leeway-static-bop":
-        return LeewayPolicy(base="lru", mode="static-bop")
-    if key == "leeway-static-rop":
-        return LeewayPolicy(base="lru", mode="static-rop")
-    if key == "leeway-static-vtt7":
-        return LeewayPolicy(base="lru", mode="static-vtt7")
-    if key == "grasp":
-        return GraspPolicy(abrs=abrs, variant="full")
-    if key == "grasp-hints":
-        return GraspPolicy(abrs=abrs, variant="hints")
-    if key == "grasp-insert":
-        return GraspPolicy(abrs=abrs, variant="insert-only")
-    raise UnknownPolicyError("unknown policy name: %r" % name)
-
-
-POLICY_NAMES = (
-    ["lru", "lip", "bip", "dip", "random", "ship-mem"]
-    + ["nru%d" % b for b in (1, 2, 3, 4)]
-    + ["srrip2", "srrip3", "brrip2", "brrip3", "drrip2", "drrip3"]
-    + ["pin25", "pin50", "pin75", "pin100"]
-    + ["leeway-lru"]
-    + ["leeway-nru%d" % b for b in (1, 2, 3, 4)]
-    + ["leeway-static-bop", "leeway-static-rop", "leeway-static-vtt7"]
-    + ["grasp", "grasp-hints", "grasp-insert", "opt"]
-)
+    if key not in _CONSTRUCTORS:
+        raise UnknownPolicyError("unknown policy name: %r" % name)
+    return _CONSTRUCTORS[key](abrs) if key.startswith("grasp") else _CONSTRUCTORS[key]()

@@ -202,7 +202,7 @@ def test_insert_places_the_block_on_top_and_renumbers():
 def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 0
-    pol.winner = BOP
+    pol.duel.psel = pol.duel.mid - 1  # PSEL below its midpoint: BOP governs followers
     pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     follower = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert not pol.decide_insert(follower)
@@ -216,7 +216,7 @@ def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
 def test_positive_stable_distance_inserts_with_that_prediction():
     pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
     pol.stable[BOP][7] = 3
-    pol.winner = BOP
+    pol.duel.psel = pol.duel.mid - 1  # PSEL below its midpoint: BOP governs followers
     pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     view = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert pol.decide_insert(view)
@@ -237,25 +237,26 @@ def test_bypasses_show_up_in_the_report():
 # -- dueling -------------------------------------------------------------------
 
 
-def test_duel_switches_on_strictly_fewer_misses_only():
-    pol = leeway("dynamic", sets=4, ways=4)
-    assert pol.duel_enabled
-    pol.winner = BOP
-    pol.sampler_misses = [5, 5]
-    pol._duel()
-    assert pol.winner == BOP  # tie keeps the incumbent
-    assert pol.sampler_misses == [0, 0]
-    pol.sampler_misses = [5, 4]
-    pol._duel()
-    assert pol.winner == ROP
-    pol.sampler_misses = [3, 9]
-    pol._duel()
-    assert pol.winner == BOP
+def test_sampler_misses_vote_on_psel_and_followers_read_the_winner():
+    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
+    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
+    bop_sampler, rop_sampler, follower = (
+        make_view(pol, [(0, 9, 9)] * 4, set_index=s) for s in (0, 2, 1))
+    mid = pol.duel.mid
+    assert pol.duel.psel == mid - 1 and pol.winner == BOP  # BOP governs first
+    pol.decide_insert(bop_sampler)  # a BOP miss moves PSEL toward ROP
+    assert pol.duel.psel == mid and pol.winner == ROP
+    pol.stable[ROP][7], pol.stable[BOP][7] = 0, 3
+    assert not pol.decide_insert(follower)  # the follower predicts with ROP's table
+    assert pol.duel.psel == mid  # and casts no vote
+    pol.decide_insert(rop_sampler)  # a ROP miss moves it back
+    assert pol.duel.psel == mid - 1 and pol.winner == BOP
+    assert pol.decide_insert(follower) and pol._pending_pld == 3
 
 
 def test_single_set_cache_disables_the_duel():
     pol = leeway("dynamic", sets=1, ways=4)
-    assert not pol.duel_enabled
+    assert pol.duel.shadow
     assert pol.sampler_bank == {0: BOP}
 
 

@@ -8,10 +8,13 @@ al., ISCA 2007) runs on shadow LRU and BIP stacks, SRRIP with m-bit
 RRPVs (Jaleel et al., ISCA 2010), and single-set DRRIP-m, dueling on
 shadow SRRIP and BRRIP sets.  hypothesis draws short block traces over
 small geometries, and every access must agree with `simulate`: the
-same hit or miss and, on an eviction, the same victim block.  Belady's
-MIN, with and without bypass (Belady, IBM Sys. J. 1966), is checked by
-its four counters against `opt_oracle` on traces dense in back-to-back
-re-references within a set.
+same hit or miss and, on an eviction, the same victim block.  Dynamic
+Leeway's duel of its two predictor banks on a PSEL (Faldu & Grot, PACT
+2017) is checked by the bank that each miss predicts with, on caches
+with follower sets.  Belady's MIN, with and without bypass (Belady,
+IBM Sys. J. 1966), is checked by its four counters against
+`opt_oracle` on traces dense in back-to-back re-references within a
+set.
 """
 
 import random
@@ -21,6 +24,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cachelab.engine import CacheGeometry, simulate
+from cachelab.leeway import LeewayPolicy
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, Trace
@@ -30,6 +34,7 @@ SHARE = {"lru": 0.3, "srrip": 0.3, "drrip": 0.4}  # of BUDGET_S; they take about
 EXAMPLES = 300
 INSERTION_BUDGET_S = 6.0  # the LIP/BIP test and the DIP test each, as long as the DRRIP one
 BELADY_EXAMPLES, BELADY_BUDGET_S = 200, 6.0
+LEEWAY_PSEL_EXAMPLES, LEEWAY_PSEL_BUDGET_S = 200, 6.0
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -218,6 +223,28 @@ def belady_model(blocks, num_sets, ways, bypass):
     return dict(hits=hits, misses=len(blocks) - hits, bypasses=bypasses, evictions=evictions)
 
 
+def leeway_psel_model(miss_sets, num_sets, sampler_sets):
+    """Dynamic Leeway's bank duel: for the set index of each miss, in
+    order, (set, bank governing that miss), 0 for the bypass-oriented
+    bank and 1 for the reuse-oriented one.
+
+    min(sampler_sets, num_sets // 2) pairs of sampler sets lie num_sets /
+    (2 * pairs) sets apart from set 0, alternately bypass- and reuse-
+    oriented, and each runs its own bank.  A miss in a bypass-oriented
+    sampler moves the 10-bit PSEL (starting at 511, saturating at 0 and
+    1023) up, one in a reuse-oriented sampler moves it down, and a
+    follower miss runs the reuse-oriented bank while PSEL >= 512."""
+    pairs = min(sampler_sets, num_sets // 2)
+    stride = num_sets // (2 * pairs)
+    bank = {i * stride: i % 2 for i in range(2 * pairs)}
+    psel, out = 511, []
+    for s in miss_sets:
+        out.append((s, bank.get(s, int(psel >= 512))))
+        if s in bank:
+            psel = min(psel + 1, 1023) if bank[s] == 0 else max(psel - 1, 0)
+    return out
+
+
 def engine_log(name, blocks, num_sets, ways, seed=0):
     """The same log, recorded from simulate through the policy's hooks."""
     policy = make_policy(name)
@@ -270,6 +297,57 @@ def repeat_cases(draw):
         last[b % num_sets] = b
         blocks.append(b)
     return blocks, num_sets, ways
+
+
+@st.composite
+def leeway_psel_cases(draw):
+    """A block trace of 1-3000 accesses on 256 or 512 sets of 1-4 ways
+    with the default 64 sampler pairs, or on 4-16 sets with 1-4 pairs.
+    Each set gets its own share of the accesses and its own footprint of
+    1 to 3 x ways blocks, so some sets thrash while others fit, and each
+    access carries one of 4 program counters."""
+    ways = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        num_sets, sampler_sets = draw(st.sampled_from([256, 512])), 64
+    else:
+        num_sets, sampler_sets = draw(st.sampled_from([4, 8, 16])), draw(st.integers(1, 4))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    weights = [rnd.random() ** 3 for _ in range(num_sets)]
+    footprint = [rnd.randint(1, 3 * ways) for _ in range(num_sets)]
+    accesses = []
+    for s in rnd.choices(range(num_sets), weights, k=rnd.randint(1, 3000)):
+        accesses.append((rnd.randrange(footprint[s]) * num_sets + s, rnd.randrange(4)))
+    return accesses, num_sets, ways, sampler_sets
+
+
+@seed(20261019)
+@settings(max_examples=LEEWAY_PSEL_EXAMPLES, deadline=None, database=None)
+@given(leeway_psel_cases(), st.sampled_from(["lru", "nru"]), st.integers(0, _U64))
+def _check_leeway_psel(case, base, run_seed):
+    accesses, num_sets, ways, sampler_sets = case
+    log = []
+
+    class LastBank(list):
+        """The predictor table's banks, noting the bank last looked up."""
+
+        def __getitem__(self, bank):
+            self.last = bank
+            return super().__getitem__(bank)
+
+    class Logged(LeewayPolicy):
+        def reset(self, geometry, rng):
+            super().reset(geometry, rng)
+            self.stable = LastBank(self.stable)
+
+        def decide_insert(self, view):
+            insert = super().decide_insert(view)
+            log.append((view.set_index, self.stable.last))  # the bank this miss predicted with
+            return insert
+
+    trace = Trace([MemoryAccess(64 * b, pc_signature=pc) for b, pc in accesses])
+    policy = Logged(base=base, sampler_sets=sampler_sets)
+    simulate(trace, CacheGeometry(num_sets, ways, 64), policy, seed=run_seed)
+    assert log == leeway_psel_model([s for s, _ in log], num_sets, sampler_sets)
 
 
 @seed(20261018)
@@ -357,3 +435,7 @@ def test_single_set_drrip_matches_the_shadow_duel_model_access_for_access():
 
 def test_opt_counters_match_the_belady_model_on_set_local_repeats():
     within_budget(_check_belady, BELADY_BUDGET_S)
+
+
+def test_leeway_followers_run_the_bank_psel_favours():
+    within_budget(_check_leeway_psel, LEEWAY_PSEL_BUDGET_S)
