@@ -135,7 +135,7 @@ def cmd_simulate(args):
     trace = _load_source(args)
     geometry = _geometry(args)
     abrs = [parse_abr(a) for a in args.abr or []]
-    return _emit_report(_run_policy(args.policy, trace, geometry, args, abrs,
+    return _emit_report(_run_policy(args.policy.lower(), trace, geometry, args, abrs,
                                     by_class=args.format == "json"), args)
 
 
@@ -145,13 +145,14 @@ def cmd_compare(args):
     trace = _load_source(args)
     geometry = _geometry(args)
     abrs = [parse_abr(a) for a in args.abr or []]
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
+    names = [n.strip().lower() for n in args.policies.split(",") if n.strip()]
     if not names:
         raise CliError("--policies needs at least one name")
-    if args.baseline not in names:
-        names.insert(0, args.baseline)
+    baseline = args.baseline.lower()
+    if baseline not in names:
+        names.insert(0, baseline)
     reports = [_run_policy(n, trace, geometry, args, abrs) for n in names]
-    rows = metrics.compare_reports(reports, baseline=args.baseline)
+    rows = metrics.compare_reports(reports, baseline=baseline)
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=2), args)
     else:

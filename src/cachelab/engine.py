@@ -157,7 +157,7 @@ class Policy:
     choose_victim is called only when an insertion meets a full set and
     returns a way in 0..ways-1; it sets `predicted_dead` to True when the
     victim was taken from a predicted-dead set.  The engine looks the
-    hooks up once, after bind, so bind may route them.
+    hooks up once, after bind, and keeps them as loop locals.
     """
 
     name = "policy"
@@ -169,20 +169,6 @@ class Policy:
 
     def bind(self, trace, tags):
         pass
-
-    def route(self, owner, **hooks):
-        """Hand the engine each named hook itself where this instance
-        would run owner's method that only passes the call on to it (None
-        keeps owner's method).  A hook a subclass overrides, or a caller
-        replaced on the instance, stays; routes from an earlier bind are
-        taken down first."""
-        own = vars(self)
-        routed = own.setdefault("_routed", {})
-        for name, hook in hooks.items():
-            if name in routed and own.get(name) is routed.pop(name):
-                del own[name]
-            if hook and name not in own and getattr(type(self), name) is getattr(owner, name):
-                own[name] = routed[name] = hook
 
     def decide_insert(self, view):
         return True

@@ -84,7 +84,7 @@ class GraspPolicy(DrripPolicy):
         self.region_map = RegionMap(self.abrs, geometry.capacity_bytes) if self.abrs else None
         # insertion RRPV per hinted class, a DEFAULT fill going to the base;
         # "hints" puts high reuse near the eviction point, other hints at it
-        top, hints = self.a.rrpv_max, self.variant == "hints"
+        top, hints = self.rrpv_max, self.variant == "hints"
         self.insert_rrpv = {ReuseHint.HIGH: top - 1 if hints else 0, ReuseHint.LOW: top,
                             ReuseHint.MODERATE: top if hints else top - 1}
 
@@ -113,6 +113,7 @@ class GraspPolicy(DrripPolicy):
         if rrpv is None:
             super().on_insert(view, way)
         else:
+            self.duel.miss(view.set_index)  # a leader set still votes
             view.state[way] = rrpv
 
     def on_hit(self, view, way):
@@ -120,4 +121,4 @@ class GraspPolicy(DrripPolicy):
             # one step toward the top instead of the base's jump to 0
             view.state[way] = max(view.state[way] - 1, 0)
         else:
-            self.a.on_hit(view, way)
+            super().on_hit(view, way)

@@ -9,12 +9,12 @@ repeat for the variance-tolerance threshold before the stable value
 moves.  Bypass-oriented thresholds (slow up, fast down) shed dead-on-
 arrival blocks aggressively; reuse-oriented thresholds do the reverse.
 In dynamic mode both variants train side by side on disjoint sampler
-sets, the leader sets of one SetDuel (bypass-oriented side a, reuse-
-oriented side b): a sampler-set miss votes against its bank on the
-10-bit PSEL, and follower sets run the reuse-oriented bank while PSEL
-is at or above its midpoint, else the bypass-oriented one, which
-governs first.  On 128 sets or fewer the 64 sampler pairs cover every
-set, so no follower reads PSEL.
+sets, the leader sets of one SetDuel whose sides 0 and 1 are the
+bypass- and reuse-oriented banks: a sampler-set miss votes against its
+bank on the 10-bit PSEL, and follower sets run the reuse-oriented bank
+while PSEL is at or above its midpoint, else the bypass-oriented one,
+which governs first.  On 128 sets or fewer the 64 sampler pairs cover
+every set, so no follower reads PSEL.
 
 Stack positions are counted the way reuse tables usually print them:
 a re-reference to the most recently used block has distance 1, so a
@@ -53,9 +53,9 @@ class LeewayPolicy(Policy):
     and its fill signature.  The mode's rules fix its banks: two for
     "dynamic", else one.  sampler_sets bounds the sampler sets
     (SAMPLER_SETS).  Dynamic samplers are `duel`'s leader sets, and
-    each miss there votes against its set's bank; followers run
-    `winner`.  A one-set cache (`duel.shadow`) and the static modes
-    train bank 0 only, with no votes.
+    `duel.miss` gives each miss its bank, voting against a sampler's
+    own; followers run `winner`.  A one-set cache (`duel.shadow`) and
+    the static modes train bank 0 only, with no votes.
     """
 
     def __init__(self, base="lru", nru_bits=2, mode="dynamic", sampler_sets=SAMPLER_SETS):
@@ -85,9 +85,8 @@ class LeewayPolicy(Policy):
         self.var_dir = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
         num_sets = geometry.num_sets
         if self.banks == 2:
-            self.duel = SetDuel(num_sets, self.sampler_cfg)
-            kind = self.duel.kind  # empty when shadow: set 0 trains BOP alone
-            self.sampler_bank = {s: BOP if k == "a" else ROP for s, k in kind.items()} or {0: BOP}
+            self.duel = SetDuel(num_sets, self.sampler_cfg)  # side 0 BOP, side 1 ROP
+            self.sampler_bank = dict(self.duel.kind) or {0: BOP}  # one set trains BOP alone
         else:
             self.duel = SetDuel(num_sets, 0)  # no leader sets, so PSEL never moves
             self.sampler_bank = dict.fromkeys(sampler_layout(num_sets, self.sampler_cfg), 0)
@@ -100,7 +99,7 @@ class LeewayPolicy(Policy):
     @property
     def winner(self):
         """The bank governing follower sets: ROP while PSEL favours it."""
-        return ROP if self.duel.winner() == "b" else BOP
+        return self.duel.winner()
 
     # -- predictor table ------------------------------------------------
 
@@ -126,15 +125,10 @@ class LeewayPolicy(Policy):
     # -- policy hooks ------------------------------------------------------
 
     def decide_insert(self, view):
-        bank_here = self.sampler_bank.get(view.set_index)
-        if bank_here is not None:
-            self.duel.record_leader_miss(view.set_index)
-            governing = bank_here
-        else:
-            governing = self.winner
+        governing = self.duel.miss(view.set_index)
         stable = self.stable[governing][self.pcs[view.access_index]]
         if stable == 0:
-            if bank_here is not None and self.rng.random() < self.retrain[governing]:
+            if view.set_index in self.sampler_bank and self.rng.random() < self.retrain[governing]:
                 self._pending_pld = 0  # retraining fill
                 return True
             return False

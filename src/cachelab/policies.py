@@ -5,10 +5,12 @@ Families:
             recently used first; they differ only in where a fill enters
   rrip      SRRIP, BRRIP over m-bit re-reference prediction values, and
             k-bit Not-Recently-Used as k-bit RRIP that fills at 0
-  duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP), one
-            set-dueling wrapper over two base policies
+  duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP): one
+            set-dueling mixin ahead of the base class, whose hits and
+            victims both sides share; the sides differ in insertion only
   ship-mem  RRIP with memory-region reuse counters trained on sampler sets
-  pin       reserves ways for high-reuse-hinted blocks over a base policy
+  pin       DRRIP-3 that reserves ways for high-reuse-hinted blocks, a
+            pinned way held below every RRPV the victim scan can take
   random    uniform random victim
 
 NRU is RRIP's aging with a random tie (Jaleel et al., ISCA 2010): it
@@ -36,6 +38,7 @@ SHIP_REGION_BYTES = 16384
 SHIP_COUNTER_MAX = 7  # 3-bit region counters
 SHIP_COUNTER_INIT = 1
 SHIP_SAMPLER_SETS = 64
+PINNED = float("-inf")  # a pinned way's RRPV: aging leaves it below every other
 
 
 def sampler_layout(num_sets, count):
@@ -48,12 +51,12 @@ def sampler_layout(num_sets, count):
 class SetDuel:
     """Two-constituency set dueling with a saturating selector.
 
-    Leader sets are sampler_layout's strided sets, alternately a's and
-    b's, and always run their own constituency's policy; a miss in a
-    leader set votes against that constituency.  Followers run the
-    current winner.  A single-set cache (or no leader asked for) has no
-    room for disjoint leaders, so `shadow` is set and the owning policy
-    duels on shadow sets instead.
+    Leader sets are sampler_layout's strided sets, alternately side 0's
+    and side 1's (`kind` maps each to its side), and always run their
+    own side's policy; a miss in a leader set votes against that side.
+    Followers run the current winner.  A single-set cache (or no leader
+    asked for) has no room for disjoint leaders, so `shadow` is set and
+    the owning policy duels on shadow sets instead.
     """
 
     psel_max = (1 << PSEL_BITS) - 1
@@ -63,15 +66,7 @@ class SetDuel:
         self.psel = self.mid - 1
         n = min(leaders, num_sets // 2)
         self.shadow = n < 1
-        self.kind = {} if self.shadow else dict(zip(sampler_layout(num_sets, 2 * n), "ab" * n))
-
-    def vote_against_a(self):
-        if self.psel < self.psel_max:
-            self.psel += 1
-
-    def vote_against_b(self):
-        if self.psel > 0:
-            self.psel -= 1
+        self.kind = {} if self.shadow else dict(zip(sampler_layout(num_sets, 2 * n), (0, 1) * n))
 
     def replay(self, a_hits, b_hits):
         """Vote each miss of two shadow runs, a's then b's per access, and
@@ -86,18 +81,22 @@ class SetDuel:
         self.psel = psel
         return b_won
 
-    def record_leader_miss(self, set_index):
-        k = self.kind.get(set_index)
-        if k == "a":
-            self.vote_against_a()
-        elif k == "b":
-            self.vote_against_b()
+    def miss(self, set_index):
+        """Cast a leader set's vote against its own side, and return the
+        side governing a miss in set_index: its own, or the winner's.  A
+        shadow duel has no leaders, so there a miss only names the winner."""
+        side = self.kind.get(set_index)
+        if side is None:
+            return 1 if self.psel >= self.mid else 0
+        if side:
+            if self.psel > 0:
+                self.psel -= 1
+        elif self.psel < self.psel_max:
+            self.psel += 1
+        return side
 
     def winner(self):
-        return "b" if self.psel >= self.mid else "a"
-
-    def governing(self, set_index):
-        return self.kind.get(set_index) or self.winner()
+        return 1 if self.psel >= self.mid else 0
 
 
 class LruPolicy(Policy):
@@ -152,65 +151,49 @@ class BipPolicy(LruPolicy):
             LruPolicy.on_hit(self, view, way)
 
 
-class DuelPolicy(Policy):
-    """Set dueling between policies a and b that differ in insertion.
+class DuelPolicy:
+    """Set dueling between insertion policies a and b, placed ahead of the
+    base class whose hits and victims both share: `DipPolicy(DuelPolicy,
+    LruPolicy)`.  A subclass sets the sides, a and b, in __init__.
 
-    Hits promote and victims are chosen as a does; each fill goes to
-    `fill`, which inserts as the side governing its set.  A cache too
-    small for leader sets duels on shadow sets: bind runs a copy of each
-    side through the engine's own loop (`run_policy`) on a generator
-    forked off the run's at reset, `SetDuel.replay` votes their misses,
-    and on_insert is routed to the side that governs each access.
+    Each fill inserts as the side that SetDuel.miss names, a vote cast
+    when a leader set fills.  A cache too small for leader sets duels on
+    shadow sets: bind runs a copy of each side through the engine's own
+    loop (`run_policy`) on a generator forked off the run's at reset,
+    `SetDuel.replay` votes their misses, and each fill inserts as the
+    side that governs its access.
     """
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
         self.a.reset(geometry, rng)
         self.b.reset(geometry, rng)
         self.duel = SetDuel(geometry.num_sets)
-        a, b, duel = self.a, self.b, self.duel  # no reference back to self, so no cycle
-        self.fill = lambda view, way: (
-            b if duel.governing(view.set_index) == "b" else a).on_insert(view, way)
-        if duel.shadow:  # one set: the only set index is 0
+        self.sides = (self.a.on_insert, self.b.on_insert)
+        self.b_won = None  # per access of a shadow duel, whether b governs it
+        if self.duel.shadow:  # one set: the only set index is 0
             self.shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
 
     def bind(self, trace, tags):
-        self.a.bind(trace, tags)
-        self.b.bind(trace, tags)
-        no_vote = None
+        super().bind(trace, tags)
         if self.duel.shadow:  # no leader sets to vote for
-            a_hits, b_hits = (run_policy(copy(p), self.geometry, self.shadow_rng, trace,
-                                         bytes(len(tags)), tags)[0] for p in (self.a, self.b))
-            sides, b_won = (self.a.on_insert, self.b.on_insert), self.duel.replay(a_hits, b_hits)
-            self.fill = lambda view, way: sides[b_won[view.access_index]](view, way)
-            no_vote = self.a.decide_insert  # inserts as a does; bound to a, so no cycle
-        self.route(DuelPolicy, on_hit=self.a.on_hit, choose_victim=self.a.choose_victim,
-                   decide_insert=no_vote, on_insert=self.fill)
-
-    def decide_insert(self, view):
-        self.duel.record_leader_miss(view.set_index)
-        return True
-
-    def on_hit(self, view, way):
-        self.a.on_hit(view, way)
-
-    def choose_victim(self, view):
-        return self.a.choose_victim(view)
+            self.b_won = self.duel.replay(*(
+                run_policy(copy(p), self.geometry, self.shadow_rng, trace, bytes(len(tags)),
+                           tags)[0] for p in (self.a, self.b)))
 
     def on_insert(self, view, way):
-        self.fill(view, way)
+        b_won = self.b_won
+        side = self.duel.miss(view.set_index) if b_won is None else b_won[view.access_index]
+        self.sides[side](view, way)
 
 
-class DipPolicy(DuelPolicy):
+class DipPolicy(DuelPolicy, LruPolicy):
     """Dynamic Insertion Policy: set-duels LRU (a) against BIP (b)."""
 
     name = "dip"
 
     def __init__(self):
-        super().__init__(LruPolicy(), BipPolicy())
+        self.a, self.b = LruPolicy(), BipPolicy()
 
 
 class RandomPolicy(Policy):
@@ -218,19 +201,6 @@ class RandomPolicy(Policy):
 
     def choose_victim(self, view):
         return self.rng.randrange(view.ways)
-
-
-def rrip_victim(state, rrpv_max, ways):
-    """SrripPolicy.choose_victim's scan over `ways`, an ascending list;
-    the other ways (pinned blocks) are neither candidates nor aged."""
-    for w in ways:
-        if state[w] == rrpv_max:
-            return w
-    values = [state[w] for w in ways]
-    top = max(values)
-    for w in ways:
-        state[w] += rrpv_max - top
-    return ways[values.index(top)]
 
 
 class SrripPolicy(Policy):
@@ -306,11 +276,12 @@ class BrripPolicy(SrripPolicy):
         view.state[way] = self.rrpv_max - 1 if near else self.rrpv_max
 
 
-class DrripPolicy(DuelPolicy):
+class DrripPolicy(DuelPolicy, SrripPolicy):
     """Dynamic RRIP: set-duels SRRIP insertion (a) against BRRIP (b)."""
 
     def __init__(self, m=2):
-        super().__init__(SrripPolicy(m), BrripPolicy(m))
+        super().__init__(m)
+        self.a, self.b = SrripPolicy(m), BrripPolicy(m)
         self.name = "drrip%d" % m
 
 
@@ -367,54 +338,51 @@ class ShipMemPolicy(SrripPolicy):
         return way
 
 
-class PinPolicy(Policy):
-    """Reserve a share of each set's ways for High-Reuse-hinted blocks.
+class PinPolicy(DrripPolicy):
+    """Reserve a share of each set's ways for High-Reuse-hinted blocks,
+    over DRRIP-3.
 
-    Pinned blocks are never victim candidates, so a way stays pinned for
-    the rest of the run.  When every way of a set is pinned, further
-    insertions are bypassed.  Unhinted traffic is managed by DRRIP-3 on
-    the unpinned ways.
+    A pinned way holds the RRPV PINNED, below every other, so SRRIP's
+    victim scan never takes it and its aging never lifts it to rrpv_max,
+    and a hit leaves it there: a way stays pinned for the rest of the
+    run.  When every way of a set is pinned, further insertions are
+    bypassed; a bypassed miss in a leader set still votes.
     """
 
     def __init__(self, percent):
         if not 0 <= percent <= 100:
             raise ValueError("pin percentage must be 0..100")
+        super().__init__(m=3)
         self.percent = percent
-        self.base = DrripPolicy(m=3)
         self.name = "pin%d" % percent
         self._pin_next = False
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        self.base.reset(geometry, rng)
         self.reserved = round(geometry.ways * self.percent / 100.0)
-        self.unpinned = [list(range(geometry.ways)) for _ in range(geometry.num_sets)]
+        self.pinned = [0] * geometry.num_sets  # pinned ways per set
 
     def bind(self, trace, tags):
-        self.base.bind(trace, tags)
         self.hints = memoryview(trace.hints)
-        self.route(PinPolicy, on_hit=self.base.on_hit)
+        super().bind(trace, tags)
 
     def decide_insert(self, view):
-        self._pin_next = False
-        self.base.decide_insert(view)  # keep base dueling trained
-        hint = self.hints[view.access_index]
-        pinned = view.ways - len(self.unpinned[view.set_index])
-        if hint == ReuseHint.HIGH and pinned < self.reserved:
-            self._pin_next = True
+        pinned = self.pinned[view.set_index]
+        self._pin_next = self.hints[view.access_index] == ReuseHint.HIGH and pinned < self.reserved
+        if pinned < view.ways:  # the reservation is at most every way
             return True
-        return pinned < view.ways
-
-    def choose_victim(self, view):
-        return rrip_victim(view.state, self.base.a.rrpv_max, self.unpinned[view.set_index])
+        self.duel.miss(view.set_index)  # a bypassed leader miss votes too
+        return False
 
     def on_insert(self, view, way):
-        self.base.on_insert(view, way)
+        super().on_insert(view, way)
         if self._pin_next:
-            self.unpinned[view.set_index].remove(way)
+            view.state[way] = PINNED
+            self.pinned[view.set_index] += 1
 
     def on_hit(self, view, way):
-        self.base.on_hit(view, way)
+        if view.state[way] > 0:  # a pinned way keeps PINNED
+            view.state[way] = 0
 
 
 class UnknownPolicyError(ValueError):

@@ -153,6 +153,19 @@ def test_compare_inserts_the_baseline_and_reports_each_policy(capsys):
     assert opt_misses <= lru_misses
 
 
+def test_policy_names_are_any_case_in_compare_and_for_opt(capsys):
+    argv = ("compare", "--gen", "thrash:k=8,n=4", "--sets", "1", "--ways", "4",
+            "--policies", "LRU,drrip3")
+    for extra in ((), ("--baseline", "LRU")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, ""), extra
+        assert [l.split(",")[0] for l in out.strip().splitlines()[1:]] == ["lru", "drrip3"]
+    source = ("--gen", "thrash:k=8,n=4", "--sets", "1", "--ways", "4")
+    code, out, err = run(capsys, "simulate", "--policy", "OPT", *source)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "simulate", "--policy", "opt", *source)[1]
+
+
 def test_compare_rows_equal_tabled_reports_that_count_hint_classes(tmp_path, capsys,
                                                                     monkeypatch):
     """Only an output that prints hint-class counts computes them:

@@ -165,7 +165,7 @@ def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
 
 def test_default_class_inserts_like_the_base_policy():
     pol = grasp("full", abrs=())
-    a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
+    a_set = next(s for s, k in pol.duel.kind.items() if k == 0)
     pol.bind(Trace([MemoryAccess(0)]), [0])
     view = make_view([0] * 4, set_index=a_set)
     pol.on_insert(view, 0)

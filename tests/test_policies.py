@@ -18,7 +18,6 @@ from cachelab.policies import (
     SrripPolicy,
     UnknownPolicyError,
     make_policy,
-    rrip_victim,
 )
 from cachelab.trace import MemoryAccess, PatternSpec, ReuseHint, Trace, generate_pattern
 
@@ -123,12 +122,12 @@ def test_dip_single_set_duels_with_shadow_directories():
 
 
 def test_a_reused_policy_reports_as_a_fresh_one():
-    """bind routes hooks per run: a dueling policy reused across a
-    shadow-set cache and a leader-set cache reports what new ones do."""
+    """A dueling policy reused across a shadow-set cache and a leader-set
+    cache reports what new ones do."""
     rng = random.Random(5)
     t = Trace([MemoryAccess(64 * rng.randrange(1200)) for _ in range(6000)])
     geometries = [one_set(4), CacheGeometry(128, 4, 64), one_set(4)]  # 128 sets have followers
-    for name in ("dip", "drrip2", "grasp", "pin50"):
+    for name in ("dip", "drrip2", "grasp", "pin50", "leeway-lru"):
         reused = make_policy(name)
         for geom in geometries:
             assert simulate(t, geom, reused, seed=2) == simulate(t, geom, make_policy(name), seed=2)
@@ -137,35 +136,42 @@ def test_a_reused_policy_reports_as_a_fresh_one():
 # -- set dueling ------------------------------------------------------------
 
 
+def leaders(duel):
+    """The first leader set of each side."""
+    return [next(s for s, k in duel.kind.items() if k == side) for side in (0, 1)]
+
+
 def test_set_duel_selector_starts_one_below_mid_and_favors_a():
     duel = SetDuel(128)
+    a_set, b_set = leaders(duel)
     assert duel.mid == 512
     assert duel.psel == 511
-    assert duel.winner() == "a"
-    duel.vote_against_a()
+    assert duel.winner() == 0
+    duel.miss(a_set)
     assert duel.psel == 512
-    assert duel.winner() == "b"
-    duel.vote_against_b()
-    duel.vote_against_b()
+    assert duel.winner() == 1
+    duel.miss(b_set)
+    duel.miss(b_set)
     assert duel.psel == 510
-    assert duel.winner() == "a"
+    assert duel.winner() == 0
 
 
 def test_set_duel_selector_saturates():
     duel = SetDuel(128)
+    a_set, b_set = leaders(duel)
     for _ in range(3000):
-        duel.vote_against_a()
+        duel.miss(a_set)
     assert duel.psel == duel.psel_max == 1023
     for _ in range(3000):
-        duel.vote_against_b()
+        duel.miss(b_set)
     assert duel.psel == 0
 
 
 @pytest.mark.parametrize("seed", [3, 10])
 def test_set_duel_replay_matches_the_per_access_votes(seed):
     """replay walks PSEL on locals; it must give the winner after every
-    access and the final psel that vote_against_a/_b give one access at
-    a time.  Each run starts PSEL next to one end of its 0..1023 range,
+    access and the final psel that leader misses give one access at a
+    time.  Each run starts PSEL next to one end of its 0..1023 range,
     in turn, so the vectors' runs hit both ends."""
     rng, seen = random.Random(seed), set()
     for run in range(40):
@@ -174,15 +180,15 @@ def test_set_duel_replay_matches_the_per_access_votes(seed):
         a_hits = bytes(rng.random() >= a_miss for _ in range(n))
         b_hits = bytes(rng.random() >= b_miss for _ in range(n))
         start = 1 if run % 2 else SetDuel.psel_max - 1
-        votes = SetDuel(1)
+        votes = SetDuel(2)  # set 0 leads for a, set 1 for b
         votes.psel = start
         expected = bytearray()
         for a_hit, b_hit in zip(a_hits, b_hits):
             if not a_hit:
-                votes.vote_against_a()
+                votes.miss(0)
             if not b_hit:
-                votes.vote_against_b()
-            expected.append(votes.winner() == "b")
+                votes.miss(1)
+            expected.append(votes.winner() == 1)
             seen.add(votes.psel)
         duel = SetDuel(1)
         duel.psel = start
@@ -193,15 +199,15 @@ def test_set_duel_replay_matches_the_per_access_votes(seed):
 
 def test_set_duel_leaders_are_disjoint_and_balanced():
     duel = SetDuel(128)
-    a = [s for s, k in duel.kind.items() if k == "a"]
-    b = [s for s, k in duel.kind.items() if k == "b"]
+    a = [s for s, k in duel.kind.items() if k == 0]
+    b = [s for s, k in duel.kind.items() if k == 1]
     assert len(a) == len(b) == 32
     assert not set(a) & set(b)
     assert all(0 <= s < 128 for s in a + b)
-    assert duel.kind.get(a[0]) == "a"
+    assert duel.kind.get(a[0]) == 0
     follower = next(s for s in range(128) if s not in duel.kind)
     assert duel.kind.get(follower) is None
-    assert duel.governing(follower) == duel.winner()
+    assert duel.miss(follower) == duel.winner()
 
 
 def test_set_duel_single_set_falls_back_to_shadow_mode():
@@ -213,12 +219,11 @@ def test_set_duel_single_set_falls_back_to_shadow_mode():
 
 def test_set_duel_leader_miss_votes_against_its_own_side():
     duel = SetDuel(128)
-    a_set = next(s for s, k in duel.kind.items() if k == "a")
-    b_set = next(s for s, k in duel.kind.items() if k == "b")
+    a_set, b_set = leaders(duel)
     before = duel.psel
-    duel.record_leader_miss(a_set)
+    assert duel.miss(a_set) == 0
     assert duel.psel == before + 1
-    duel.record_leader_miss(b_set)
+    assert duel.miss(b_set) == 1
     assert duel.psel == before
 
 
@@ -294,13 +299,6 @@ def test_rrip_victim_ages_until_a_block_reaches_max():
     assert view.state == [6, 4, 7, 1]
 
 
-def test_rrip_victim_ignores_ways_outside_the_subset():
-    view = make_view([7, 5, 6, 0])
-    # way 0 is excluded, so aging proceeds until way 2 reaches the max
-    assert rrip_victim(view.state, 7, [1, 2, 3]) == 2
-    assert view.state == [7, 6, 7, 1]
-
-
 def test_brrip_inserts_mostly_at_max():
     pol = BrripPolicy(m=3)
     pol.reset(one_set(4), SplitMix64(2))
@@ -318,8 +316,7 @@ def test_drrip_leaders_insert_their_own_constituency():
     geom = CacheGeometry(128, 4, 64)
     pol = DrripPolicy(m=3)
     pol.reset(geom, SplitMix64(0))
-    a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
-    b_set = next(s for s, k in pol.duel.kind.items() if k == "b")
+    a_set, b_set = leaders(pol.duel)
     follower = next(s for s in range(128) if s not in pol.duel.kind)
 
     view = make_view([0, 0, 0, 0], set_index=a_set)
@@ -350,11 +347,27 @@ def test_drrip_leader_miss_votes_against_its_side():
     geom = CacheGeometry(128, 4, 64)
     pol = DrripPolicy(m=3)
     pol.reset(geom, SplitMix64(0))
-    a_set = next(s for s, k in pol.duel.kind.items() if k == "a")
+    a_set, _ = leaders(pol.duel)
     before = pol.duel.psel
     view = make_view([0, 0, 0, 0], set_index=a_set)
-    assert pol.decide_insert(view)
+    pol.on_insert(view, 0)  # the leader's fill casts its vote
     assert pol.duel.psel == before + 1
+
+
+def test_pin100_bypassed_leader_miss_still_votes():
+    """Four HIGH fills pin every way of a pin100 leader set; the fifth
+    miss is bypassed and still votes against the set's side."""
+    geom = CacheGeometry(128, 4, 64)
+    a_set, _ = leaders(SetDuel(128))
+    ids = [b * 128 + a_set for b in range(5)]
+    pol = PinPolicy(100)
+    psel = []
+    pol.decide_insert = lambda view: psel.append(pol.duel.psel) or PinPolicy.decide_insert(
+        pol, view)
+    r = simulate(block_trace(ids, hints=[ReuseHint.HIGH] * 5), geom, pol)
+    assert (r.misses, r.bypasses) == (5, 1)
+    assert psel == [511, 512, 513, 514, 515]  # four fills voted before the fifth miss
+    assert pol.duel.psel == 516  # and the bypassed fifth miss voted too
 
 
 # -- SHiP over memory regions ------------------------------------------------
@@ -437,6 +450,38 @@ def test_pin_beyond_reservation_inserts_unpinned():
     # reservation is 1 way, so only block 0 was pinned; block 2 competed
     # with the stream on the unpinned ways and is long gone
     assert r.hits == 0
+
+
+def pin_way_zero(states):
+    """A pin25 policy on one set with these RRPVs, after a High-Reuse
+    fill of way 0 has pinned it."""
+    pol = PinPolicy(25)
+    pol.reset(one_set(len(states)), SplitMix64(0))
+    pol.bind(block_trace([0], hints=[ReuseHint.HIGH]), [0])
+    view = make_view(states)
+    assert pol.decide_insert(view)
+    pol.on_insert(view, 0)
+    assert pol.pinned == [1]
+    return pol, view
+
+
+def test_pinned_way_is_neither_the_victim_nor_aged_to_the_max():
+    pol, view = pin_way_zero([7, 5, 6, 0])
+    # way 0 is never a candidate, so aging proceeds until way 2 reaches the max
+    assert pol.choose_victim(view) == 2
+    assert view.state[1:] == [6, 7, 1]
+    assert view.state[0] < 0
+
+
+def test_a_hit_on_a_pinned_way_leaves_it_pinned():
+    pol, view = pin_way_zero([7, 5, 6, 0])
+    pinned = view.state[0]
+    pol.on_hit(view, 0)
+    assert view.state[0] == pinned
+    view.state[1:] = [0, 0, 0]
+    assert pol.choose_victim(view) == 1
+    pol.on_hit(view, 1)
+    assert view.state[:2] == [pinned, 0]
 
 
 def test_pin_zero_reserves_nothing():

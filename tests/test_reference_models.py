@@ -8,7 +8,9 @@ al., ISCA 2007) runs on shadow LRU and BIP stacks, SRRIP with m-bit
 RRPVs (Jaleel et al., ISCA 2010), and single-set DRRIP-m, dueling on
 shadow SRRIP and BRRIP sets.  hypothesis draws short block traces over
 small geometries, and every access must agree with `simulate`: the
-same hit or miss and, on an eviction, the same victim block.  Dynamic
+same hit or miss and, on an eviction, the same victim block.  DIP,
+DRRIP-m and pinning over DRRIP-3 are also checked on 128-512 sets,
+where leader sets vote and follower sets insert as the winner.  Dynamic
 Leeway's duel of its two predictor banks on a PSEL (Faldu & Grot, PACT
 2017) is checked by the bank that each miss predicts with, on caches
 with follower sets.  Belady's MIN, with and without bypass (Belady,
@@ -27,7 +29,7 @@ from cachelab.engine import CacheGeometry, simulate
 from cachelab.leeway import LeewayPolicy
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
-from cachelab.trace import MemoryAccess, Trace
+from cachelab.trace import MemoryAccess, ReuseHint, Trace
 
 BUDGET_S = 15.0  # the three tests together
 SHARE = {"lru": 0.3, "srrip": 0.3, "drrip": 0.4}  # of BUDGET_S; they take about 2 : 2 : 3
@@ -35,6 +37,8 @@ EXAMPLES = 300
 INSERTION_BUDGET_S = 6.0  # the LIP/BIP test and the DIP test each, as long as the DRRIP one
 BELADY_EXAMPLES, BELADY_BUDGET_S = 200, 6.0
 LEEWAY_PSEL_EXAMPLES, LEEWAY_PSEL_BUDGET_S = 200, 6.0
+FOLLOWER_EXAMPLES, FOLLOWER_BUDGET_S = 300, 6.0
+BYPASSED = "bypassed"  # a log entry's victim slot for a miss left out of the cache
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -199,6 +203,87 @@ def drrip_model(blocks, ways, m, seed):
     return out
 
 
+def set_dueling_model(accesses, num_sets, ways, name, seed):
+    """DIP, DRRIP-m or pinP over DRRIP-3 on a cache with leader sets, per
+    access: (hit, evicted block or None), or (False, BYPASSED).
+
+    accesses are (block, high) pairs, high marking a High-Reuse hint.
+    min(32, num_sets // 2) pairs of leader sets lie num_sets / (2 *
+    pairs) sets apart from set 0, alternately side a's and side b's.  A
+    miss in a leader set, bypassed or not, moves the 10-bit PSEL
+    (starting at 511, saturating at 0 and 1023) up for a and down for b,
+    and the set fills as its own side; a follower set fills as b while
+    PSEL >= 512, else as a.  Every bimodal draw comes from the run's one
+    generator, one per b fill.
+
+    dip: each set is a stack, most recently used first; a hit moves its
+    block to the front, a miss into a full set evicts the last block.  a
+    (LRU) fills at the front; b (BIP) there with probability 1/32, else
+    at the back.  drripM and pinP (M = 3): a hit sets the RRPV to 0, a
+    miss fills the lowest empty way, else evicts the lowest way at
+    2^M - 1 after aging every candidate way by one until one gets there;
+    a fills at 2^M - 2, b there with probability 1/32, else at 2^M - 1.
+    pinP reserves round(ways * P / 100) ways of each set: a High-Reuse
+    miss with a reserved way left fills and pins its way, which is then
+    never a candidate and keeps its block for the run (it still takes
+    its side's draw); any other miss fills while a way is unpinned and
+    is bypassed once every way is pinned."""
+    rng = SplitMix64(seed)
+    pairs = min(32, num_sets // 2)
+    stride = num_sets // (2 * pairs)
+    leader_side = {i * stride: i % 2 for i in range(2 * pairs)}
+    psel = 511
+    stack = name == "dip"
+    top = (1 << (2 if name == "drrip2" else 3)) - 1
+    reserved = round(ways * int(name[3:]) / 100) if name.startswith("pin") else 0
+    sets = [([] if stack else [None] * ways, [0] * ways, [False] * ways) for _ in range(num_sets)]
+    out = []
+    for b, high in accesses:
+        resident, rrpv, pinned = sets[b % num_sets]
+        if b in resident:
+            way = resident.index(b)
+            if stack:
+                resident.insert(0, resident.pop(way))
+            elif not pinned[way]:
+                rrpv[way] = 0
+            out.append((True, None))
+            continue
+        side = leader_side.get(b % num_sets)
+        if side == 0:
+            psel = min(psel + 1, 1023)
+        elif side == 1:
+            psel = max(psel - 1, 0)
+        else:
+            side = int(psel >= 512)
+        near = side == 0  # the side's insertion, drawn only for a fill
+        if stack:
+            victim = resident.pop() if len(resident) == ways else None
+            if near or rng.random() < 1 / 32:
+                resident.insert(0, b)
+            else:
+                resident.append(b)
+            out.append((False, victim))
+            continue
+        pin = high and sum(pinned) < reserved
+        if not pin and all(pinned):
+            out.append((False, BYPASSED))
+            continue
+        victim = None
+        if None in resident:
+            way = resident.index(None)
+        else:
+            free = [w for w in range(ways) if not pinned[w]]
+            while all(rrpv[w] != top for w in free):
+                for w in free:
+                    rrpv[w] += 1
+            way = next(w for w in free if rrpv[w] == top)
+            victim = resident[way]
+        resident[way], pinned[way] = b, pin
+        rrpv[way] = top - 1 if near or rng.random() < 1 / 32 else top
+        out.append((False, victim))
+    return out
+
+
 def belady_model(blocks, num_sets, ways, bypass):
     """Hits, misses, bypasses and evictions of Belady's MIN.  Each set
     maps its blocks to their next use, found by scanning ahead (len(blocks)
@@ -245,15 +330,23 @@ def leeway_psel_model(miss_sets, num_sets, sampler_sets):
     return out
 
 
-def engine_log(name, blocks, num_sets, ways, seed=0):
-    """The same log, recorded from simulate through the policy's hooks."""
+def engine_log(name, blocks, num_sets, ways, seed=0, high=None):
+    """The same log, recorded from simulate through the policy's hooks;
+    high marks the accesses that carry a High-Reuse hint."""
     policy = make_policy(name)
     on_hit, choose_victim, on_insert = policy.on_hit, policy.choose_victim, policy.on_insert
+    decide_insert = policy.decide_insert
     log, evicted = [], []
 
     def hit(view, way):
         log.append((True, None))
         on_hit(view, way)
+
+    def decide(view):
+        insert = decide_insert(view)
+        if not insert:
+            log.append((False, BYPASSED))
+        return insert
 
     def victim(view):
         way = choose_victim(view)
@@ -265,7 +358,9 @@ def engine_log(name, blocks, num_sets, ways, seed=0):
         on_insert(view, way)
 
     policy.on_hit, policy.choose_victim, policy.on_insert = hit, victim, insert
-    trace = Trace([MemoryAccess(64 * b) for b in blocks])
+    policy.decide_insert = decide
+    trace = Trace([MemoryAccess(64 * b, reuse_hint=ReuseHint.HIGH if h else ReuseHint.DEFAULT,
+                                hint_valid=h) for b, h in zip(blocks, high or [False] * len(blocks))])
     simulate(trace, CacheGeometry(num_sets, ways, 64), policy, seed=seed)
     return log
 
@@ -318,6 +413,34 @@ def leeway_psel_cases(draw):
     for s in rnd.choices(range(num_sets), weights, k=rnd.randint(1, 3000)):
         accesses.append((rnd.randrange(footprint[s]) * num_sets + s, rnd.randrange(4)))
     return accesses, num_sets, ways, sampler_sets
+
+
+@st.composite
+def follower_cases(draw):
+    """A block trace of 1-2000 accesses on 128, 256 or 512 sets of 1-4
+    ways, each set with its own share of the accesses and its own
+    footprint of 1 to 3 x ways blocks, and each access High-Reuse-hinted
+    with one probability per trace."""
+    ways = draw(st.integers(1, 4))
+    num_sets = draw(st.sampled_from([128, 256, 512]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    weights = [rnd.random() ** 3 for _ in range(num_sets)]
+    footprint = [rnd.randint(1, 3 * ways) for _ in range(num_sets)]
+    high = rnd.random() ** 2
+    accesses = [(rnd.randrange(footprint[s]) * num_sets + s, rnd.random() < high)
+                for s in rnd.choices(range(num_sets), weights, k=rnd.randint(1, 2000))]
+    return accesses, num_sets, ways
+
+
+@seed(20261020)
+@settings(max_examples=FOLLOWER_EXAMPLES, deadline=None, database=None)
+@given(follower_cases(), st.sampled_from(["dip", "drrip2", "drrip3", "pin25", "pin50", "pin75",
+                                          "pin100"]), st.integers(0, _U64))
+def _check_set_dueling(case, name, run_seed):
+    accesses, num_sets, ways = case
+    blocks, high = zip(*accesses)
+    got = engine_log(name, blocks, num_sets, ways, seed=run_seed, high=high)
+    assert got == set_dueling_model(accesses, num_sets, ways, name, run_seed)
 
 
 @seed(20261019)
@@ -435,6 +558,10 @@ def test_single_set_drrip_matches_the_shadow_duel_model_access_for_access():
 
 def test_opt_counters_match_the_belady_model_on_set_local_repeats():
     within_budget(_check_belady, BELADY_BUDGET_S)
+
+
+def test_dueling_followers_insert_as_the_winner_and_pinned_ways_stay():
+    within_budget(_check_set_dueling, FOLLOWER_BUDGET_S)
 
 
 def test_leeway_followers_run_the_bank_psel_favours():
