@@ -2,8 +2,9 @@
 
 Subcommands: simulate, compare, gen-trace, reorder, opt, stats.
 A flat JSON config file (--config file.json) pre-sets flags of the
-subcommand, and nothing else; explicit flags win.  Wider program counters
-can be folded to the 14-bit signature space by xoring 14-bit slices.
+subcommand, and nothing else; explicit flags win.  Program counters are
+the trace's 14-bit signatures, read as they are; `trace.fold_pc` folds a
+wider one in the library.
 Failures print one `error:` line (CACHELAB_DEBUG=1: the traceback).
 """
 
@@ -202,9 +203,7 @@ def cmd_reorder(args):
         raise CliError("--kind and --out are required (flag or config)")
     graph = _load_graph(args.input, args.direction)
     kind = args.kind
-    if kind in ("dbg", "sort", "hubsort", "hubcluster"):
-        remap = graphmod.family_reorder(graph, kind)
-    elif kind == "rv":
+    if kind == "rv":
         remap = graphmod.random_reorder(graph, 0, seed=args.seed)
     elif kind.startswith("rcb"):
         try:
@@ -214,8 +213,8 @@ def cmd_reorder(args):
         remap = graphmod.random_reorder(
             graph, blocks, seed=args.seed, prop_bytes=args.prop_bytes, block_bytes=args.block
         )
-    else:
-        raise CliError("unknown reorder kind %r" % kind)
+    else:  # dbg, sort, hubsort, hubcluster; family_reorder rejects the rest
+        remap = graphmod.family_reorder(graph, kind)
     reordered = graphmod.apply_remap(graph, remap)
     graphmod.write_csr(reordered, args.out)
     if args.map:

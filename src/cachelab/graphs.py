@@ -8,9 +8,10 @@ its property element; `reuse_degrees` computes exactly that and is the
 default ranking for every reordering here.
 
 Reorderings are expressed as a remap array M where M[old_id] = new_id.
-Degree-based grouping walks vertices once, appending each to the group
-whose half-open degree range contains it, then assigns new ids group by
-group from hottest to coldest; within a group original order is kept.
+Each one is a stable sort of the vertices by one key per vertex: a
+degree-based grouping's key is the index of the half-open degree range
+holding the vertex, hottest first, so within a group original order is
+kept.
 """
 
 import os
@@ -230,8 +231,9 @@ def default_grouping(avg_degree):
     )
 
 
-def _remap_from_groups(group_index):
-    order = np.argsort(group_index, kind="stable")
+def _remap_from_groups(key):
+    """The remap that puts vertices in one stable sort by key."""
+    order = np.argsort(key, kind="stable")
     remap = np.empty(len(order), dtype=np.int64)
     remap[order] = np.arange(len(order))
     return remap
@@ -245,64 +247,45 @@ def dbg_reorder(graph, spec=None, degrees=None):
     return _remap_from_groups(spec.group_array(degrees))
 
 
-def _per_degree_ranges(distinct_desc, floor):
-    """Contiguous per-degree ranges for the given distinct degrees
-    (descending), bottoming out at `floor`."""
-    ranges = []
-    hi = np.inf
-    for d in distinct_desc:
-        ranges.append((float(d), hi))
-        hi = float(d)
-    if hi > floor:
-        ranges.append((floor, hi))
-    return ranges
-
-
 def family_reorder(graph, kind, degrees=None):
-    """Reorderings expressed through the same grouping machinery.
+    """Degree reorderings, each one stable sort by one key per vertex.
 
-    sort        one group per distinct degree, descending (stable full sort)
-    hubsort     per-degree groups for hot degrees, one cold group
-    hubcluster  two groups: hot then cold, both in original order
+    sort        degree, descending
+    hubsort     hot vertices (degree at least the average) by descending
+                degree, then the cold ones
+    hubcluster  hot vertices, then cold ones
     dbg         eight geometric ranges around the average degree
     """
     if degrees is None:
         degrees = graph.reuse_degrees()
-    degrees = np.asarray(degrees)
+    degrees = np.asarray(degrees, dtype=float)
     avg = degrees.mean() if len(degrees) else 0.0
     if kind == "dbg":
-        spec = default_grouping(avg)
+        key = default_grouping(avg).group_array(degrees)
     elif kind == "sort":
-        spec = GroupingSpec(_per_degree_ranges(np.unique(degrees)[::-1], 0))
-    elif kind not in ("hubsort", "hubcluster"):
-        raise GraphError("unknown reorder kind: %r" % (kind,))
-    elif avg <= 0:
-        spec = GroupingSpec([(0, np.inf)])
-    elif kind == "hubsort":  # avg > 0, so the largest degree is hot
-        spec = GroupingSpec(_per_degree_ranges(np.unique(degrees[degrees >= avg])[::-1], 0))
+        key = -degrees
+    elif kind in ("hubsort", "hubcluster"):
+        cold = degrees < avg
+        key = np.where(cold, 1.0, -degrees) if kind == "hubsort" else cold
     else:
-        spec = GroupingSpec([(avg, np.inf), (0, avg)])
-    return _remap_from_groups(spec.group_array(degrees))
+        raise GraphError("unknown reorder kind: %r" % (kind,))
+    return _remap_from_groups(key)
 
 
 def random_reorder(graph, granularity_blocks=0, seed=0, prop_bytes=8, block_bytes=64):
     """granularity 0: uniform random permutation of all vertices.
     granularity n>=1: shuffle runs of n cache blocks' worth of vertices,
-    keeping order inside each run."""
+    keeping order inside each run.  Either way the run numbers are
+    shuffled, a run being one vertex at granularity 0."""
+    run = granularity_blocks * (block_bytes // prop_bytes) if granularity_blocks else 1
+    if run < 1:
+        raise GraphError("block_bytes must hold at least one property element")
     v_count = graph.vertex_count
-    rng = random.Random(seed)
-    if granularity_blocks == 0:
-        order = list(range(v_count))
-        rng.shuffle(order)
-    else:
-        run = granularity_blocks * (block_bytes // prop_bytes)
-        if run < 1:
-            raise GraphError("block_bytes must hold at least one property element")
-        runs = [list(range(i, min(i + run, v_count))) for i in range(0, v_count, run)]
-        rng.shuffle(runs)
-        order = [v for chunk in runs for v in chunk]
+    runs = list(range(-(-v_count // run)))
+    random.Random(seed).shuffle(runs)
+    order = (np.array(runs, dtype=np.int64)[:, None] * run + np.arange(run)).ravel()
     remap = np.empty(v_count, dtype=np.int64)
-    remap[np.array(order, dtype=np.int64)] = np.arange(v_count)
+    remap[order[order < v_count]] = np.arange(v_count)
     return remap
 
 

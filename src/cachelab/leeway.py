@@ -3,11 +3,12 @@
 Each block's live distance is the deepest stack position (LRU base) or
 highest class value (NRU base) it reaches between fill and last hit; a
 block found past its PC's predicted live distance is considered dead.
-A tagless predictor table keyed by 14-bit PC signature smooths learned
-distances with variance counters: an update in the same direction must
-repeat for the variance-tolerance threshold before the stable value
-moves.  Bypass-oriented thresholds (slow up, fast down) shed dead-on-
-arrival blocks aggressively; reuse-oriented thresholds do the reverse.
+The predictor table keeps, per PC signature seen, a stable distance
+and a signed streak of observations above (+) or below (-) it; a match
+resets the streak, and at its direction's variance-tolerance threshold
+the stable distance moves to the observation.  Bypass-oriented
+thresholds (slow up, fast down) shed dead-on-arrival blocks
+aggressively; reuse-oriented thresholds do the reverse.
 In dynamic mode both variants train side by side on disjoint sampler
 sets, the leader sets of one SetDuel whose sides 0 and 1 are the
 bypass- and reuse-oriented banks: a sampler-set miss votes against its
@@ -23,7 +24,6 @@ stored distance of 0 is reserved for blocks never re-referenced.
 
 from cachelab.engine import Policy
 from cachelab.policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
-from cachelab.trace import PC_SIGNATURE_BITS
 
 BOP = 0  # the bypass-oriented bank of the dynamic mode
 ROP = 1  # the reuse-oriented bank
@@ -39,7 +39,6 @@ _MODES = {
     "static-vtt7": (((7, 7), 0.01),),  # conservative in both directions
 }
 
-LDPT_ENTRIES = 1 << PC_SIGNATURE_BITS  # one entry per PC signature: a PC is its own index
 SAMPLER_SETS = 64
 
 
@@ -50,12 +49,14 @@ class LeewayPolicy(Policy):
     the fallback victim and each way's depth.  Leeway's own state per
     (set, way) is the entry [predicted, observed, pc]: the block's
     predicted live distance, its deepest depth seen at a sampler hit,
-    and its fill signature.  The mode's rules fix its banks: two for
-    "dynamic", else one.  sampler_sets bounds the sampler sets
-    (SAMPLER_SETS).  Dynamic samplers are `duel`'s leader sets, and
-    `duel.miss` gives each miss its bank, voting against a sampler's
-    own; followers run `winner`.  A one-set cache (`duel.shadow`) and
-    the static modes train bank 0 only, with no votes.
+    and its fill signature.  The mode's rules fix its banks, two for
+    "dynamic", else one, each a `stable` and a `streak` dict keyed by
+    PC.  `sampler_bank` maps each of up to sampler_sets (>= 1) sampler
+    sets to the bank it trains.  Dynamic samplers are `duel`'s leader
+    sets, and `duel.miss` gives each miss its bank, voting against a
+    sampler's own; followers run the winner.  A one-set cache and the
+    static modes have no leaders: their samplers train bank 0, which
+    every miss runs.
     """
 
     def __init__(self, base="lru", nru_bits=2, mode="dynamic", sampler_sets=SAMPLER_SETS):
@@ -63,12 +64,14 @@ class LeewayPolicy(Policy):
             raise ValueError("base must be 'lru' or 'nru'")
         if mode not in _MODES:
             raise ValueError("mode must be one of %s" % (tuple(_MODES),))
+        if sampler_sets < 1:
+            raise ValueError("sampler_sets must be at least 1")
         self.base = LruPolicy() if base == "lru" else NruPolicy(nru_bits)
         self.sampler_cfg = sampler_sets
+        self.dynamic = mode == "dynamic"
         self.vtt, self.retrain = map(list, zip(*_MODES[mode]))
-        self.banks = len(self.vtt)
         suffix = "lru" if base == "lru" else "nru%d" % nru_bits
-        if mode == "dynamic":
+        if self.dynamic:
             self.name = "leeway-" + suffix
         else:
             self.name = "leeway-" + mode if base == "lru" else "leeway-%s-%s" % (suffix, mode)
@@ -78,55 +81,41 @@ class LeewayPolicy(Policy):
         self.base.reset(geometry, rng)
         self.maxpos = geometry.ways if isinstance(self.base, LruPolicy) else self.base.rrpv_max
         self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
-        # predictor table: stable distance starts at the ceiling so an
-        # untrained PC is never bypassed and never flags blocks dead
-        self.stable = [[self.maxpos] * LDPT_ENTRIES for _ in range(self.banks)]
-        self.var_count = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
-        self.var_dir = [[0] * LDPT_ENTRIES for _ in range(self.banks)]
-        num_sets = geometry.num_sets
-        if self.banks == 2:
-            self.duel = SetDuel(num_sets, self.sampler_cfg)  # side 0 BOP, side 1 ROP
-            self.sampler_bank = dict(self.duel.kind) or {0: BOP}  # one set trains BOP alone
-        else:
-            self.duel = SetDuel(num_sets, 0)  # no leader sets, so PSEL never moves
-            self.sampler_bank = dict.fromkeys(sampler_layout(num_sets, self.sampler_cfg), 0)
-        self._pending_pld = self.maxpos
+        # predictor table: a PC's stable distance starts at the ceiling, so
+        # an untrained PC is never bypassed and never flags blocks dead
+        self.stable, self.streak = [{} for _ in self.vtt], [{} for _ in self.vtt]
+        num_sets, n = geometry.num_sets, self.sampler_cfg
+        self.duel = SetDuel(num_sets, n if self.dynamic else 0)  # side 0 BOP, side 1 ROP
+        self.sampler_bank = dict(self.duel.kind) or dict.fromkeys(sampler_layout(num_sets, n), BOP)
 
     def bind(self, trace, tags):
-        self.base.bind(trace, tags)
         self.pcs = memoryview(trace.pcs)
-
-    @property
-    def winner(self):
-        """The bank governing follower sets: ROP while PSEL favours it."""
-        return self.duel.winner()
 
     # -- predictor table ------------------------------------------------
 
-    def stable_distance(self, pc, bank=None):
-        return self.stable[self.winner if bank is None else bank][pc]
+    def stable_distance(self, pc, bank):
+        return self.stable[bank].get(pc, self.maxpos)
 
     def _ldpt_update(self, bank, pc, observed):
-        s = self.stable[bank][pc]
+        s = self.stable[bank].get(pc, self.maxpos)
+        streak = self.streak[bank].get(pc, 0)
         if observed == s:
-            self.var_count[bank][pc] = 0
-            return
-        direction = 1 if observed > s else 0
-        if direction != self.var_dir[bank][pc]:
-            self.var_dir[bank][pc] = direction
-            self.var_count[bank][pc] = 1
+            streak = 0
+        elif observed > s:
+            streak = max(streak, 0) + 1  # a change of direction restarts at +-1
         else:
-            self.var_count[bank][pc] += 1
+            streak = min(streak, 0) - 1
         inc, dec = self.vtt[bank]
-        if self.var_count[bank][pc] >= (inc if direction else dec):
+        if streak >= inc or -streak >= dec:
             self.stable[bank][pc] = observed
-            self.var_count[bank][pc] = 0
+            streak = 0
+        self.streak[bank][pc] = streak
 
     # -- policy hooks ------------------------------------------------------
 
     def decide_insert(self, view):
         governing = self.duel.miss(view.set_index)
-        stable = self.stable[governing][self.pcs[view.access_index]]
+        stable = self.stable[governing].get(self.pcs[view.access_index], self.maxpos)
         if stable == 0:
             if view.set_index in self.sampler_bank and self.rng.random() < self.retrain[governing]:
                 self._pending_pld = 0  # retraining fill
@@ -154,11 +143,9 @@ class LeewayPolicy(Policy):
 
     def choose_victim(self, view):
         blocks = self.blocks[view.set_index]
-        dead = []
-        for w, depth in enumerate(self.base.depths(view)):
-            if depth > blocks[w][0]:
-                # min predicted distance first, then deepest, then lowest way
-                dead.append((blocks[w][0], -depth, w))
+        # min predicted distance first, then deepest, then lowest way
+        dead = [(blocks[w][0], -depth, w) for w, depth in enumerate(self.base.depths(view))
+                if depth > blocks[w][0]]
         if dead:
             way = min(dead)[2]
             self.predicted_dead = True

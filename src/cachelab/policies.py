@@ -340,7 +340,8 @@ class ShipMemPolicy(SrripPolicy):
 
 class PinPolicy(DrripPolicy):
     """Reserve a share of each set's ways for High-Reuse-hinted blocks,
-    over DRRIP-3.
+    over DRRIP-3: ways x percent / 100 of them, a half rounded up, so
+    pin25 reserves 1 of 2 ways and 2 of 6.
 
     A pinned way holds the RRPV PINNED, below every other, so SRRIP's
     victim scan never takes it and its aging never lifts it to rrpv_max,
@@ -359,7 +360,7 @@ class PinPolicy(DrripPolicy):
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        self.reserved = round(geometry.ways * self.percent / 100.0)
+        self.reserved = (geometry.ways * self.percent + 50) // 100
         self.pinned = [0] * geometry.num_sets  # pinned ways per set
 
     def bind(self, trace, tags):

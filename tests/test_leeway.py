@@ -38,23 +38,23 @@ def test_bypass_oriented_raise_needs_seven_confirmations():
     pol.stable[0][9] = 0
     for _ in range(6):
         pol._ldpt_update(0, 9, 3)
-        assert pol.stable_distance(9) == 0
+        assert pol.stable_distance(9, 0) == 0
     pol._ldpt_update(0, 9, 3)
-    assert pol.stable_distance(9) == 3
+    assert pol.stable_distance(9, 0) == 3
 
 
 def test_bypass_oriented_lowers_on_a_single_observation():
     pol = leeway("static-bop")
     pol.stable[0][9] = 3
     pol._ldpt_update(0, 9, 0)
-    assert pol.stable_distance(9) == 0
+    assert pol.stable_distance(9, 0) == 0
 
 
 def test_reuse_oriented_raises_on_a_single_observation():
     pol = leeway("static-rop")
     pol.stable[0][9] = 0
     pol._ldpt_update(0, 9, 2)
-    assert pol.stable_distance(9) == 2
+    assert pol.stable_distance(9, 0) == 2
 
 
 def test_reuse_oriented_lower_needs_seven_confirmations():
@@ -62,9 +62,9 @@ def test_reuse_oriented_lower_needs_seven_confirmations():
     pol.stable[0][9] = 3
     for _ in range(6):
         pol._ldpt_update(0, 9, 1)
-        assert pol.stable_distance(9) == 3
+        assert pol.stable_distance(9, 0) == 3
     pol._ldpt_update(0, 9, 1)
-    assert pol.stable_distance(9) == 1
+    assert pol.stable_distance(9, 0) == 1
 
 
 def test_matching_observation_resets_the_streak():
@@ -75,9 +75,9 @@ def test_matching_observation_resets_the_streak():
     pol._ldpt_update(0, 9, 0)  # agrees with stable, streak restarts
     for _ in range(6):
         pol._ldpt_update(0, 9, 3)
-        assert pol.stable_distance(9) == 0
+        assert pol.stable_distance(9, 0) == 0
     pol._ldpt_update(0, 9, 3)
-    assert pol.stable_distance(9) == 3
+    assert pol.stable_distance(9, 0) == 3
 
 
 def test_direction_change_restarts_the_streak():
@@ -88,16 +88,16 @@ def test_direction_change_restarts_the_streak():
     pol._ldpt_update(0, 9, 2)  # opposite direction
     for _ in range(6):
         pol._ldpt_update(0, 9, 6)
-        assert pol.stable_distance(9) == 4
+        assert pol.stable_distance(9, 0) == 4
     pol._ldpt_update(0, 9, 6)
-    assert pol.stable_distance(9) == 6
+    assert pol.stable_distance(9, 0) == 6
 
 
 def test_stable_distance_starts_at_the_ceiling():
-    assert leeway("dynamic", ways=16).stable_distance(123) == 16
+    assert leeway("dynamic", ways=16).stable_distance(123, BOP) == 16
     pol = leeway("dynamic", base="nru", nru_bits=2)
-    assert pol.stable_distance(123) == 3
-    assert leeway("static-bop", ways=8).stable_distance(0) == 8
+    assert pol.stable_distance(123, BOP) == 3
+    assert leeway("static-bop", ways=8).stable_distance(0, 0) == 8
 
 
 # -- victim selection ---------------------------------------------------------
@@ -147,7 +147,7 @@ def test_victim_feedback_trains_the_predictor():
     pol.choose_victim(view)
     # observed live distance 2 under a fresh ceiling of 4: one
     # observation is enough in the lowering direction
-    assert pol.stable_distance(11) == 2
+    assert pol.stable_distance(11, 0) == 2
 
 
 # -- hit bookkeeping ----------------------------------------------------------
@@ -243,14 +243,14 @@ def test_sampler_misses_vote_on_psel_and_followers_read_the_winner():
     bop_sampler, rop_sampler, follower = (
         make_view(pol, [(0, 9, 9)] * 4, set_index=s) for s in (0, 2, 1))
     mid = pol.duel.mid
-    assert pol.duel.psel == mid - 1 and pol.winner == BOP  # BOP governs first
+    assert pol.duel.psel == mid - 1 and pol.duel.winner() == BOP  # BOP governs first
     pol.decide_insert(bop_sampler)  # a BOP miss moves PSEL toward ROP
-    assert pol.duel.psel == mid and pol.winner == ROP
+    assert pol.duel.psel == mid and pol.duel.winner() == ROP
     pol.stable[ROP][7], pol.stable[BOP][7] = 0, 3
     assert not pol.decide_insert(follower)  # the follower predicts with ROP's table
     assert pol.duel.psel == mid  # and casts no vote
     pol.decide_insert(rop_sampler)  # a ROP miss moves it back
-    assert pol.duel.psel == mid - 1 and pol.winner == BOP
+    assert pol.duel.psel == mid - 1 and pol.duel.winner() == BOP
     assert pol.decide_insert(follower) and pol._pending_pld == 3
 
 
@@ -276,6 +276,15 @@ def test_constructor_rejects_bad_base_and_mode():
         LeewayPolicy(base="fifo")
     with pytest.raises(ValueError):
         LeewayPolicy(mode="adaptive")
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static-bop"])
+def test_constructor_rejects_fewer_than_one_sampler_set(mode):
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            LeewayPolicy(mode=mode, sampler_sets=count)
+    assert leeway(mode, sets=8, sampler_sets=1).sampler_bank == (
+        {0: BOP, 4: ROP} if mode == "dynamic" else {0: BOP})
 
 
 def test_names_follow_base_and_mode():

@@ -414,13 +414,18 @@ def test_ship_oscillates_with_reuse():
 
 
 def test_pin_reserves_the_stated_share_of_ways():
+    """ways x percent / 100 ways, a half rounded up: pin25 reserves one
+    of two ways and pin50 the one way of a 1-way cache."""
     pol = PinPolicy(50)
     pol.reset(CacheGeometry(4, 16, 64), SplitMix64(0))
     assert pol.reserved == 8
-    for percent, expected in ((25, 4), (75, 12), (100, 16)):
+    for percent, ways, expected in (
+            (25, 16, 4), (75, 16, 12), (100, 16, 16), (25, 2, 1), (25, 6, 2), (25, 10, 3),
+            (25, 14, 4), (25, 3, 1), (25, 5, 1), (50, 1, 1), (50, 3, 2), (50, 5, 3),
+            (50, 13, 7), (75, 2, 2), (75, 6, 5), (75, 14, 11), (100, 1, 1)):
         p = PinPolicy(percent)
-        p.reset(CacheGeometry(4, 16, 64), SplitMix64(0))
-        assert p.reserved == expected
+        p.reset(CacheGeometry(4, ways, 64), SplitMix64(0))
+        assert p.reserved == expected, (percent, ways)
 
 
 def test_pinned_blocks_survive_a_long_unhinted_stream():

@@ -13,10 +13,12 @@ DRRIP-m and pinning over DRRIP-3 are also checked on 128-512 sets,
 where leader sets vote and follower sets insert as the winner.  Dynamic
 Leeway's duel of its two predictor banks on a PSEL (Faldu & Grot, PACT
 2017) is checked by the bank that each miss predicts with, on caches
-with follower sets.  Belady's MIN, with and without bypass (Belady,
-IBM Sys. J. 1966), is checked by its four counters against
-`opt_oracle` on traces dense in back-to-back re-references within a
-set.
+with follower sets, and all of Leeway, over LRU and NRU, static and
+dynamic, by a flat model of its per-PC live-distance table, whose
+eviction log also marks each victim predicted dead.  Belady's MIN,
+with and without bypass (Belady, IBM Sys. J. 1966), is checked by its
+four counters against `opt_oracle` on traces dense in back-to-back
+re-references within a set.
 """
 
 import random
@@ -38,7 +40,9 @@ INSERTION_BUDGET_S = 6.0  # the LIP/BIP test and the DIP test each, as long as t
 BELADY_EXAMPLES, BELADY_BUDGET_S = 200, 6.0
 LEEWAY_PSEL_EXAMPLES, LEEWAY_PSEL_BUDGET_S = 200, 6.0
 FOLLOWER_EXAMPLES, FOLLOWER_BUDGET_S = 300, 6.0
+LEEWAY_EXAMPLES, LEEWAY_BUDGET_S = 300, 6.0
 BYPASSED = "bypassed"  # a log entry's victim slot for a miss left out of the cache
+DEAD = "dead"  # (DEAD, block) in a victim slot: an eviction the policy predicted dead
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -223,11 +227,11 @@ def set_dueling_model(accesses, num_sets, ways, name, seed):
     miss fills the lowest empty way, else evicts the lowest way at
     2^M - 1 after aging every candidate way by one until one gets there;
     a fills at 2^M - 2, b there with probability 1/32, else at 2^M - 1.
-    pinP reserves round(ways * P / 100) ways of each set: a High-Reuse
-    miss with a reserved way left fills and pins its way, which is then
-    never a candidate and keeps its block for the run (it still takes
-    its side's draw); any other miss fills while a way is unpinned and
-    is bypassed once every way is pinned."""
+    pinP reserves ways * P / 100 ways of each set, a half rounded up: a
+    High-Reuse miss with a reserved way left fills and pins its way,
+    which is then never a candidate and keeps its block for the run (it
+    still takes its side's draw); any other miss fills while a way is
+    unpinned and is bypassed once every way is pinned."""
     rng = SplitMix64(seed)
     pairs = min(32, num_sets // 2)
     stride = num_sets // (2 * pairs)
@@ -235,7 +239,7 @@ def set_dueling_model(accesses, num_sets, ways, name, seed):
     psel = 511
     stack = name == "dip"
     top = (1 << (2 if name == "drrip2" else 3)) - 1
-    reserved = round(ways * int(name[3:]) / 100) if name.startswith("pin") else 0
+    reserved = (ways * int(name[3:]) + 50) // 100 if name.startswith("pin") else 0
     sets = [([] if stack else [None] * ways, [0] * ways, [False] * ways) for _ in range(num_sets)]
     out = []
     for b, high in accesses:
@@ -330,10 +334,141 @@ def leeway_psel_model(miss_sets, num_sets, sampler_sets):
     return out
 
 
-def engine_log(name, blocks, num_sets, ways, seed=0, high=None):
+def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
+    """Leeway (Faldu & Grot, PACT 2017) per access: (hit, victim), the
+    victim None, a block, (DEAD, block) or BYPASSED.
+
+    accesses are (block, pc) pairs.  The base ("lru" or "nruK") sets a
+    way's depth: its 1-based position in the set's recency stack, or its
+    K-bit NRU class.  top is the deepest depth: ways, or 2^K - 1.
+
+    Each bank of the predictor keeps, per PC, a stable live distance
+    (top until trained), a variance count and a direction.  Training a
+    bank with an observed distance: equal to the stable one, the count
+    goes to 0; otherwise, in the direction of the last update with a
+    non-zero count the count goes up by 1, in the other it restarts at 1
+    and the direction flips; at the bank's threshold for that direction
+    (up, down) the stable distance becomes the observed one and the count
+    goes to 0.  Banks: bop (7, 1) with retrain probability 0.01, rop
+    (1, 7) with 0.03, vtt7 (7, 7) with 0.01.  "dynamic" runs bop as bank
+    0 and rop as bank 1; "static-X" runs X alone as bank 0.
+
+    Dynamic mode: min(sampler_sets, num_sets // 2) pairs of sampler sets
+    lie num_sets / (2 * pairs) sets apart from set 0, alternately bank 0's
+    and 1's; a sampler miss moves the 10-bit PSEL (starting at 511,
+    saturating at 0 and 1023) up for bank 0 and down for bank 1 and runs
+    its own bank, a follower miss runs bank 1 while PSEL >= 512, else
+    bank 0.  With no pair (one set) and in static mode, PSEL never moves,
+    and min(sampler_sets, num_sets) sampler sets lie num_sets // that
+    apart from set 0, all training bank 0.
+
+    A miss looks up its PC's stable distance in the bank it runs: at 0
+    it is bypassed, except in a sampler set, where a draw below the
+    bank's retrain probability fills it with predicted distance 0;
+    otherwise it fills with the stable distance as its prediction.  A
+    fill into a full set first picks its victim: the ways whose depth
+    exceeds their block's prediction are dead, and the dead way of the
+    smallest prediction, then the deepest, then the lowest goes;
+    with none dead, the base picks (LRU: the stack's last way; NRU: age
+    every class by one until one is at top, then the lowest way at top,
+    or a draw among them when several are there).  In a sampler set the
+    victim's block trains the set's bank with its observed distance.  A
+    fill goes to the stack's front or to class 0, with observed distance
+    0.  A hit raises its block's prediction, and in a sampler set its
+    observed distance, to the way's depth before the hit moves it to the
+    front or to class 0.  Retrain draws and NRU ties share the run's one
+    generator, in the order the access makes them."""
+    rng = SplitMix64(seed)
+    lru = base == "lru"
+    top = ways if lru else (1 << int(base[3:])) - 1
+    rules = {"bop": ((7, 1), 0.01), "rop": ((1, 7), 0.03), "vtt7": ((7, 7), 0.01)}
+    banks = [rules["bop"], rules["rop"]] if mode == "dynamic" else [rules[mode[len("static-"):]]]
+    pairs = min(sampler_sets, num_sets // 2) if mode == "dynamic" else 0
+    if pairs:
+        sampler = {i * (num_sets // (2 * pairs)): i % 2 for i in range(2 * pairs)}
+    else:
+        n = min(sampler_sets, num_sets)
+        sampler = {i * (num_sets // n): 0 for i in range(n)}
+    leaders = sampler if pairs else {}
+    psel = 511
+    stable, count, up = [{} for _ in banks], [{} for _ in banks], [{} for _ in banks]
+
+    def train(bank, pc, observed):
+        s = stable[bank].get(pc, top)
+        if observed == s:
+            count[bank][pc] = 0
+            return
+        rising = observed > s
+        if count[bank].get(pc, 0) and up[bank][pc] == rising:
+            count[bank][pc] += 1
+        else:
+            count[bank][pc], up[bank][pc] = 1, rising
+        if count[bank][pc] >= banks[bank][0][0 if rising else 1]:
+            stable[bank][pc], count[bank][pc] = observed, 0
+
+    # per set: resident block per way, the ways MRU first (LRU) or each
+    # way's class (NRU), and per way [prediction, observed, fill pc]
+    sets = [([], [], []) for _ in range(num_sets)]
+    out = []
+    for b, pc in accesses:
+        s = b % num_sets
+        resident, order, meta = sets[s]
+        if b in resident:
+            way = resident.index(b)
+            depth = order.index(way) + 1 if lru else order[way]
+            meta[way][0] = max(meta[way][0], depth)
+            if s in sampler:
+                meta[way][1] = max(meta[way][1], depth)
+            if lru:
+                order.insert(0, order.pop(order.index(way)))
+            else:
+                order[way] = 0
+            out.append((True, None))
+            continue
+        bank = leaders.get(s, int(psel >= 512))
+        if s in leaders:
+            psel = min(psel + 1, 1023) if bank == 0 else max(psel - 1, 0)
+        predicted = stable[bank].get(pc, top)
+        if predicted == 0 and not (s in sampler and rng.random() < banks[bank][1]):
+            out.append((False, BYPASSED))
+            continue
+        victim = None
+        if len(resident) < ways:
+            way = len(resident)
+            resident.append(b)
+            order.append(way if lru else 0)
+            meta.append(None)
+        else:
+            depths = [order.index(w) + 1 for w in range(ways)] if lru else list(order)
+            dead = [w for w in range(ways) if depths[w] > meta[w][0]]
+            if dead:
+                way = min(dead, key=lambda w: (meta[w][0], -depths[w], w))
+            elif lru:
+                way = order[-1]
+            else:
+                while top not in order:
+                    order[:] = [c + 1 for c in order]
+                at_top = [w for w in range(ways) if order[w] == top]
+                way = at_top[rng.next_u64() % len(at_top)] if len(at_top) > 1 else at_top[0]
+            victim = (DEAD, resident[way]) if dead else resident[way]
+            if s in sampler:
+                train(sampler[s], meta[way][2], meta[way][1])
+            resident[way] = b
+        if lru:
+            order.insert(0, order.pop(order.index(way)))
+        else:
+            order[way] = 0
+        meta[way] = [predicted, 0, pc]
+        out.append((False, victim))
+    return out
+
+
+def engine_log(name, blocks, num_sets, ways, seed=0, high=None, pcs=None, policy=None):
     """The same log, recorded from simulate through the policy's hooks;
-    high marks the accesses that carry a High-Reuse hint."""
-    policy = make_policy(name)
+    high marks the accesses that carry a High-Reuse hint, pcs gives each
+    access's program counter, and policy, if given, runs instead of the
+    named one."""
+    policy = make_policy(name) if policy is None else policy
     on_hit, choose_victim, on_insert = policy.on_hit, policy.choose_victim, policy.on_insert
     decide_insert = policy.decide_insert
     log, evicted = [], []
@@ -350,7 +485,8 @@ def engine_log(name, blocks, num_sets, ways, seed=0, high=None):
 
     def victim(view):
         way = choose_victim(view)
-        evicted.append(view.tags[way] * num_sets + view.set_index)
+        block = view.tags[way] * num_sets + view.set_index
+        evicted.append((DEAD, block) if policy.predicted_dead else block)
         return way
 
     def insert(view, way):
@@ -359,8 +495,10 @@ def engine_log(name, blocks, num_sets, ways, seed=0, high=None):
 
     policy.on_hit, policy.choose_victim, policy.on_insert = hit, victim, insert
     policy.decide_insert = decide
-    trace = Trace([MemoryAccess(64 * b, reuse_hint=ReuseHint.HIGH if h else ReuseHint.DEFAULT,
-                                hint_valid=h) for b, h in zip(blocks, high or [False] * len(blocks))])
+    trace = Trace([MemoryAccess(64 * b, pc_signature=pc, hint_valid=h,
+                                reuse_hint=ReuseHint.HIGH if h else ReuseHint.DEFAULT)
+                   for b, h, pc in zip(blocks, high or [False] * len(blocks),
+                                       pcs or [0] * len(blocks))])
     simulate(trace, CacheGeometry(num_sets, ways, 64), policy, seed=seed)
     return log
 
@@ -416,6 +554,49 @@ def leeway_psel_cases(draw):
 
 
 @st.composite
+def leeway_cases(draw):
+    """A block trace of 1-1500 accesses on 256 or 512 sets of 1-4 ways
+    with the default 64 sampler pairs, or on 1-16 sets of 1-8 ways with
+    1-4 sampler sets (pairs, if dynamic), and a Leeway base and mode.
+    Each set gets its own share of the accesses.  Program counters 0
+    and 1 read fresh blocks, a share of them touched once more after a
+    gap of other accesses to the set, short or long in turn every
+    `period` of them, so their live distances drift up and down; 2 and
+    3 draw from 1 to 3 x ways blocks of their own.  Each trace weights
+    the four, and gives a share of its accesses a random one."""
+    ways = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        num_sets, sampler_sets = draw(st.sampled_from([256, 512])), 64
+    else:
+        num_sets, sampler_sets = draw(st.sampled_from([1, 2, 4, 8, 16])), draw(st.integers(1, 4))
+        ways = draw(st.integers(1, 8))
+    base = draw(st.sampled_from(["lru", "nru"]))
+    base += str(draw(st.integers(1, 4))) if base == "nru" else ""
+    mode = draw(st.sampled_from(["dynamic", "static-bop", "static-rop", "static-vtt7"]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    weights = [rnd.random() ** 6 for _ in range(num_sets)]
+    pc_weights = [rnd.random() for _ in range(4)]
+    span = [rnd.randint(1, 3 * ways) for _ in range(num_sets)]
+    period, noise = rnd.randint(5, 100), rnd.random() ** 3
+    fresh, clock, due, accesses = [0] * num_sets, [0] * num_sets, [{} for _ in range(num_sets)], []
+    for s in rnd.choices(range(num_sets), weights, k=rnd.randint(1, 1500)):
+        clock[s] = t = clock[s] + 1
+        b = due[s].pop(t, None)
+        if b is None:
+            pc = rnd.choices(range(4), pc_weights)[0]
+            if pc < 2:
+                fresh[s] += 1
+                b = (4 * fresh[s] + pc) * num_sets + s
+                short = (t // period + pc) % 2
+                gap = rnd.randint(0, ways // 2) if short else rnd.randint(ways // 2, ways)
+                due[s].setdefault(t + 1 + gap, b)
+            else:
+                b = (4 * rnd.randrange(span[s]) + pc) * num_sets + s
+        accesses.append((b, rnd.randrange(4) if rnd.random() < noise else b // num_sets % 4))
+    return accesses, num_sets, ways, sampler_sets, base, mode
+
+
+@st.composite
 def follower_cases(draw):
     """A block trace of 1-2000 accesses on 128, 256 or 512 sets of 1-4
     ways, each set with its own share of the accesses and its own
@@ -441,6 +622,18 @@ def _check_set_dueling(case, name, run_seed):
     blocks, high = zip(*accesses)
     got = engine_log(name, blocks, num_sets, ways, seed=run_seed, high=high)
     assert got == set_dueling_model(accesses, num_sets, ways, name, run_seed)
+
+
+@seed(20261021)
+@settings(max_examples=LEEWAY_EXAMPLES, deadline=None, database=None)
+@given(leeway_cases(), st.integers(0, _U64))
+def _check_leeway(case, run_seed):
+    accesses, num_sets, ways, sampler_sets, base, mode = case
+    blocks, pcs = zip(*accesses)
+    policy = LeewayPolicy(base=base[:3], nru_bits=int(base[3:] or 2), mode=mode,
+                          sampler_sets=sampler_sets)
+    got = engine_log(None, blocks, num_sets, ways, seed=run_seed, pcs=pcs, policy=policy)
+    assert got == leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, run_seed)
 
 
 @seed(20261019)
@@ -566,3 +759,7 @@ def test_dueling_followers_insert_as_the_winner_and_pinned_ways_stay():
 
 def test_leeway_followers_run_the_bank_psel_favours():
     within_budget(_check_leeway_psel, LEEWAY_PSEL_BUDGET_S)
+
+
+def test_leeway_matches_the_live_distance_model_access_for_access():
+    within_budget(_check_leeway, LEEWAY_BUDGET_S)
