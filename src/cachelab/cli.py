@@ -27,29 +27,25 @@ class CliError(ValueError):
     pass
 
 
+_PATTERN_FIELDS = {"k": "k", "n": "n", "base": "base_address", "stride": "stride",
+                   "pc": "pc_signature"}
+
+
 def parse_pattern(text):
     """'thrash:k=32,n=64[,base=0,stride=64,pc=0]' -> PatternSpec."""
     kind, _, rest = text.partition(":")
-    fields = {"k": None, "n": 1, "base": 0, "stride": 64, "pc": 0}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if key not in fields or not value:
-                raise CliError("bad pattern field %r" % item)
-            try:
-                fields[key] = int(value, 0)
-            except ValueError:
-                raise CliError("bad pattern value %r" % item) from None
-    if fields["k"] is None:
+    fields = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        if key not in _PATTERN_FIELDS or not value:
+            raise CliError("bad pattern field %r" % item)
+        try:
+            fields[_PATTERN_FIELDS[key]] = int(value, 0)
+        except ValueError:
+            raise CliError("bad pattern value %r" % item) from None
+    if "k" not in fields:
         raise CliError("pattern needs k=<count>")
-    return PatternSpec(
-        kind=kind,
-        k=fields["k"],
-        n=fields["n"],
-        base_address=fields["base"],
-        stride=fields["stride"],
-        pc_signature=fields["pc"],
-    )
+    return PatternSpec(kind, **fields)
 
 
 def parse_abr(text):
@@ -101,22 +97,33 @@ def _geometry(args):
     return CacheGeometry(args.sets, args.ways, args.block)
 
 
-def _emit(text, args):
+# each CLI table's columns, [(name, %-format)], read from its rows' dicts
+REPORT_COLUMNS = [("policy", "%s"), ("accesses", "%d"), ("hits", "%d"), ("misses", "%d"),
+                  ("bypasses", "%d"), ("evictions", "%d"), ("coverage", "%.6f"),
+                  ("accuracy", "%.6f"), ("miss_per_kilo_access", "%.6f"), ("mpki", "%.6f")]
+COMPARE_COLUMNS = [("policy", "%s"), ("misses", "%d"), ("eliminated_pct", "%.4f"),
+                   ("coverage", "%.6f"), ("accuracy", "%.6f")]
+
+
+def _emit(args, columns, rows, document=None):
+    """Write rows (dicts) as CSV under columns or, with --format json,
+    document (by default the rows) as JSON, to --out or stdout."""
+    if args.format == "json":
+        text = json.dumps(rows if document is None else document, sort_keys=True, indent=2)
+    else:
+        text = "\n".join([",".join(name for name, _ in columns)]
+                         + [",".join(fmt % row[name] for name, fmt in columns) for row in rows])
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
     else:
         print(text)
+    return 0
 
 
 def _emit_report(report, args):
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args)
-    else:
-        _emit(report.CSV_HEADER + "\n" + report.csv_row(), args)
-    return 0
+    d = report.to_dict()
+    return _emit(args, REPORT_COLUMNS, [d], d)
 
 
 def _run_policy(name, trace, geometry, args, abrs, by_class=False):
@@ -153,12 +160,7 @@ def cmd_compare(args):
     if baseline not in names:
         names.insert(0, baseline)
     reports = [_run_policy(n, trace, geometry, args, abrs) for n in names]
-    rows = metrics.compare_reports(reports, baseline=baseline)
-    if args.format == "json":
-        _emit(json.dumps(rows, sort_keys=True, indent=2), args)
-    else:
-        _emit("\n".join([metrics.COMPARE_HEADER] + metrics.compare_csv_rows(rows)), args)
-    return 0
+    return _emit(args, COMPARE_COLUMNS, metrics.compare_reports(reports, baseline=baseline))
 
 
 def cmd_gen_trace(args):
@@ -190,18 +192,10 @@ def cmd_gen_trace(args):
     return 0
 
 
-def _load_graph(path, direction):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == graphmod.CSR_MAGIC:
-        return graphmod.read_csr(path, direction)
-    return graphmod.load_edge_list(path, direction)
-
-
 def cmd_reorder(args):
     if not args.kind or not args.out:
         raise CliError("--kind and --out are required (flag or config)")
-    graph = _load_graph(args.input, args.direction)
+    graph = graphmod.load_graph(args.input, args.direction)
     kind = args.kind
     if kind == "rv":
         remap = graphmod.random_reorder(graph, 0, seed=args.seed)
@@ -230,28 +224,14 @@ def cmd_stats(args):
     if bool(args.graph) == bool(args.trace or args.gen):
         raise CliError("need --graph or a trace source")
     if args.graph:
-        graph = _load_graph(args.graph, args.direction)
+        graph = graphmod.load_graph(args.graph, args.direction)
         m = graphmod.skew_metrics(graph, prop_bytes=args.prop_bytes, block_bytes=args.block)
-        if args.format == "json":
-            _emit(json.dumps(m, sort_keys=True, indent=2), args)
-        else:
-            keys = sorted(m)
-            _emit(",".join(keys) + "\n" + ",".join("%.6g" % m[k] for k in keys), args)
-        return 0
-    trace = _load_source(args)
-    hist = metrics.reuse_distance_distribution(trace, _geometry(args))
-    rows = metrics.histogram_rows(hist, cumulative=args.cumulative)
-    header = "distance,fraction" if args.cumulative else "distance,count"
-    body = [
-        "%s,%s"
-        % (
-            "inf" if d == math.inf else "%d" % d,
-            ("%.6f" % v) if args.cumulative else "%d" % v,
-        )
-        for d, v in rows
-    ]
-    _emit("\n".join([header] + body), args)
-    return 0
+        return _emit(args, [(k, "%.6g") for k in sorted(m)], [m], m)
+    hist = metrics.reuse_distance_distribution(_load_source(args), _geometry(args))
+    value = ("fraction", "%.6f") if args.cumulative else ("count", "%d")
+    rows = [{"distance": "inf" if d == math.inf else d, value[0]: v}
+            for d, v in metrics.histogram_rows(hist, cumulative=args.cumulative)]
+    return _emit(args, [("distance", "%s"), value], rows)
 
 
 def build_parser():

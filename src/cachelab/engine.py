@@ -230,25 +230,6 @@ class SimReport:
             return 0.0
         return 1000.0 * self.misses / self.total_instructions
 
-    CSV_HEADER = (
-        "policy,accesses,hits,misses,bypasses,evictions,"
-        "coverage,accuracy,miss_per_kilo_access,mpki"
-    )
-
-    def csv_row(self):
-        return "%s,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f" % (
-            self.policy,
-            self.accesses,
-            self.hits,
-            self.misses,
-            self.bypasses,
-            self.evictions,
-            self.coverage,
-            self.accuracy,
-            self.miss_per_kilo_access,
-            self.mpki,
-        )
-
     def to_dict(self):
         d = {
             "policy": self.policy,

@@ -14,14 +14,13 @@ holding the vertex, hottest first, so within a group original order is
 kept.
 """
 
-import os
+import io
 import random
-import stat
 import struct
 
 import numpy as np
 
-from cachelab.trace import RECORD_DTYPE, Trace, pack_flags
+from cachelab.trace import RECORD_DTYPE, Trace, pack_flags, read_body
 
 CSR_MAGIC = b"CSR1"
 MAX_REMAP_VERTICES = 3_037_000_499  # apply_remap's key range: V * V - 1 < 2**63
@@ -92,39 +91,51 @@ class CsrGraph:
 
 def load_edge_list(path, direction="in"):
     """Parse 'src dst' lines ('#' starts a comment) into a CsrGraph."""
+    with open(path) as fh:
+        return _edge_list(fh, direction)
+
+
+def load_graph(path, direction="in"):
+    """A CSR file, or an edge list when the first four bytes are not the
+    CSR magic.  The input is opened once and read in order, so it may be
+    a pipe; read(4), unlike peek, waits for four bytes a pipe has not yet
+    delivered."""
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+        if head == CSR_MAGIC:
+            return _read_csr(fh, head, direction)
+        return _edge_list(io.TextIOWrapper(io.BytesIO(head + fh.read())), direction)
+
+
+def _edge_list(lines, direction):
     srcs = []
     dsts = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise EdgeListError("line %d: expected 'src dst'" % lineno)
-            try:
-                s, d = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListError("line %d: non-integer vertex id" % lineno) from None
-            if s < 0 or d < 0:
-                raise EdgeListError("line %d: negative vertex id" % lineno)
-            if s >= 1 << 64 or d >= 1 << 64:
-                raise EdgeListError("line %d: vertex id overflows u64" % lineno)
-            srcs.append(s)
-            dsts.append(d)
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise EdgeListError("line %d: expected 'src dst'" % lineno)
+        try:
+            s, d = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListError("line %d: non-integer vertex id" % lineno) from None
+        if s < 0 or d < 0:
+            raise EdgeListError("line %d: negative vertex id" % lineno)
+        if s >= 1 << 64 or d >= 1 << 64:
+            raise EdgeListError("line %d: vertex id overflows u64" % lineno)
+        srcs.append(s)
+        dsts.append(d)
     if not srcs:
         return CsrGraph([0], [], direction)
-    src = np.array(srcs, dtype=np.int64)
-    dst = np.array(dsts, dtype=np.int64)
-    top = int(max(src.max(), dst.max()))
-    distinct = len(np.unique(np.concatenate([src, dst])))
-    if top + 1 > 10 * distinct:
-        # sparse id space: compact ids to 0..V-1 in sorted order
-        ids = np.unique(np.concatenate([src, dst]))
-        src = np.searchsorted(ids, src)
-        dst = np.searchsorted(ids, dst)
-        top = len(ids) - 1
-    return _csr_from_pairs(src, dst, top + 1, direction)
+    pairs = np.array([srcs, dsts], dtype=np.uint64)
+    ids = np.unique(pairs)
+    v_count = int(ids[-1]) + 1
+    if v_count > 10 * len(ids):
+        # sparse id space (any id from 2**63 up): compact ids to 0..V-1 in sorted order
+        pairs, v_count = np.searchsorted(ids, pairs), len(ids)
+    return _csr_from_pairs(*pairs.astype(np.int64, copy=False), v_count, direction)
 
 
 def _csr_from_pairs(src, dst, v_count, direction):
@@ -147,21 +158,20 @@ def write_csr(graph, path):
 
 def read_csr(path, direction="in"):
     with open(path, "rb") as fh:
-        head = fh.read(20)
-        if len(head) < 20:
-            raise CsrTruncatedError("file shorter than CSR header")
-        if head[:4] != CSR_MAGIC:
-            raise CsrMagicError("bad magic %r" % (head[:4],))
-        v_count, e_count = struct.unpack_from("<QQ", head, 4)
-        st = os.fstat(fh.fileno())
-        piped = None if stat.S_ISREG(st.st_mode) else fh.read()  # a pipe's size comes from reading
-        size = st.st_size if piped is None else 20 + len(piped)
-        expected = 20 + 8 * (v_count + 1 + e_count)
-        if size != expected:
-            raise CsrTruncatedError("CSR holds %d bytes, header promises %d" % (size, expected))
-        # u64 values past 2**63 wrap into int64 as astype does; the graph rejects them
-        body = (np.fromfile(fh, "<u8", count=v_count + 1 + e_count) if piped is None
-                else np.frombuffer(bytearray(piped), "<u8")).view(np.int64)
+        return _read_csr(fh, fh.read(4), direction)
+
+
+def _read_csr(fh, head, direction):
+    """The CSR file fh, of which head, its first bytes, were read already."""
+    head += fh.read(20 - len(head))
+    if len(head) < 20:
+        raise CsrTruncatedError("file shorter than CSR header")
+    if head[:4] != CSR_MAGIC:
+        raise CsrMagicError("bad magic %r" % (head[:4],))
+    v_count, e_count = struct.unpack_from("<QQ", head, 4)
+    # u64 values past 2**63 wrap into int64 as astype does; the graph rejects them
+    body = read_body(fh, head, "<u8", v_count + 1 + e_count, "CSR", CsrTruncatedError)
+    body = body.view(np.int64)
     return CsrGraph(body[: v_count + 1], body[v_count + 1 :], direction)
 
 
@@ -174,13 +184,11 @@ def write_remap(remap, path):
 
 def read_remap(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise CsrTruncatedError("file shorter than remap header")
-    (v_count,) = struct.unpack_from("<Q", data, 0)
-    if len(data) != 8 + 8 * v_count:
-        raise CsrTruncatedError("remap length does not match header")
-    remap = np.frombuffer(data, dtype="<u8", offset=8)
+        head = fh.read(8)
+        if len(head) < 8:
+            raise CsrTruncatedError("file shorter than remap header")
+        (v_count,) = struct.unpack("<Q", head)
+        remap = read_body(fh, head, "<u8", v_count, "remap", CsrTruncatedError)
     if not np.array_equal(np.sort(remap), np.arange(v_count, dtype=np.uint64)):
         raise GraphError("remap is not a permutation")
     return remap.astype(np.int64)

@@ -134,13 +134,3 @@ def compare_reports(reports, baseline="lru"):
         for r in reports
     ]
 
-
-COMPARE_HEADER = "policy,misses,eliminated_pct,coverage,accuracy"
-
-
-def compare_csv_rows(rows):
-    return [
-        "%s,%d,%.4f,%.6f,%.6f"
-        % (r["policy"], r["misses"], r["eliminated_pct"], r["coverage"], r["accuracy"])
-        for r in rows
-    ]

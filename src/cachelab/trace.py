@@ -264,6 +264,20 @@ def write_trace(trace, path):
         trace.records.tofile(fh)
 
 
+def read_body(fh, head, dtype, count, what, error):
+    """The `count` items of `dtype` after `head`, the header already read
+    from fh, whose file must hold exactly both (else `error`).  A regular
+    file's size comes from fstat and its body goes straight into the
+    array; a pipe tells its size only by being read to the end."""
+    expected = len(head) + np.dtype(dtype).itemsize * count
+    st = os.fstat(fh.fileno())
+    body = None if stat.S_ISREG(st.st_mode) else fh.read()
+    size = st.st_size if body is None else len(head) + len(body)
+    if size != expected:
+        raise error("%s holds %d bytes, header promises %d" % (what, size, expected))
+    return np.fromfile(fh, dtype, count) if body is None else np.frombuffer(body, dtype)
+
+
 def read_trace(path):
     """Load a binary trace, rejecting every file outside the format."""
     with open(path, "rb") as fh:
@@ -277,22 +291,4 @@ def read_trace(path):
             raise BadVersionError("unsupported trace version %d" % version)
         if reserved != b"\0\0\0":
             raise MalformedTraceError("nonzero reserved header bytes")
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            body = None
-            size = st.st_size
-        else:  # a pipe tells its length only by being read to the end
-            body = fh.read()
-            size = _HEADER.size + len(body)
-        expected = _HEADER.size + RECORD_DTYPE.itemsize * count
-        if size < expected:
-            raise TruncatedTraceError(
-                "trace holds %d bytes, header promises %d" % (size, expected)
-            )
-        if size > expected:
-            raise TruncatedTraceError("%d trailing bytes after last record" % (size - expected))
-        if body is None:
-            records = np.fromfile(fh, dtype=RECORD_DTYPE, count=count)
-        else:
-            records = np.frombuffer(body, dtype=RECORD_DTYPE)
-    return Trace(records)
+        return Trace(read_body(fh, head, RECORD_DTYPE, count, "trace", TruncatedTraceError))

@@ -1,6 +1,10 @@
 """Command line front end: argument parsing, subcommands, config files."""
 
+import contextlib
 import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -11,7 +15,7 @@ from cachelab.engine import CacheGeometry, simulate
 from cachelab.grasp import RegionMap
 from cachelab.metrics import compare_reports
 from cachelab.policies import make_policy
-from cachelab.trace import read_trace, write_trace
+from cachelab.trace import PatternSpec, read_trace, write_trace
 
 
 def run(capsys, *argv):
@@ -28,12 +32,25 @@ def test_parse_pattern_full_form():
     assert spec.stride == 128
     assert spec.pc_signature == 7
     assert parse_pattern("stream:k=5").n == 1
+    # fields left out take PatternSpec's own defaults
+    assert parse_pattern("thrash:k=3") == PatternSpec("thrash", 3)
+    assert parse_pattern("recency:pc=7,k=3,base=0x40") == PatternSpec(
+        "recency", 3, base_address=64, pc_signature=7)
 
 
 def test_parse_pattern_rejects_garbage():
-    for bad in ("thrash", "thrash:n=4", "thrash:k=", "thrash:k=two", "thrash:q=1,k=2"):
-        with pytest.raises(CliError):
+    for bad, message in (
+        ("thrash", "pattern needs k=<count>"),
+        ("thrash:n=4", "pattern needs k=<count>"),
+        ("thrash:k=", "bad pattern field 'k='"),
+        ("thrash:k=two", "bad pattern value 'k=two'"),
+        ("thrash:q=1,k=2", "bad pattern field 'q=1'"),
+        ("thrash:k=2,", "bad pattern field ''"),
+        ("thrash:base_address=64,k=2", "bad pattern field 'base_address=64'"),
+    ):
+        with pytest.raises(CliError) as error:
             parse_pattern(bad)
+        assert str(error.value) == message, bad
     with pytest.raises(ValueError):
         parse_pattern("wavy:k=3")
 
@@ -401,3 +418,114 @@ def test_simulate_with_hinted_regions_reports_per_class_stats(capsys):
     data = json.loads(out)
     assert "hint_class_accesses" in data
     assert sum(data["hint_class_accesses"].values()) == data["accesses"]
+
+
+SIMULATE_HEADER = "policy,accesses,hits,misses,bypasses,evictions,coverage,accuracy," \
+    "miss_per_kilo_access,mpki\n"
+RECENCY = ("--gen", "recency:k=40,n=6,stride=128,pc=9", "--sets", "4", "--ways", "4")
+THRASH = ("--gen", "thrash:k=24,n=16", "--sets", "1", "--ways", "16")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("simulate", "--policy", "leeway-lru") + RECENCY, SIMULATE_HEADER
+     + "leeway-lru,480,87,393,381,4,0.250000,1.000000,818.750000,818.750000\n"),
+    (("simulate", "--policy", "drrip3") + THRASH, SIMULATE_HEADER
+     + "drrip3,384,223,161,0,145,0.000000,0.000000,419.270833,419.270833\n"),
+    (("opt", "--bypass") + THRASH, SIMULATE_HEADER
+     + "opt-bypass,384,240,144,120,8,0.000000,0.000000,375.000000,375.000000\n"),
+    (("compare", "--policies", "lip,leeway-lru,drrip3,opt") + RECENCY,
+     "policy,misses,eliminated_pct,coverage,accuracy\n"
+     "lru,392,0.0000,0.000000,0.000000\n"
+     "lip,414,-5.6122,0.000000,0.000000\n"
+     "leeway-lru,393,-0.2551,0.250000,1.000000\n"
+     "drrip3,392,0.0000,0.000000,0.000000\n"
+     "opt,392,0.0000,0.000000,0.000000\n"),
+    (("compare", "--policies", "lip,drrip3,opt") + THRASH,
+     "policy,misses,eliminated_pct,coverage,accuracy\n"
+     "lru,384,0.0000,0.000000,0.000000\n"
+     "lip,159,58.5938,0.000000,0.000000\n"
+     "drrip3,161,58.0729,0.000000,0.000000\n"
+     "opt,144,62.5000,0.000000,0.000000\n"),
+    (("stats", "--gen", "recency:k=6,n=2", "--sets", "2", "--ways", "8"),
+     "distance,count\n1,6\n2,6\n3,6\ninf,6\n"),
+    (("stats", "--gen", "recency:k=6,n=2", "--sets", "2", "--ways", "8", "--cumulative"),
+     "distance,fraction\n1,0.250000\n2,0.500000\n3,0.750000\ninf,1.000000\n"),
+    (("stats", "--gen", "thrash:k=24,n=2", "--sets", "2", "--ways", "8"),
+     "distance,count\n12,24\ninf,24\n"),
+])
+def test_csv_tables_keep_their_bytes(tmp_path, capsys, argv, expected):
+    """Golden CSV output, on stdout and in an --out file alike."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+    out_file = tmp_path / "table.csv"
+    assert run(capsys, *argv, "--out", str(out_file))[:2] == (0, "")
+    assert out_file.read_bytes() == expected.encode()
+
+
+def test_stats_graph_tables_keep_their_bytes(tmp_path, capsys):
+    csr = tmp_path / "g.csr"
+    graphmod.write_csr(graphmod.synth_powerlaw(300, 4, seed=5), csr)
+    code, out, _ = run(capsys, "stats", "--graph", str(csr))
+    assert (code, out) == (0, "avg_hot_per_block,hot_edge_coverage,hot_footprint_bytes,"
+                              "hot_fraction\n2.27273,0.746998,600,0.25\n")
+    code, out, _ = run(capsys, "stats", "--graph", str(csr), "--format", "json")
+    assert (code, out) == (0, '{\n  "avg_hot_per_block": 2.272727272727273,\n'
+                              '  "hot_edge_coverage": 0.7469982847341338,\n'
+                              '  "hot_footprint_bytes": 600,\n  "hot_fraction": 0.25\n}\n')
+
+
+def test_stats_json_on_a_trace_names_first_touches_inf(capsys):
+    source = ("stats", "--gen", "recency:k=6,n=2", "--sets", "2", "--ways", "8",
+              "--format", "json")
+    code, out, _ = run(capsys, *source)
+    assert code == 0
+    assert "Infinity" not in out
+    assert json.loads(out) == [{"distance": 1, "count": 6}, {"distance": 2, "count": 6},
+                               {"distance": 3, "count": 6}, {"distance": "inf", "count": 6}]
+    code, out, _ = run(capsys, *source, "--cumulative")
+    assert json.loads(out)[-1] == {"distance": "inf", "fraction": 1.0}
+
+
+@contextlib.contextmanager
+def piped(data, first):
+    """A /dev/fd path reading data from a pipe: the first `first` bytes
+    in one write, the rest in a second write a little later."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            os.write(w, data[:first])
+            time.sleep(0.05)
+            os.write(w, data[first:])  # far below the pipe's buffer, so this cannot block
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield "/dev/fd/%d" % r
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("first", [1, 4, 1 << 16])
+def test_reorder_and_stats_read_graphs_from_pipes(tmp_path, capsys, first):
+    """A piped CSR file or edge list gives the bytes its file gives, even
+    when the pipe delivers fewer than four bytes first."""
+    edges = tmp_path / "g.txt"
+    edges.write_text("".join("%d %d\n" % (i % 7, (i + 3) % 16) for i in range(40)))
+    csr = tmp_path / "g.csr"
+    graphmod.write_csr(graphmod.synth_uniform(64, 3, seed=2), csr)
+    for source in (edges, csr):
+        want, got = tmp_path / "want.csr", tmp_path / "got.csr"
+        argv = ("reorder", "--kind", "dbg", "--out")
+        assert run(capsys, *argv, str(want), str(source))[0] == 0
+        with piped(source.read_bytes(), first) as path:
+            code, _, err = run(capsys, *argv, str(got), path)
+        assert (code, err) == (0, "")
+        assert got.read_bytes() == want.read_bytes(), source
+        expected = run(capsys, "stats", "--graph", str(source))
+        with piped(source.read_bytes(), first) as path:
+            assert run(capsys, "stats", "--graph", path) == expected

@@ -111,10 +111,14 @@ def test_load_edge_list_compacts_sparse_id_spaces(tmp_path):
     dense = tmp_path / "d.txt"
     dense.write_text("".join("%d %d\n" % (i, (i + 1) % 10) for i in range(10)))
     assert load_edge_list(dense).vertex_count == 10  # dense ids stay put
+    path.write_text("0 %d\n%d %d\n" % (1 << 63, 1 << 63, (1 << 64) - 1))
+    g = load_edge_list(path)
+    assert g.vertex_count == 3  # 0, 2**63 and 2**64 - 1, past int64 but within u64
+    assert [list(g.neighbors(v)) for v in range(3)] == [[], [0], [1]]
 
 
 def test_load_edge_list_rejects_malformed_lines(tmp_path):
-    for text in ("0\n", "0 1 2\n", "a b\n", "-1 2\n"):
+    for text in ("0\n", "0 1 2\n", "a b\n", "-1 2\n", "0 %d\n" % (1 << 64)):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(EdgeListError):
@@ -190,6 +194,21 @@ def test_remap_file_round_trip(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(CsrTruncatedError):
         read_remap(path)
+
+
+def test_read_remap_from_a_pipe(tmp_path):
+    remap, path = random_reorder(synth_uniform(100, 3, seed=1), seed=5), tmp_path / "m.remap"
+    write_remap(remap, path)
+    data = path.read_bytes()
+    for body in (data, data[:-4], data + b"\0" * 8, data[:6]):
+        r, w = os.pipe()
+        os.write(w, body)  # far below the pipe's buffer, so this cannot block
+        os.close(w)
+        if body == data:
+            assert np.array_equal(read_remap(r), remap)  # open() takes the descriptor
+        else:
+            with pytest.raises(CsrTruncatedError):
+                read_remap(r)
 
 
 @pytest.mark.parametrize("kind", ["csr", "remap"])

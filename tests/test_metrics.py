@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from cachelab.engine import CacheGeometry, simulate
 from cachelab.metrics import (
-    COMPARE_HEADER,
     ReportMismatchError,
-    compare_csv_rows,
     compare_reports,
     histogram_rows,
     reuse_distance_distribution,
@@ -215,12 +213,3 @@ def test_compare_reports_tells_apart_traces_with_equal_ends():
     with pytest.raises(ReportMismatchError):
         compare_reports([a, b], baseline="lru")
 
-
-def test_compare_csv_rows_shape():
-    g = CacheGeometry(2, 4, 64)
-    t = block_trace(list(range(20)) * 2)
-    reports = [simulate(t, g, make_policy(n)) for n in ("lru", "lip")]
-    rows = compare_csv_rows(compare_reports(reports))
-    assert len(rows) == 2
-    assert all(len(r.split(",")) == len(COMPARE_HEADER.split(",")) for r in rows)
-    assert rows[0].startswith("lru,")
