@@ -16,7 +16,7 @@ import numpy as np
 from cachelab.policies import DrripPolicy
 from cachelab.trace import ReuseHint
 
-VARIANTS = ("full", "insert-only", "hints")
+VARIANTS = {"full": "grasp", "insert-only": "grasp-insert", "hints": "grasp-hints"}  # -> name
 _ONE_STEP = (ReuseHint.MODERATE, ReuseHint.LOW)  # hit promotion of the full variant
 
 
@@ -72,12 +72,10 @@ class GraspPolicy(DrripPolicy):
     def __init__(self, abrs=(), variant="full"):
         super().__init__(m=3)
         if variant not in VARIANTS:
-            raise GraspConfigError("variant must be one of %s" % (VARIANTS,))
+            raise GraspConfigError("variant must be one of %s" % (tuple(VARIANTS),))
         self.abrs = tuple(abrs)
         self.variant = variant
-        self.name = {"full": "grasp", "insert-only": "grasp-insert", "hints": "grasp-hints"}[
-            variant
-        ]
+        self.name = VARIANTS[variant]
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)

@@ -1,7 +1,7 @@
 """Live-distance based dead block prediction layered on LRU or NRU.
 
 Each block's live distance is the deepest stack position (LRU base) or
-highest class value (NRU base) it reaches between fill and last hit; a
+NRU class plus one (NRU base) it reaches between fill and last hit; a
 block found past its PC's predicted live distance is considered dead.
 The predictor table keeps, per PC signature seen, a stable distance
 and a signed streak of observations above (+) or below (-) it; a match
@@ -22,7 +22,6 @@ a re-reference to the most recently used block has distance 1, so a
 stored distance of 0 is reserved for blocks never re-referenced.
 """
 
-from cachelab.engine import Policy
 from cachelab.policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
 
 BOP = 0  # the bypass-oriented bank of the dynamic mode
@@ -42,44 +41,45 @@ _MODES = {
 SAMPLER_SETS = 64
 
 
-class LeewayPolicy(Policy):
-    """Dead-block predicting replacement with per-PC live distances.
-
-    Wraps a base LRU or NRU policy, which owns view.state, promotion,
-    the fallback victim and each way's depth.  Leeway's own state per
+class LeewayPolicy:
+    """Dead-block predicting replacement with per-PC live distances, a
+    mixin ahead of the base class that owns view.state, promotion, the
+    fallback victim, each way's depth and the deepest one, max_depth:
+    `LeewayLruPolicy(LeewayPolicy, LruPolicy)`.  Leeway's own state per
     (set, way) is the entry [predicted, observed, pc]: the block's
     predicted live distance, its deepest depth seen at a sampler hit,
     and its fill signature.  The mode's rules fix its banks, two for
     "dynamic", else one, each a `stable` and a `streak` dict keyed by
-    PC.  `sampler_bank` maps each of up to sampler_sets (>= 1) sampler
-    sets to the bank it trains.  Dynamic samplers are `duel`'s leader
-    sets, and `duel.miss` gives each miss its bank, voting against a
-    sampler's own; followers run the winner.  A one-set cache and the
-    static modes have no leaders: their samplers train bank 0, which
-    every miss runs.
+    PC.  `sampler_bank` maps each sampler set to the bank it trains.
+    Dynamic samplers are `duel`'s leader sets, up to sampler_sets (>= 1)
+    pairs of them, and `duel.miss` gives each miss its bank, voting
+    against a sampler's own; followers run the winner.  A one-set cache
+    and the static modes have no leaders: their samplers, up to
+    sampler_sets of them, train bank 0, which every miss runs.
     """
 
-    def __init__(self, base="lru", nru_bits=2, mode="dynamic", sampler_sets=SAMPLER_SETS):
-        if base not in ("lru", "nru"):
-            raise ValueError("base must be 'lru' or 'nru'")
+    def __init__(self, mode="dynamic", sampler_sets=SAMPLER_SETS):
         if mode not in _MODES:
             raise ValueError("mode must be one of %s" % (tuple(_MODES),))
         if sampler_sets < 1:
             raise ValueError("sampler_sets must be at least 1")
-        self.base = LruPolicy() if base == "lru" else NruPolicy(nru_bits)
+        super().__init__()  # the base's, which names it
         self.sampler_cfg = sampler_sets
         self.dynamic = mode == "dynamic"
         self.vtt, self.retrain = map(list, zip(*_MODES[mode]))
-        suffix = "lru" if base == "lru" else "nru%d" % nru_bits
-        if self.dynamic:
-            self.name = "leeway-" + suffix
-        else:
-            self.name = "leeway-" + mode if base == "lru" else "leeway-%s-%s" % (suffix, mode)
+        if not self.dynamic:  # a static mode over LRU goes by the mode alone
+            self.name = mode if self.name == "lru" else self.name + "-" + mode
+        self.name = "leeway-" + self.name
+
+    def __init_subclass__(cls):
+        # the base's hooks, fetched once per class rather than by super() per access
+        base = super(LeewayPolicy, cls)
+        cls.base_hit, cls.base_insert = base.on_hit, base.on_insert
+        cls.base_victim = base.choose_victim
 
     def reset(self, geometry, rng):
         super().reset(geometry, rng)
-        self.base.reset(geometry, rng)
-        self.maxpos = geometry.ways if isinstance(self.base, LruPolicy) else self.base.rrpv_max
+        self.maxpos = self.max_depth
         self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: a PC's stable distance starts at the ceiling, so
         # an untrained PC is never bypassed and never flags blocks dead
@@ -116,17 +116,15 @@ class LeewayPolicy(Policy):
     def decide_insert(self, view):
         governing = self.duel.miss(view.set_index)
         stable = self.stable[governing].get(self.pcs[view.access_index], self.maxpos)
-        if stable == 0:
-            if view.set_index in self.sampler_bank and self.rng.random() < self.retrain[governing]:
-                self._pending_pld = 0  # retraining fill
-                return True
+        if stable == 0 and not (view.set_index in self.sampler_bank
+                                and self.rng.random() < self.retrain[governing]):
             return False
-        self._pending_pld = stable
+        self._pending_pld = stable  # 0 for a retraining fill
         return True
 
     def on_insert(self, view, way):
         self.blocks[view.set_index][way] = [self._pending_pld, 0, self.pcs[view.access_index]]
-        self.base.on_insert(view, way)
+        self.base_insert(view, way)
 
     def on_hit(self, view, way):
         sampler = view.set_index in self.sampler_bank
@@ -134,25 +132,33 @@ class LeewayPolicy(Policy):
         # observed never exceeds predicted and no depth exceeds maxpos, so
         # an entry already at maxpos has nothing left to raise
         if (entry[1] if sampler else entry[0]) < self.maxpos:
-            depth = self.base.depth(view, way)
+            depth = self.depth(view, way)
             if sampler and depth > entry[1]:
                 entry[1] = depth
             if depth > entry[0]:
                 entry[0] = depth
-        self.base.on_hit(view, way)
+        self.base_hit(view, way)
 
     def choose_victim(self, view):
         blocks = self.blocks[view.set_index]
         # min predicted distance first, then deepest, then lowest way
-        dead = [(blocks[w][0], -depth, w) for w, depth in enumerate(self.base.depths(view))
+        dead = [(blocks[w][0], -depth, w) for w, depth in enumerate(self.depths(view))
                 if depth > blocks[w][0]]
         if dead:
             way = min(dead)[2]
             self.predicted_dead = True
         else:
-            way = self.base.choose_victim(view)
+            way = self.base_victim(view)
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
             _, observed, pc = blocks[way]
             self._ldpt_update(bank_here, pc, observed)
         return way
+
+
+class LeewayLruPolicy(LeewayPolicy, LruPolicy):
+    """Leeway over LRU: depths are recency stack positions."""
+
+
+class LeewayNruPolicy(LeewayPolicy, NruPolicy):
+    """Leeway over NRU: depths are NRU classes plus one."""

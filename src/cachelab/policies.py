@@ -4,7 +4,7 @@ Families:
   recency   LRU, LIP, BIP over the set's recency stack, its ways most
             recently used first; they differ only in where a fill enters
   rrip      SRRIP, BRRIP over m-bit re-reference prediction values, and
-            k-bit Not-Recently-Used as k-bit RRIP that fills at 0
+            NRU as 1-bit RRIP that fills at 0 and draws among tied victims
   duel      DIP (LRU against BIP) and DRRIP (SRRIP against BRRIP): one
             set-dueling mixin ahead of the base class, whose hits and
             victims both sides share; the sides differ in insertion only
@@ -13,10 +13,8 @@ Families:
             pinned way held below every RRPV the victim scan can take
   random    uniform random victim
 
-NRU is RRIP's aging with a random tie (Jaleel et al., ISCA 2010): it
-draws among the ways at the top class from the run's seeded generator,
-where SRRIP and BRRIP take the lowest.  BIP's 1/32 throttle and the
-10-bit PSEL are those of Qureshi et al. (ISCA 2007).
+BIP's 1/32 throttle and the 10-bit PSEL are those of Qureshi et al.
+(ISCA 2007).
 
 SRRIP resists scans but not thrashing: like LRU, on a cyclic loop larger
 than a set it evicts every block before its reuse and scores zero hits.
@@ -120,6 +118,8 @@ class LruPolicy(Policy):
     def choose_victim(self, view):
         return view.state[-1]
 
+    max_depth = property(lambda self: self.geometry.ways)  # the deepest depth()
+
     def depth(self, view, way):
         """Stack depth of a filled way, 1 for the most recently used."""
         return view.state.index(way) + 1
@@ -216,7 +216,6 @@ class SrripPolicy(Policy):
     def __init__(self, m=2):
         if m < 1:
             raise ValueError("rrip needs at least 1 bit")
-        self.m = m
         self.rrpv_max = (1 << m) - 1
         self.name = "srrip%d" % m
 
@@ -237,31 +236,29 @@ class SrripPolicy(Policy):
 
 
 class NruPolicy(SrripPolicy):
-    """k-bit NRU as k-bit RRIP (Jaleel et al., ISCA 2010): fill and
-    promote to class 0, and evict at the top class after RRIP's aging,
-    a uniform draw from the run's generator when several ways are there."""
+    """Not-Recently-Used as 1-bit RRIP (Jaleel et al., ISCA 2010): fill
+    and promote to class 0, and evict at class 1 after RRIP's aging, a
+    uniform draw from the run's generator when several ways are there."""
 
-    def __init__(self, bits=1):
-        if bits < 1:
-            raise ValueError("nru needs at least 1 bit")
-        super().__init__(bits)
-        self.name = "nru%d" % bits
+    max_depth = 2  # the depth of a way at class 1
 
-    def on_insert(self, view, way):
-        view.state[way] = 0
+    def __init__(self):
+        super().__init__(1)  # so SRRIP's fill at rrpv_max - 1 is at class 0
+        self.name = "nru1"
 
     def choose_victim(self, view):
-        way, state, top = super().choose_victim(view), view.state, self.rrpv_max
-        if state.count(top) == 1:
+        way, state = super().choose_victim(view), view.state  # aged: a way is at class 1
+        if state.count(1) == 1:
             return way
-        return self.rng.choice([w for w, s in enumerate(state) if s == top])
+        return self.rng.choice([w for w, s in enumerate(state) if s])
 
     def depth(self, view, way):
-        """A way's class value, the depth Leeway counts live distances in."""
-        return view.state[way]
+        """A way's class plus one, the depth Leeway counts live distances
+        in, where 0 means never re-referenced."""
+        return view.state[way] + 1
 
     def depths(self, view):
-        return list(view.state)
+        return [s + 1 for s in view.state]
 
 
 class BrripPolicy(SrripPolicy):
@@ -390,10 +387,10 @@ class UnknownPolicyError(ValueError):
     pass
 
 
-def _leeway(**kw):
-    from cachelab.leeway import LeewayPolicy  # leeway.py and grasp.py import this module
+def _leeway(nru=False, **kw):
+    from cachelab import leeway  # leeway.py and grasp.py import this module
 
-    return LeewayPolicy(**kw)
+    return (leeway.LeewayNruPolicy if nru else leeway.LeewayLruPolicy)(**kw)
 
 
 def _grasp(variant, abrs):
@@ -404,14 +401,12 @@ def _grasp(variant, abrs):
 
 _CONSTRUCTORS = {  # command-line name -> constructor, in the order --help lists them
     "lru": LruPolicy, "lip": LipPolicy, "bip": BipPolicy, "dip": DipPolicy,
-    "random": RandomPolicy, "ship-mem": ShipMemPolicy,
-    **{"nru%d" % b: partial(NruPolicy, b) for b in (1, 2, 3, 4)},
+    "random": RandomPolicy, "ship-mem": ShipMemPolicy, "nru1": NruPolicy,
     **{kind + str(m): partial(cls, m)
        for kind, cls in (("srrip", SrripPolicy), ("brrip", BrripPolicy), ("drrip", DrripPolicy))
        for m in (2, 3)},
     **{"pin%d" % p: partial(PinPolicy, p) for p in (25, 50, 75, 100)},
-    "leeway-lru": partial(_leeway, base="lru"),
-    **{"leeway-nru%d" % b: partial(_leeway, base="nru", nru_bits=b) for b in (1, 2, 3, 4)},
+    "leeway-lru": _leeway, "leeway-nru1": partial(_leeway, nru=True),
     **{"leeway-" + mode: partial(_leeway, mode=mode)
        for mode in ("static-bop", "static-rop", "static-vtt7")},
     "grasp": partial(_grasp, "full"), "grasp-hints": partial(_grasp, "hints"),

@@ -18,7 +18,7 @@ import pytest
 from cachelab import graphs as G
 from cachelab.engine import CacheGeometry, SplitMix64, simulate
 from cachelab.grasp import GraspPolicy, RegionMap
-from cachelab.leeway import LeewayPolicy
+from cachelab.leeway import LeewayLruPolicy
 from cachelab.opt import opt_oracle
 from cachelab.policies import POLICY_NAMES, DrripPolicy, LruPolicy, make_policy
 from cachelab.trace import (
@@ -81,7 +81,7 @@ def test_ac01_live_distance_replay():
         trace = Trace([MemoryAccess(addr[c], pc_signature=pc[c]) for c in letters])
         geom = CacheGeometry(1, 8, 64)
 
-        class Recorder(LeewayPolicy):
+        class Recorder(LeewayLruPolicy):
             def __init__(self, **kw):
                 super().__init__(**kw)
                 self.hit_depths = []
@@ -89,7 +89,7 @@ def test_ac01_live_distance_replay():
                 self.outcomes = []
 
             def on_hit(self, view, way):
-                depth = self.base.depth(view, way)
+                depth = self.depth(view, way)
                 self.hit_depths.append((view.tags[way], depth))
                 self.outcomes.append(True)
                 super().on_hit(view, way)
@@ -104,7 +104,7 @@ def test_ac01_live_distance_replay():
                 self.evictions.append((view.tags[way], observed))
                 return way
 
-        pol = Recorder(base="lru", mode="static-bop")
+        pol = Recorder(mode="static-bop")
         rep = simulate(trace, geom, pol, seed=0)
 
         x_tag = addr["X"] // 64  # one set: the tag is the block number
@@ -387,7 +387,7 @@ def test_ac06_live_distance_training_convergence():
         trace = Trace(records)
         geom = CacheGeometry(SETS, WAYS, 64)
 
-        class Recorder(LeewayPolicy):
+        class Recorder(LeewayLruPolicy):
             def __init__(self, **kw):
                 super().__init__(**kw)
                 self.b_follower_misses = 0
@@ -404,7 +404,7 @@ def test_ac06_live_distance_training_convergence():
                         self.b_follower_bypasses += 1
                 return ok
 
-        pol = Recorder(base="lru", mode="static-bop", sampler_sets=8)
+        pol = Recorder(mode="static-bop", sampler_sets=8)
         rep = simulate(trace, geom, pol, seed=1)
 
         assert pol.stable_distance(PC_A, bank=0) == 3

@@ -273,7 +273,7 @@ def test_simulate_counter_conservation():
 def test_simulate_same_seed_reproduces_everything():
     g = CacheGeometry(8, 4, 64)
     t = random_trace(3)
-    for name in ("random", "bip", "nru2", "brrip3", "leeway-lru"):
+    for name in ("random", "bip", "nru1", "brrip3", "leeway-lru"):
         r1 = simulate(t, g, make_policy(name), seed=9)
         r2 = simulate(t, g, make_policy(name), seed=9)
         assert r1 == r2

@@ -4,12 +4,14 @@ dead-first victim selection, sampler/follower split, and dueling."""
 import pytest
 
 from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
-from cachelab.leeway import BOP, ROP, LeewayPolicy
+from cachelab.graphs import apply_remap, dbg_reorder, gen_graph_trace, synth_powerlaw
+from cachelab.leeway import BOP, ROP, LeewayLruPolicy, LeewayNruPolicy, LeewayPolicy
+from cachelab.policies import RandomPolicy, make_policy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
 
-def leeway(mode="static-bop", base="lru", sets=1, ways=4, **kw):
-    pol = LeewayPolicy(base=base, mode=mode, **kw)
+def leeway(mode="static-bop", base=LeewayLruPolicy, sets=1, ways=4, **kw):
+    pol = base(mode=mode, **kw)
     pol.reset(CacheGeometry(sets, ways, 64), SplitMix64(0))
     return pol
 
@@ -95,8 +97,8 @@ def test_direction_change_restarts_the_streak():
 
 def test_stable_distance_starts_at_the_ceiling():
     assert leeway("dynamic", ways=16).stable_distance(123, BOP) == 16
-    pol = leeway("dynamic", base="nru", nru_bits=2)
-    assert pol.stable_distance(123, BOP) == 3
+    pol = leeway("dynamic", base=LeewayNruPolicy)
+    assert pol.stable_distance(123, BOP) == 2
     assert leeway("static-bop", ways=8).stable_distance(0, 0) == 8
 
 
@@ -154,16 +156,16 @@ def test_victim_feedback_trains_the_predictor():
 
 
 def test_hit_depth_is_counted_from_one():
-    class DepthProbe(LeewayPolicy):
+    class DepthProbe(LeewayLruPolicy):
         def __init__(self, **kw):
             super().__init__(**kw)
             self.depths = []
 
         def on_hit(self, view, way):
-            self.depths.append(self.base.depth(view, way))
+            self.depths.append(self.depth(view, way))
             super().on_hit(view, way)
 
-    pol = DepthProbe(base="lru", mode="static-bop")
+    pol = DepthProbe(mode="static-bop")
     # each hit promotes, so block 0 is re-found at positions 1, 2, 3
     simulate(block_trace([0, 0, 1, 0, 2, 3, 0]), CacheGeometry(1, 8, 64), pol)
     assert pol.depths == [1, 2, 3]
@@ -182,7 +184,7 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
         pld, ld, _ = pol.blocks[set_index][0]
         assert ld == expect_ld  # live distance trains on samplers only
         assert pld == 3  # per-block predicted distance grows everywhere
-        assert pol.base.depth(view, 0) == 1  # promoted to the top of the stack
+        assert pol.depth(view, 0) == 1  # promoted to the top of the stack
 
 
 # -- insertion and bypass ------------------------------------------------------
@@ -195,8 +197,8 @@ def test_insert_places_the_block_on_top_and_renumbers():
     pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     pol.on_insert(view, 3)
     pld, _, pc = pol.blocks[0][3]
-    assert (pol.base.depth(view, 3), pld, pc) == (1, 2, 7)
-    assert sorted(pol.base.depths(view)) == [1, 2, 3, 4]
+    assert (pol.depth(view, 3), pld, pc) == (1, 2, 7)
+    assert sorted(pol.depths(view)) == [1, 2, 3, 4]
 
 
 def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
@@ -225,7 +227,7 @@ def test_positive_stable_distance_inserts_with_that_prediction():
 
 def test_bypasses_show_up_in_the_report():
     t = block_trace(list(range(20)), pc=5)
-    r = simulate(t, CacheGeometry(1, 2, 64), LeewayPolicy(base="lru", mode="static-bop"))
+    r = simulate(t, CacheGeometry(1, 2, 64), LeewayLruPolicy(mode="static-bop"))
     # the first eviction of a never-reused block drops the stable
     # distance for this stream's only signature to zero; nearly every
     # later fill is then declined
@@ -263,7 +265,7 @@ def test_single_set_cache_disables_the_duel():
 def test_static_mode_samples_every_set_up_to_the_budget():
     pol = leeway("static-bop", sets=4, ways=4)
     assert pol.sampler_bank == {0: 0, 1: 0, 2: 0, 3: 0}
-    pol = LeewayPolicy(base="lru", mode="static-bop", sampler_sets=2)
+    pol = LeewayLruPolicy(mode="static-bop", sampler_sets=2)
     pol.reset(CacheGeometry(8, 4, 64), SplitMix64(0))
     assert pol.sampler_bank == {0: 0, 4: 0}
 
@@ -272,29 +274,45 @@ def test_static_mode_samples_every_set_up_to_the_budget():
 
 
 def test_constructor_rejects_bad_base_and_mode():
+    class LeewayRandomPolicy(LeewayPolicy, RandomPolicy):
+        """A base with no depths to count live distances in."""
+
+    with pytest.raises(AttributeError):
+        leeway(base=LeewayRandomPolicy)
     with pytest.raises(ValueError):
-        LeewayPolicy(base="fifo")
-    with pytest.raises(ValueError):
-        LeewayPolicy(mode="adaptive")
+        LeewayLruPolicy(mode="adaptive")
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "static-bop"])
 def test_constructor_rejects_fewer_than_one_sampler_set(mode):
     for count in (0, -1):
         with pytest.raises(ValueError):
-            LeewayPolicy(mode=mode, sampler_sets=count)
+            LeewayLruPolicy(mode=mode, sampler_sets=count)
     assert leeway(mode, sets=8, sampler_sets=1).sampler_bank == (
         {0: BOP, 4: ROP} if mode == "dynamic" else {0: BOP})
 
 
 def test_names_follow_base_and_mode():
-    assert LeewayPolicy(base="lru", mode="dynamic").name == "leeway-lru"
-    assert LeewayPolicy(base="nru", nru_bits=3, mode="dynamic").name == "leeway-nru3"
-    assert LeewayPolicy(base="lru", mode="static-rop").name == "leeway-static-rop"
+    assert LeewayLruPolicy(mode="dynamic").name == "leeway-lru"
+    assert LeewayNruPolicy(mode="dynamic").name == "leeway-nru1"
+    assert LeewayLruPolicy(mode="static-rop").name == "leeway-static-rop"
+    assert LeewayNruPolicy(mode="static-rop").name == "leeway-nru1-static-rop"
 
 
 def test_untrained_predictor_never_hurts_a_cache_friendly_run():
     t = generate_pattern(PatternSpec("recency", k=4, n=50))
-    r = simulate(t, CacheGeometry(1, 8, 64), LeewayPolicy(base="lru", mode="dynamic"))
+    r = simulate(t, CacheGeometry(1, 8, 64), LeewayLruPolicy(mode="dynamic"))
     assert r.misses == 4
     assert r.bypasses == 0
+
+
+def test_leeway_over_nru_misses_less_than_nru_on_a_dbg_graph_trace():
+    # a hit must count as a depth of at least 1: were it 0, the value
+    # reserved for a block never re-referenced, every NRU hit at class 0
+    # would train its PC toward bypassing, and Leeway would miss more
+    g = synth_powerlaw(4000, 8, seed=42)
+    trace, _ = gen_graph_trace(apply_remap(g, dbg_reorder(g)))
+    geom = CacheGeometry(16, 16, 64)
+    nru, leeway_nru = (simulate(trace, geom, make_policy(name), seed=1)
+                       for name in ("nru1", "leeway-nru1"))
+    assert leeway_nru.misses < nru.misses, (leeway_nru.misses, nru.misses)

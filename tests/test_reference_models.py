@@ -28,7 +28,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cachelab.engine import CacheGeometry, simulate
-from cachelab.leeway import LeewayPolicy
+from cachelab.leeway import LeewayLruPolicy, LeewayNruPolicy
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, ReuseHint, Trace
@@ -43,6 +43,7 @@ FOLLOWER_EXAMPLES, FOLLOWER_BUDGET_S = 300, 6.0
 LEEWAY_EXAMPLES, LEEWAY_BUDGET_S = 300, 6.0
 BYPASSED = "bypassed"  # a log entry's victim slot for a miss left out of the cache
 DEAD = "dead"  # (DEAD, block) in a victim slot: an eviction the policy predicted dead
+BASES = {"lru": LeewayLruPolicy, "nru": LeewayNruPolicy}  # Leeway over each base it names
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -338,9 +339,10 @@ def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
     """Leeway (Faldu & Grot, PACT 2017) per access: (hit, victim), the
     victim None, a block, (DEAD, block) or BYPASSED.
 
-    accesses are (block, pc) pairs.  The base ("lru" or "nruK") sets a
+    accesses are (block, pc) pairs.  The base ("lru" or "nru") sets a
     way's depth: its 1-based position in the set's recency stack, or its
-    K-bit NRU class.  top is the deepest depth: ways, or 2^K - 1.
+    1-bit NRU class plus one, so that a re-referenced block always has a
+    depth of at least 1.  top is the deepest depth: ways, or 2.
 
     Each bank of the predictor keeps, per PC, a stable live distance
     (top until trained), a variance count and a direction.  Training a
@@ -369,10 +371,11 @@ def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
     fill into a full set first picks its victim: the ways whose depth
     exceeds their block's prediction are dead, and the dead way of the
     smallest prediction, then the deepest, then the lowest goes;
-    with none dead, the base picks (LRU: the stack's last way; NRU: age
-    every class by one until one is at top, then the lowest way at top,
-    or a draw among them when several are there).  In a sampler set the
-    victim's block trains the set's bank with its observed distance.  A
+    with none dead, the base picks (LRU: the stack's last way; NRU: if
+    no way is at class 1, every way goes to class 1; then the one way at
+    class 1, or a draw among them when several are there).  In a sampler
+    set the victim's block trains the set's bank with its observed
+    distance.  A
     fill goes to the stack's front or to class 0, with observed distance
     0.  A hit raises its block's prediction, and in a sampler set its
     observed distance, to the way's depth before the hit moves it to the
@@ -380,7 +383,7 @@ def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
     generator, in the order the access makes them."""
     rng = SplitMix64(seed)
     lru = base == "lru"
-    top = ways if lru else (1 << int(base[3:])) - 1
+    top = ways if lru else 2
     rules = {"bop": ((7, 1), 0.01), "rop": ((1, 7), 0.03), "vtt7": ((7, 7), 0.01)}
     banks = [rules["bop"], rules["rop"]] if mode == "dynamic" else [rules[mode[len("static-"):]]]
     pairs = min(sampler_sets, num_sets // 2) if mode == "dynamic" else 0
@@ -415,7 +418,7 @@ def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
         resident, order, meta = sets[s]
         if b in resident:
             way = resident.index(b)
-            depth = order.index(way) + 1 if lru else order[way]
+            depth = order.index(way) + 1 if lru else order[way] + 1
             meta[way][0] = max(meta[way][0], depth)
             if s in sampler:
                 meta[way][1] = max(meta[way][1], depth)
@@ -439,16 +442,16 @@ def leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, seed):
             order.append(way if lru else 0)
             meta.append(None)
         else:
-            depths = [order.index(w) + 1 for w in range(ways)] if lru else list(order)
+            depths = [order.index(w) + 1 if lru else order[w] + 1 for w in range(ways)]
             dead = [w for w in range(ways) if depths[w] > meta[w][0]]
             if dead:
                 way = min(dead, key=lambda w: (meta[w][0], -depths[w], w))
             elif lru:
                 way = order[-1]
             else:
-                while top not in order:
-                    order[:] = [c + 1 for c in order]
-                at_top = [w for w in range(ways) if order[w] == top]
+                if 1 not in order:
+                    order[:] = [1] * ways
+                at_top = [w for w in range(ways) if order[w] == 1]
                 way = at_top[rng.next_u64() % len(at_top)] if len(at_top) > 1 else at_top[0]
             victim = (DEAD, resident[way]) if dead else resident[way]
             if s in sampler:
@@ -571,7 +574,6 @@ def leeway_cases(draw):
         num_sets, sampler_sets = draw(st.sampled_from([1, 2, 4, 8, 16])), draw(st.integers(1, 4))
         ways = draw(st.integers(1, 8))
     base = draw(st.sampled_from(["lru", "nru"]))
-    base += str(draw(st.integers(1, 4))) if base == "nru" else ""
     mode = draw(st.sampled_from(["dynamic", "static-bop", "static-rop", "static-vtt7"]))
     rnd = random.Random(draw(st.integers(0, 2**32)))
     weights = [rnd.random() ** 6 for _ in range(num_sets)]
@@ -630,8 +632,7 @@ def _check_set_dueling(case, name, run_seed):
 def _check_leeway(case, run_seed):
     accesses, num_sets, ways, sampler_sets, base, mode = case
     blocks, pcs = zip(*accesses)
-    policy = LeewayPolicy(base=base[:3], nru_bits=int(base[3:] or 2), mode=mode,
-                          sampler_sets=sampler_sets)
+    policy = BASES[base](mode=mode, sampler_sets=sampler_sets)
     got = engine_log(None, blocks, num_sets, ways, seed=run_seed, pcs=pcs, policy=policy)
     assert got == leeway_model(accesses, num_sets, ways, base, mode, sampler_sets, run_seed)
 
@@ -650,7 +651,7 @@ def _check_leeway_psel(case, base, run_seed):
             self.last = bank
             return super().__getitem__(bank)
 
-    class Logged(LeewayPolicy):
+    class Logged(BASES[base]):
         def reset(self, geometry, rng):
             super().reset(geometry, rng)
             self.stable = LastBank(self.stable)
@@ -661,7 +662,7 @@ def _check_leeway_psel(case, base, run_seed):
             return insert
 
     trace = Trace([MemoryAccess(64 * b, pc_signature=pc) for b, pc in accesses])
-    policy = Logged(base=base, sampler_sets=sampler_sets)
+    policy = Logged(sampler_sets=sampler_sets)
     simulate(trace, CacheGeometry(num_sets, ways, 64), policy, seed=run_seed)
     assert log == leeway_psel_model([s for s, _ in log], num_sets, sampler_sets)
 
