@@ -123,6 +123,28 @@ def _set_runs(geometry, addresses):
     return heads, geometry.blocks(blocks, out=blocks), ~edge[1:][edge[:-1]]
 
 
+SLICE = 1 << 14  # entries per step of a post-pass loop, so its temporaries stay this long
+
+
+def _block_links(blocks, none, dtype, back=False):
+    """links[i] = the position of the next entry equal to blocks[i] (the
+    previous one when back), else none, as dtype.  One stable sort by
+    block puts each block's entries in order: every entry links to its
+    neighbour in the sort, then the links that cross from one block to
+    the next are undone, SLICE sorted entries at a time, so only the
+    order and the links are as long as blocks."""
+    order = blocks.argsort(kind="stable")
+    links = np.full(len(order), none, dtype=dtype)
+    earlier, later = order[:-1], order[1:]
+    if back:
+        earlier, later = later, earlier
+    links[earlier] = later
+    for s in range(0, len(order) - 1, SLICE):
+        run = blocks[order[s:s + SLICE + 1]]
+        links[earlier[s:s + SLICE][run[1:] != run[:-1]]] = none
+    return links
+
+
 class SetView:
     """What a policy sees of one set: its resident tags and the policy's
     state, one entry per filled way, and the access being handled."""

@@ -69,6 +69,9 @@ class RegionMap:
 class GraspPolicy(DrripPolicy):
     """DRRIP-3 with insertion/promotion specialized by reuse class."""
 
+    # the base's hooks, fetched once per class rather than by super() per access
+    base_hit, base_insert = DrripPolicy.on_hit, DrripPolicy.on_insert
+
     def __init__(self, abrs=(), variant="full"):
         super().__init__(m=3)
         if variant not in VARIANTS:
@@ -109,7 +112,7 @@ class GraspPolicy(DrripPolicy):
     def on_insert(self, view, way):
         rrpv = self.insert_rrpv.get(self.hints[view.access_index])
         if rrpv is None:
-            super().on_insert(view, way)
+            self.base_insert(view, way)
         else:
             self.duel.miss(view.set_index)  # a leader set still votes
             view.state[way] = rrpv
@@ -119,4 +122,4 @@ class GraspPolicy(DrripPolicy):
             # one step toward the top instead of the base's jump to 0
             view.state[way] = max(view.state[way] - 1, 0)
         else:
-            super().on_hit(view, way)
+            self.base_hit(view, way)

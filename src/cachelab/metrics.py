@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from cachelab.engine import _set_runs
+from cachelab import engine
 
 
 def _stack_distances(trace, geometry):
@@ -23,42 +23,51 @@ def _stack_distances(trace, geometry):
     -1 for a first touch, in the set-grouped order of engine._set_runs.
 
     Over the heads, node m of tree level k covers [m << k, (m + 1) << k).
-    The live interval [l, r) of a query takes node l when l is odd and
-    node r - 1 when r is odd, then both bounds halve, so the one loop
-    runs about log2(largest reuse gap) times.  A node counts its
-    prev(j) <= p with one searchsorted into the level's sorted keys
-    (j >> k) * (n + 1) + prev(j) + 1, less its start m << k.
+    Query q with p = prev(q) >= 0 covers [l, r) = [p + 1, q + 1) at level
+    0, and at level k the bounds l_k = ceil(l / 2**k) = -(-l >> k) and
+    r_k = r >> k, derived from p + 1 and q rather than stored.  It takes
+    node l_k when l_k is odd and node r_k - 1 when r_k is odd, until
+    l_k >= r_k, so the one loop runs about log2(largest reuse gap) times.
+    A node counts its prev(j) <= p with one searchsorted into the level's
+    sorted keys (j >> k) * (n + 1) + prev(j) + 1, less its start m << k.
+
+    Only the heads, the distances, the keys, the live queries' q and
+    their p + 1 are as long as the heads: keys are relevelled in place
+    and queries are walked engine.SLICE at a time, each slice's live
+    queries moving to the front for the next level.
     """
-    heads, blocks = _set_runs(geometry, trace.addresses)[:2]
-    n = len(blocks)
+    heads, blocks = engine._set_runs(geometry, trace.addresses)[:2]
+    n, size = len(blocks), engine.SLICE
     index = heads.dtype.type  # positions and bounds: int32 while they fit
-    by_block = np.argsort(blocks, kind="stable").astype(index)
-    same = blocks[by_block[1:]] == blocks[by_block[:-1]]
+    dist = engine._block_links(blocks, -1, index, back=True)  # prev(j) until the walk starts
     del blocks
-    dist = np.full(n, -1, dtype=index)  # prev(j) until the walk starts
-    dist[by_block[1:][same]] = by_block[:-1][same]
-    del by_block, same
-    width = n + 1
-    keys = np.arange(1, n * width + 1, width, dtype=np.int64) + dist  # level 0, sorted
     live = np.flatnonzero(dist >= 0).astype(index)  # each query's q
-    lo = below = dist[live] + 1  # a node counts keys up to its start + p + 1
-    hi = live + 1
+    below = dist[live] + 1  # each query's p + 1: l, and what a node counts keys up to
+    width = n + 1
+    keys = np.arange(1, n * width + 1, width, dtype=np.int64)
+    keys += dist  # level 0, sorted
     np.minimum(dist, 0, out=dist)
-    k = 0
-    while len(live):
+    k, m = 0, len(live)
+    while m:
         if k:  # level k - 1 keys to level k: two sorted runs per node merge
-            keys -= ((keys // width + 1) >> 1) * width
+            for s in range(0, n, size):
+                part = keys[s:s + size]
+                part -= ((part // width + 1) >> 1) * width
             keys.sort(kind="stable")
-        for bound, right in ((lo, 0), (hi, 1)):
-            odd = (bound & 1).astype(bool)
-            node = bound[odd] - right
-            needle = np.multiply(node, width, dtype=np.int64) + below[odd]
-            dist[live[odd]] += np.searchsorted(keys, needle, side="right") - (node << k)
-            del odd, node, needle
-        lo, hi = (lo + 1) >> 1, hi >> 1  # an odd l steps past its node first
-        going = lo < hi
-        live, lo = live[going], lo[going]
-        hi, below = hi[going], below[going]
+        kept = 0
+        for s in range(0, m, size):
+            q, p1 = live[s:min(s + size, m)], below[s:min(s + size, m)]
+            lo, hi = -(-p1 >> k), (q + 1) >> k
+            for bound, right in ((lo, 0), (hi, 1)):
+                odd = (bound & 1).astype(bool)
+                node = bound[odd] - right
+                needle = np.multiply(node, width, dtype=np.int64) + p1[odd]
+                dist[q[odd]] += np.searchsorted(keys, needle, side="right") - (node << k)
+            going = (lo + 1) >> 1 < hi >> 1  # an odd l steps past its node first
+            step = np.count_nonzero(going)
+            live[kept:kept + step], below[kept:kept + step] = q[going], p1[going]
+            kept += step
+        m = kept
         k += 1
     return heads, dist
 

@@ -15,29 +15,15 @@ bypass is the same.
 
 import numpy as np
 
-from cachelab.engine import Policy, SplitMix64, _report, _set_runs, run_policy
+from cachelab.engine import Policy, SplitMix64, _block_links, _report, _set_runs, run_policy
 
 NEVER = 1 << 62  # farther than any trace position
-
-
-def _next_use(blocks, dtype=np.int64):
-    """nxt[i] = index of the next entry equal to blocks[i], as dtype, else
-    NEVER, or the largest int32 for an int32 nxt (above every index)."""
-    order = blocks.argsort(kind="stable")  # each block's entries in order
-    succ = blocks[order]
-    last = np.ones(len(order), dtype=bool)  # a block's last entry
-    np.not_equal(succ[1:], succ[:-1], out=last[:-1])
-    del succ
-    nxt = np.empty(len(order), dtype=dtype)
-    nxt[order[:-1]] = order[1:]
-    nxt[order[last]] = NEVER if dtype == np.int64 else np.iinfo(dtype).max
-    return nxt
 
 
 def next_use_index(trace, geometry):
     """next_use[i] = index of the next access to the same block, else
     NEVER, as an int64 buffer."""
-    return memoryview(_next_use(geometry.blocks(trace.addresses)))
+    return memoryview(_block_links(geometry.blocks(trace.addresses), NEVER, np.int64))
 
 
 class OptPolicy(Policy):
@@ -47,7 +33,8 @@ class OptPolicy(Policy):
 
     def __init__(self, trace, geometry, allow_bypass=False):
         blocks, repeats = _set_runs(geometry, trace.addresses)[1:]
-        next_use = _next_use(blocks, np.int32 if len(blocks) < 2**31 - 1 else np.int64)
+        index = np.int32 if len(blocks) < 2**31 - 1 else np.int64
+        next_use = _block_links(blocks, np.iinfo(index).max, index)  # above every position
         self.next_use = memoryview(next_use)
         # a head with repeats is nearer than any resident: its own next
         # use is its run's second access

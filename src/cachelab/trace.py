@@ -245,13 +245,10 @@ def generate_pattern(spec):
     steps = np.arange(spec.k, dtype=np.uint64)
     addrs = np.uint64(spec.base_address) + np.uint64(spec.stride) * steps
     if spec.kind == "recency":
-        seq = np.tile(np.concatenate([addrs, addrs[::-1]]), spec.n)
-    elif spec.kind == "stream":
-        seq = addrs
-    else:  # thrash
-        seq = np.tile(addrs, spec.n)
-    records = np.zeros(len(seq), dtype=RECORD_DTYPE)
-    records["address"] = seq
+        addrs = np.concatenate([addrs, addrs[::-1]])
+    rounds = 1 if spec.kind == "stream" else spec.n
+    records = np.zeros(rounds * len(addrs), dtype=RECORD_DTYPE)
+    records["address"].reshape(rounds, len(addrs))[:] = addrs  # tiled in place
     records["pc"] = spec.pc_signature
     records["inst_delta"] = 1
     return Trace(records, name="%s(k=%d,n=%d)" % (spec.kind, spec.k, spec.n))

@@ -54,10 +54,11 @@ CALLS = {
 }
 
 
-# measured on numpy 2.4 / CPython 3.11: 18.4, 43.9 and 20.0 B/access
-# (opt held int64 columns and a full-length block column at 29.2), 13.2
-# for drrip3-1set and 22.8 for reuse_distances (29.2 with int64 heads),
-# set by its stack-distance pass
+# measured on numpy 2.4 / CPython 3.11: 18.4, 33.1 and 20.0 B/access
+# (opt held int64 columns and a full-length block column at 29.2), 12.8
+# for drrip3-1set and 21.5 for reuse_distances, set by its stack walk
+# over 44,531 heads (22.8 with the walk's bounds stored and its
+# temporaries as long as the queries, 29.2 with int64 heads)
 BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 26, "drrip3-1set": 20, "reuse_distances": 30}
 
 
@@ -105,6 +106,21 @@ def test_set_runs_peak_bytes_per_access():
     trace = gate_trace()
     peak = traced_peak(lambda: _set_runs(CacheGeometry(256, 16, 64), trace.addresses))
     assert peak / ACCESSES <= 18, "_set_runs peaks at %.1f B/access, over 18" % (peak / ACCESSES)
+
+
+def test_stack_walk_peak_bytes_per_head():
+    """The stack walk holds only the heads, the distances, the int64 keys,
+    the live queries and their p + 1 as long as the heads; every other
+    array is a slice of engine.SLICE entries.  On a one-set 32-block loop
+    of 65,536 accesses at 1x16 (thrash-1set's shape: every access a head,
+    every reuse 32 back) it measured 32.6 B/head, where stored lo/hi
+    bounds and full-length bound temporaries took 55.1.  One more int64
+    array as long as the heads goes over 40."""
+    records = np.zeros(ACCESSES, dtype=RECORD_DTYPE)
+    records["address"] = np.arange(ACCESSES, dtype=np.uint64) % 32 * 64
+    trace = Trace(records)
+    peak = traced_peak(lambda: metrics._stack_distances(trace, CacheGeometry(1, 16, 64)))
+    assert peak / ACCESSES <= 40, "the walk peaks at %.1f B/head, over 40" % (peak / ACCESSES)
 
 
 def test_gen_graph_trace_with_baked_hints_peak_bytes_per_record():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from cachelab import engine
 from cachelab.engine import CacheGeometry, simulate
 from cachelab.metrics import (
     ReportMismatchError,
+    _stack_distances,
     compare_reports,
     histogram_rows,
     reuse_distance_distribution,
@@ -20,6 +22,7 @@ from cachelab.metrics import (
 from cachelab.opt import opt_oracle
 from cachelab.policies import make_policy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
+from test_acceptance import _reference_stack_distances
 
 
 def block_trace(ids, block=64):
@@ -132,6 +135,42 @@ def test_distances_match_the_list_stack_on_random_traces():
     _check_against_the_list_stack()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, "exceeded 5s budget (%.1fs)" % elapsed
+
+
+@st.composite
+def short_block_traces(draw):
+    """Up to 120 accesses over at most 41 blocks on 1, 2 or 4 sets, and a
+    slice of 2 to 5 entries, so that the walk's queries, keys and sorted
+    links at every level span many slices."""
+    num_sets = draw(st.sampled_from([1, 2, 4]))
+    span = draw(st.integers(0, 40))
+    return draw(st.lists(st.integers(0, span), max_size=120)), num_sets, draw(st.integers(2, 5))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@example(([], 1, 2))
+@example(([0, 1, 2, 3, 4, 5, 6, 0, 0, 6, 1], 1, 2))
+@given(short_block_traces())
+def _check_across_slice_boundaries(case):
+    blocks, num_sets, size = case
+    g, t = CacheGeometry(num_sets, 4, 64), block_trace(blocks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SLICE", size)
+        heads, dist = _stack_distances(t, g)
+    distances = [1] * len(t)  # a run's repeats
+    for head, d in zip(heads.tolist(), dist.tolist()):
+        distances[head] = d
+    assert distances == [d or -1 for d in _reference_stack_distances(t, g)]
+
+
+def test_stack_walk_across_slice_boundaries():
+    """The walk taken 2 to 5 entries at a time matches the independent
+    stack simulator on every access."""
+    t0 = time.perf_counter()
+    _check_across_slice_boundaries()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, "exceeded 10s budget (%.1fs)" % elapsed
 
 
 def test_distances_are_computed_per_set():

@@ -3,6 +3,7 @@
 import random
 import time
 
+from cachelab import engine
 from cachelab.engine import CacheGeometry, simulate
 from cachelab.opt import NEVER, OptPolicy, next_use_index, opt_oracle
 from cachelab.policies import POLICY_NAMES, make_policy
@@ -31,7 +32,7 @@ def test_next_use_index_works_on_block_granularity():
     assert list(next_use_index(t, g)) == [1, NEVER, NEVER]
 
 
-def test_next_use_index_matches_a_backward_scan():
+def test_next_use_index_matches_a_backward_scan(monkeypatch):
     g = CacheGeometry(4, 2, 64)
     for seed in range(5):
         rng = random.Random(seed)
@@ -43,6 +44,10 @@ def test_next_use_index_matches_a_backward_scan():
             expected[i] = last.get(block, NEVER)
             last[block] = i
         assert list(next_use_index(t, g)) == expected
+        # three sorted entries at a time: every slice boundary is crossed
+        monkeypatch.setattr(engine, "SLICE", 3)
+        assert list(next_use_index(t, g)) == expected
+        monkeypatch.undo()
 
 
 def test_opt_on_cyclic_three_block_two_way_trace():
