@@ -10,6 +10,7 @@ run comes from one seeded splitmix64 generator, so identical
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -103,27 +104,61 @@ class CacheGeometry:
         return self.num_sets.bit_length() - 1
 
 
-def _set_runs(geometry, addresses):
-    """Each set's runs of back-to-back accesses to one block, grouped set
-    by set by a stable sort: per run, the trace position of its first
-    access, its head (int32 while it fits), the head's block, and whether
-    the run has more than one access."""
-    mask, index = geometry.num_sets - 1, np.int32 if len(addresses) < 2**31 - 1 else np.int64
-    order = geometry.blocks(addresses).astype(np.min_scalar_type(mask))  # keeps the set bits
-    order = (order & mask).argsort(kind="stable").astype(index)  # up to 2**16 sets: radix
-    blocks = addresses[order]
-    blocks = geometry.blocks(blocks, out=blocks)
-    edge = np.empty(len(blocks) + 1, dtype=bool)  # edge[k]: a run ends at k - 1, one starts at k
-    edge[0] = edge[-1] = True
-    np.not_equal(blocks[1:], blocks[:-1], out=edge[1:-1])
-    del blocks
-    heads = order[edge[:-1]]
-    del order
-    blocks = addresses[heads]
-    return heads, geometry.blocks(blocks, out=blocks), ~edge[1:][edge[:-1]]
-
-
 SLICE = 1 << 14  # entries per step of a post-pass loop, so its temporaries stay this long
+
+
+def _set_order(sets, num_sets):
+    """Positions of a set index column grouped set by set, stably, as int32
+    (int64 past 2**31), and each set's end.  A counting sort, SLICE entries
+    at a time: a slice's positions go to their set's running start plus
+    their rank in the slice's stable argsort, so no temporary is as long
+    as the column (a whole-column argsort or bincount holds an intp one)."""
+    n = len(sets)
+    order = np.empty(n, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    ids, ramp = np.arange(num_sets, dtype=sets.dtype), np.arange(min(SLICE, n), dtype=order.dtype)
+    starts = np.zeros(num_sets, dtype=np.int64)  # each set's start: the entries of lower sets
+    for s in range(0, n, SLICE):
+        starts += np.searchsorted(np.sort(sets[s:s + SLICE], kind="stable"), ids)
+    for s in range(0, n, SLICE):
+        part = sets[s:s + SLICE]
+        rank = part.argsort(kind="stable")
+        part = part[rank]
+        first = np.searchsorted(part, ids)  # each set's first in the slice
+        count = np.searchsorted(part, ids, side="right") - first
+        rank = np.add(rank, s, dtype=order.dtype)  # an intp value column scatters at half speed
+        dest = np.repeat(starts - first, count)
+        dest += ramp[:len(rank)]
+        order[dest] = rank
+        starts += count
+        del rank, dest  # no slice temporary outlives its step
+    return order, starts  # each start has moved to its set's end
+
+
+def _set_runs(geometry, addresses):
+    """Each set's runs of back-to-back accesses to one block, in _set_order:
+    per run, the trace position of its first access, its head (int32 while
+    it fits), the head's block, and whether the run has more than one
+    access.  Set bits, run edges and head blocks are taken SLICE entries at
+    a time: only the order, set indices and run edges span the trace."""
+    n, mask = len(addresses), geometry.num_sets - 1
+    sets = np.empty(n, dtype=np.min_scalar_type(mask))
+    for s in range(0, n, SLICE):
+        sets[s:s + SLICE] = geometry.blocks(addresses[s:s + SLICE]) & mask
+    order = _set_order(sets, geometry.num_sets)[0]
+    del sets
+    edge = np.empty(n + 1, dtype=bool)  # edge[k]: a run ends at k - 1, one starts at k
+    edge[0] = edge[-1] = True
+    for s in range(0, n - 1, SLICE):
+        run = addresses[order[s:s + SLICE + 1].astype(np.intp)]  # an intp index gathers faster
+        run = geometry.blocks(run, out=run)
+        np.not_equal(run[1:], run[:-1], out=edge[s + 1:s + len(run)])
+        del run
+    heads, repeats = order[edge[:-1]], ~edge[1:][edge[:-1]]
+    del order, edge
+    blocks = np.empty(len(heads), dtype=np.uint64)
+    for s in range(0, len(heads), SLICE):
+        blocks[s:s + SLICE] = addresses[heads[s:s + SLICE].astype(np.intp)]
+    return heads, geometry.blocks(blocks, out=blocks), repeats
 
 
 def _block_links(blocks, none, dtype, back=False):
@@ -282,11 +317,11 @@ def lru_would_miss(stream, start, tag, ways, stop=None):
     This is the dead-eviction correctness rule: an eviction at stream
     position `start` (the position of the access that triggered it) is
     correct when even a cache that kept the block most-recently-used
-    would have missed its next reference.
+    would have missed its next reference.  The stream may be any
+    iterable of tags.
     """
     seen = set()
-    for k in range(start, len(stream) if stop is None else stop):
-        t = stream[k]
+    for t in islice(stream, start, stop):
         if t == tag:
             return False
         seen.add(t)
@@ -298,18 +333,12 @@ def lru_would_miss(stream, start, tag, ways, stop=None):
 def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
     """Count the correct entries of dead_log, (access index, set, victim
     tag) per predicted-dead eviction, against each set's tag stream: the
-    tag column grouped set by set, scanned within the set's bounds."""
-    order = np.argsort(set_col, kind="stable")  # within a set, ascending
-    ends = np.cumsum(np.bincount(set_col, minlength=num_sets)).tolist()
-    starts = [0] + ends[:-1]
-    position = memoryview(order)
-    rows = [bisect_left(position, index, starts[si], ends[si]) for index, si, _ in dead_log]
-    grouped = memoryview(tag_col[order])
-    del position, order
-    return sum(
-        lru_would_miss(grouped, row, vtag, ways, stop=ends[si])
-        for row, (_, si, vtag) in zip(rows, dead_log)
-    )
+    set's positions in _set_order from the eviction on, read as tags."""
+    order, ends = _set_order(set_col, num_sets)
+    position, tags, ends = memoryview(order), memoryview(tag_col), [0] + ends.tolist()
+    rows = [bisect_left(position, index, ends[si], ends[si + 1]) for index, si, _ in dead_log]
+    return sum(lru_would_miss(map(tags.__getitem__, position[row:ends[si + 1]]), 0, vtag, ways)
+               for row, (_, si, vtag) in zip(rows, dead_log))
 
 
 def run_policy(policy, geometry, rng, trace, sets, tags):
@@ -415,7 +444,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
         report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)
     if classify is not None:
         codes = classify(trace.addresses)
-        accesses, hits = (np.bincount(c, minlength=len(ReuseHint)).tolist()
+        accesses, hits = ([int(np.count_nonzero(c == hint)) for hint in ReuseHint]  # no intp copy
                           for c in (codes, codes[np.frombuffer(hit_at, dtype=bool)]))
         report.hint_class_accesses = {ReuseHint(c): n for c, n in enumerate(accesses) if n}
         report.hint_class_hits = {ReuseHint(c): n for c, n in enumerate(hits) if n}

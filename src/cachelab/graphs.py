@@ -454,9 +454,10 @@ def gen_graph_trace(
     seg += offsets
     seg += np.arange(0, 2 * v_count + 1, 2)  # seg[v]: v's first record
 
-    # contiguous columns take the scatters, the records are filled once
-    address = np.empty(int(seg[-1]), dtype=np.uint64)
-    pc = np.full(len(address), PC_GATHER, dtype=np.uint16)
+    # the records' own columns take the scatters: no column beside them
+    records = np.zeros(int(seg[-1]), dtype=RECORD_DTYPE)
+    address, pc = records["address"], records["pc"]
+    pc[:] = PC_GATHER
     vertices = np.arange(v_count, dtype=np.uint64)
     address[seg[:-1]] = np.uint64(vertex_base) + np.uint64(8) * vertices
     pc[seg[:-1]] = PC_VERTEX
@@ -471,14 +472,8 @@ def gen_graph_trace(
     gather += np.uint64(prop_base)
     address[pc == PC_GATHER] = gather
     del gather
-
-    records = np.zeros(len(address), dtype=RECORD_DTYPE)
-    records["address"] = address
-    del address
-    records["pc"] = pc
     flags = records["flags"]
     np.equal(pc, PC_APPLY, out=flags)  # the store bit, FLAG_WRITE = 1
-    del pc
     records["inst_delta"] = 1
     if region_map is not None:
         flags |= pack_flags(0, region_map.classify(records["address"]))

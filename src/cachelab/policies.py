@@ -304,10 +304,10 @@ class ShipMemPolicy(SrripPolicy):
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
 
     def bind(self, trace, tags):
-        self.regions = memoryview(trace.addresses // SHIP_REGION_BYTES)
+        self.addresses = memoryview(trace.addresses)  # a region per fill, not a column of them
 
     def on_insert(self, view, way):
-        region = self.regions[view.access_index]
+        region = self.addresses[view.access_index] // SHIP_REGION_BYTES
         counter = self.table.get(region, SHIP_COUNTER_INIT)
         view.state[way] = self.rrpv_max if counter == 0 else self.rrpv_max - 1
         if view.set_index in self.sampler:
@@ -319,7 +319,7 @@ class ShipMemPolicy(SrripPolicy):
             entry = self.meta.get((view.set_index, way))
             if entry is not None:
                 entry[0] = 1
-            region = self.regions[view.access_index]
+            region = self.addresses[view.access_index] // SHIP_REGION_BYTES
             counter = self.table.get(region, SHIP_COUNTER_INIT)
             if counter < SHIP_COUNTER_MAX:
                 self.table[region] = counter + 1

@@ -10,9 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from cachelab import engine
 from cachelab.engine import (
     CacheGeometry,
     Policy,
@@ -233,7 +234,8 @@ def test_geometry_block_column_is_signed_and_matches_the_scalar_mapping():
 
 def test_runs_where_bincount_refuses_unsigned_64_bit_input(monkeypatch):
     """numpy before 2.3 cannot bincount a uint64 array; dead-eviction
-    scoring and the reuse pass bincount the set column, so it is signed."""
+    scoring and the reuse pass group by set without bincount, and any
+    bincount they take up again must get a column that casts to intp."""
     bincount = np.bincount
 
     def strict_bincount(x, *args, **kwargs):
@@ -397,6 +399,71 @@ def test_lru_would_miss_rule():
     assert not lru_would_miss(stream, 1, "A", 4)
     # never referenced again counts as dead at any associativity
     assert lru_would_miss(stream, 2, "Z", 1)
+
+
+@st.composite
+def set_columns(draw):
+    """Up to 80 set indices on 1, 2, 256 or 2**16 sets, in the narrow
+    column a trace's set bits take (uint8, or uint16 at 2**16 sets),
+    drawn from a few sets so that runs and repeats span slices, and a
+    slice of 2 to 5 entries."""
+    num_sets = draw(st.sampled_from([1, 2, 256, 1 << 16]))
+    pool = draw(st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=5))
+    sets = draw(st.lists(st.sampled_from(pool + [0, num_sets - 1]), max_size=80))
+    return np.array(sets, dtype=np.min_scalar_type(num_sets - 1)), num_sets, draw(st.integers(2, 5))
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@example((np.zeros(0, dtype=np.uint8), 1, 2))
+@example((np.zeros(0, dtype=np.uint16), 1 << 16, 3))
+@given(set_columns())
+def _check_set_order(case):
+    sets, num_sets, size = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SLICE", size)
+        order, ends = engine._set_order(sets, num_sets)
+    assert order.dtype == np.int32
+    assert order.tolist() == np.argsort(sets, kind="stable").tolist()
+    assert ends.tolist() == np.cumsum(np.bincount(sets, minlength=num_sets)).tolist()
+
+
+def test_set_order_is_a_stable_argsort_across_slice_boundaries():
+    """The counting sort taken 2 to 5 entries at a time gives numpy's
+    stable argsort and each set's end, on empty columns, one set, and
+    uint8 and uint16 columns up to 2**16 sets."""
+    t0 = time.perf_counter()
+    _check_set_order()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, "exceeded 10s budget (%.1fs)" % elapsed
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32))
+def _check_dead_scoring(num_sets, ways, size, draws):
+    rnd = random.Random(draws)
+    n = rnd.randint(1, 120)
+    sets = np.array([rnd.randrange(num_sets) for _ in range(n)], dtype=np.uint8)
+    tags = np.array([rnd.randrange(6) for _ in range(n)], dtype=np.int64)
+    dead_log = sorted((i, int(sets[i]), rnd.randrange(7)) for i in rnd.sample(range(n), min(n, 8)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SLICE", size)
+        correct = engine._score_dead(dead_log, sets, tags, num_sets, ways)
+    streams = [[(i, t) for i, (s, t) in enumerate(zip(sets.tolist(), tags.tolist())) if s == si]
+               for si in range(num_sets)]
+    assert correct == sum(lru_would_miss([t for i, t in streams[si] if i >= index], 0, vtag, ways)
+                          for index, si, vtag in dead_log)
+
+
+def test_dead_scoring_scans_each_set_from_the_eviction():
+    """Dead-eviction scoring, which reads tags through the set order,
+    counts what lru_would_miss gives on each set's own tag list from the
+    evicting access on, with the order built 2 to 5 entries at a time."""
+    t0 = time.perf_counter()
+    _check_dead_scoring()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, "exceeded 10s budget (%.1fs)" % elapsed
 
 
 def test_filter_trace_drops_front_cache_hits():

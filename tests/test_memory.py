@@ -51,15 +51,20 @@ CALLS = {
     "leeway-lru": lambda t, g: simulate(t, g, make_policy("leeway-lru")),
     "opt": lambda t, g: opt_oracle(t, g),
     "reuse_distances": lambda t, g: metrics.reuse_distances(t, g),
+    "ship-mem": lambda t, g: simulate(t, g, make_policy("ship-mem")),
 }
 
 
-# measured on numpy 2.4 / CPython 3.11: 18.4, 33.1 and 20.0 B/access
-# (opt held int64 columns and a full-length block column at 29.2), 12.8
-# for drrip3-1set and 21.5 for reuse_distances, set by its stack walk
-# over 44,531 heads (22.8 with the walk's bounds stored and its
-# temporaries as long as the queries, 29.2 with int64 heads)
-BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 26, "drrip3-1set": 20, "reuse_distances": 30}
+# measured on numpy 2.4 / CPython 3.11: 18.4, 26.2 and 20.0 B/access
+# (opt held int64 columns and a full-length block column at 29.2;
+# leeway-lru's dead-eviction scoring held an intp set order and an int64
+# gathered tag column at 33.0), 12.8 for drrip3-1set, 21.5 for
+# reuse_distances, set by its stack walk over 44,531 heads (22.8 with the
+# walk's bounds stored and its temporaries as long as the queries, 29.2
+# with int64 heads), and 23.5 for ship-mem, which reads each fill's region
+# from the address column (31.4 with an int64 region column)
+BOUNDS = {"lru": 32, "leeway-lru": 70, "opt": 26, "drrip3-1set": 20, "reuse_distances": 30,
+          "ship-mem": 27}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -99,13 +104,33 @@ def test_apply_remap_peak_bytes_per_edge():
 
 
 def test_set_runs_peak_bytes_per_access():
-    """_set_runs holds an int32 sort order, one gathered block column and
-    the run edges, then only the heads: measured 13.1 B/access on the
-    gate trace, where holding the unsorted and sorted block columns and
-    an int64 order took 29.3.  One more int64 column goes over 18."""
+    """_set_runs holds the int32 set order, a byte per access of set index
+    and one of run edges, then the heads, and otherwise slices of
+    engine.SLICE entries: measured 12.9 B/access on the gate trace, where
+    a slice is a quarter of the trace (13.0 with a whole-column argsort
+    beside its int32 copy and a gathered block column, 29.3 holding the
+    unsorted and sorted block columns and an int64 order).  One more
+    int64 column goes over 18."""
     trace = gate_trace()
     peak = traced_peak(lambda: _set_runs(CacheGeometry(256, 16, 64), trace.addresses))
     assert peak / ACCESSES <= 18, "_set_runs peaks at %.1f B/access, over 18" % (peak / ACCESSES)
+
+
+def test_set_grouping_of_a_graph_trace_peak_bytes_per_access():
+    """On a hinted uniform graph trace, a fifth of whose 260,000 accesses
+    head a run, grouping by set and OPT with bypass over the heads hold no
+    column as long as the trace but the int32 order and a byte per access
+    of set index and of run edges: measured 6.4 B/access for each, where
+    a whole-column argsort beside its int32 copy and a gathered block
+    column took 13.0.  Either of those goes over 10."""
+    trace = gen_graph_trace(synth_uniform(40_000, 4, seed=3), bake_hints=True,
+                            llc_capacity=1 << 16)[0]
+    trace.digest(), trace.total_instructions()  # computed once per trace, not per run
+    geometry = CacheGeometry(256, 16, 64)
+    for name, call in (("_set_runs", lambda: _set_runs(geometry, trace.addresses)),
+                       ("opt_oracle", lambda: opt_oracle(trace, geometry, allow_bypass=True))):
+        peak = traced_peak(call) / len(trace)
+        assert peak <= 10, "%s peaks at %.1f B/access, over 10" % (name, peak)
 
 
 def test_stack_walk_peak_bytes_per_head():
@@ -124,19 +149,19 @@ def test_stack_walk_peak_bytes_per_head():
 
 
 def test_gen_graph_trace_with_baked_hints_peak_bytes_per_record():
-    """gen_graph_trace holds its address and pc columns and then the
-    records, whose flags take the store and hint bits in place: measured
-    26.0 B/record on this graph, with hints spanning all three classes,
-    where the per-vertex arrays, the gather column and a flag column
-    beside the records took 46.7.  Keeping the gather column (30.9) or
-    the per-vertex arrays (30.3) until the records are built goes over 29."""
+    """gen_graph_trace scatters addresses and PCs straight into the
+    records, whose flags then take the store and hint bits in place:
+    measured 23.4 B/record on this graph, with hints spanning all three
+    classes, where address and pc columns built beside the records took
+    26.0 (and the per-vertex arrays, the gather column and a flag column
+    beside them 46.7).  Such a column beside the records goes over 25."""
     graph = synth_uniform(20_000, 4, seed=3)
     result = []
     peak = traced_peak(lambda: result.append(
         gen_graph_trace(graph, bake_hints=True, llc_capacity=1 << 16)[0]))
     per_record = peak / len(result[0])
     assert len(set(result[0].hints.tolist())) == 3
-    assert per_record <= 29, "gen_graph_trace peaks at %.1f B/record, over 29" % per_record
+    assert per_record <= 25, "gen_graph_trace peaks at %.1f B/record, over 25" % per_record
 
 
 def test_read_csr_peak_bytes_per_edge(tmp_path):
