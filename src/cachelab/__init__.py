@@ -7,8 +7,8 @@ reordering transforms, and trace/graph binary formats, all wired to a
 command line front end.
 """
 
-from cachelab.engine import CacheGeometry, SimReport, simulate
-from cachelab.trace import MemoryAccess, PatternSpec, ReuseHint, Trace
+from .engine import CacheGeometry, SimReport, simulate
+from .trace import MemoryAccess, PatternSpec, ReuseHint, Trace
 
 __all__ = [
     "CacheGeometry",

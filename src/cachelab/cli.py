@@ -14,13 +14,13 @@ import math
 import os
 import sys
 
-from cachelab import graphs as graphmod
-from cachelab import metrics
-from cachelab.engine import CacheGeometry, filter_trace, simulate
-from cachelab.grasp import RegionMap
-from cachelab.opt import opt_oracle
-from cachelab.policies import POLICY_NAMES, make_policy
-from cachelab.trace import PatternSpec, generate_pattern, read_trace, write_trace
+from . import graphs as graphmod
+from . import metrics
+from .engine import CacheGeometry, filter_trace, simulate
+from .grasp import RegionMap
+from .opt import opt_oracle
+from .policies import POLICY_NAMES, make_policy
+from .trace import PatternSpec, generate_pattern, read_trace, write_trace
 
 
 class CliError(ValueError):

@@ -10,11 +10,11 @@ run comes from one seeded splitmix64 generator, so identical
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
-from cachelab.trace import ReuseHint, Trace
+from .trace import ReuseHint, Trace
 
 _U64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -208,9 +208,11 @@ class Policy:
     view.state is the policy's list, a value per way or an order of the
     filled ways.  The engine fills ways in order, appending the tag to
     view.tags and the way number to view.state, so a way is filled
-    exactly when way < len(view.state).  A per-way policy's on_insert
-    overwrites state[way] (a refilled way holds the evicted block's
-    value); an order-keeping one moves the way where the fill belongs.
+    exactly when way < len(view.state) and a fresh way is last in an
+    order; a victim's way is refilled in place, view.state as
+    choose_victim left it.  A per-way policy's on_insert overwrites
+    state[way] (a refilled way holds the evicted block's value); an
+    order-keeping one moves the way where the fill belongs.
     choose_victim is called only when an insertion meets a full set and
     returns a way in 0..ways-1; it sets `predicted_dead` to True when the
     victim was taken from a predicted-dead set.  The engine looks the
@@ -368,7 +370,7 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     hit_at = bytearray(n)
     misses = bypasses = evictions = 0
 
-    for index, (si, tag) in enumerate(zip(sets, tags)):
+    for index, si, tag in zip(count(), sets, tags):
         view = views[si]
         view.access_index = index
         where = lookup[si]

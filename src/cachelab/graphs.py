@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from cachelab.trace import RECORD_DTYPE, Trace, pack_flags, read_body
+from .trace import RECORD_DTYPE, Trace, pack_flags, read_body
 
 CSR_MAGIC = b"CSR1"
 MAX_REMAP_VERTICES = 3_037_000_499  # apply_remap's key range: V * V - 1 < 2**63
@@ -418,7 +418,7 @@ def gen_graph_trace(
     abrs = [(prop_base, prop_end)]
     region_map = None
     if bake_hints:
-        from cachelab.grasp import RegionMap
+        from .grasp import RegionMap
 
         if llc_capacity is None:
             raise GraphError("bake_hints needs llc_capacity")

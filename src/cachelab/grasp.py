@@ -13,8 +13,8 @@ RRPV scan, so no block is ever immortal.
 
 import numpy as np
 
-from cachelab.policies import DrripPolicy
-from cachelab.trace import ReuseHint
+from .policies import DrripPolicy
+from .trace import ReuseHint
 
 VARIANTS = {"full": "grasp", "insert-only": "grasp-insert", "hints": "grasp-hints"}  # -> name
 _ONE_STEP = (ReuseHint.MODERATE, ReuseHint.LOW)  # hit promotion of the full variant

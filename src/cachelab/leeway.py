@@ -22,7 +22,7 @@ a re-reference to the most recently used block has distance 1, so a
 stored distance of 0 is reserved for blocks never re-referenced.
 """
 
-from cachelab.policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
+from .policies import LruPolicy, NruPolicy, SetDuel, sampler_layout
 
 BOP = 0  # the bypass-oriented bank of the dynamic mode
 ROP = 1  # the reuse-oriented bank

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from cachelab import engine
+from . import engine
 
 
 def _stack_distances(trace, geometry):

@@ -15,7 +15,7 @@ bypass is the same.
 
 import numpy as np
 
-from cachelab.engine import Policy, SplitMix64, _block_links, _report, _set_runs, run_policy
+from .engine import Policy, SplitMix64, _block_links, _report, _set_runs, run_policy
 
 NEVER = 1 << 62  # farther than any trace position
 

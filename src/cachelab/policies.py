@@ -26,8 +26,8 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 from copy import copy
 from functools import partial
 
-from cachelab.engine import Policy, SplitMix64, run_policy
-from cachelab.trace import ReuseHint
+from .engine import Policy, SplitMix64, run_policy
+from .trace import ReuseHint
 
 BIP_EPSILON = 1.0 / 32.0
 LEADER_SETS = 32
@@ -101,19 +101,26 @@ class LruPolicy(Policy):
     """True LRU, and the base of the stack family.
 
     view.state is the set's recency stack (Mattson et al., IBM Sys. J.
-    1970): its filled ways, most recently used first.  The engine appends
-    a fresh way at the LRU end; a hit or an MRU fill moves the way to the
-    front, and the victim is the way at the end.
+    1970): its filled ways, most recently used first.  A hit or an MRU
+    fill moves the way to the front; the victim is the way at the end,
+    where the engine appends a fresh way and refills a victim's in place.
     """
 
     name = "lru"
 
     def on_hit(self, view, way):
         stack = view.state
-        stack.remove(way)
-        stack.insert(0, way)
+        if stack[0] != way:
+            stack.remove(way)
+            stack.insert(0, way)
 
-    on_insert = on_hit  # an MRU fill
+    def on_insert(self, view, way):  # an MRU fill
+        stack = view.state
+        if stack[-1] == way:  # a fresh way, or the LRU victim's
+            stack.insert(0, stack.pop())
+        else:  # a victim from mid-stack, as Leeway's dead ones
+            stack.remove(way)
+            stack.insert(0, way)
 
     def choose_victim(self, view):
         return view.state[-1]
@@ -148,7 +155,7 @@ class BipPolicy(LruPolicy):
 
     def on_insert(self, view, way):
         if self.rng.random() < BIP_EPSILON:
-            LruPolicy.on_hit(self, view, way)
+            LruPolicy.on_insert(self, view, way)
 
 
 class DuelPolicy:
@@ -388,13 +395,13 @@ class UnknownPolicyError(ValueError):
 
 
 def _leeway(nru=False, **kw):
-    from cachelab import leeway  # leeway.py and grasp.py import this module
+    from . import leeway  # leeway.py and grasp.py import this module
 
     return (leeway.LeewayNruPolicy if nru else leeway.LeewayLruPolicy)(**kw)
 
 
 def _grasp(variant, abrs):
-    from cachelab.grasp import GraspPolicy
+    from .grasp import GraspPolicy
 
     return GraspPolicy(abrs=abrs, variant=variant)
 

@@ -1,13 +1,19 @@
 """Baseline replacement policies: exact single-step behavior and
 small end-to-end runs."""
 
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 
+import cachelab
 from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.leeway import LeewayLruPolicy
 from cachelab.policies import (
     POLICY_NAMES,
+    BipPolicy,
     BrripPolicy,
     DrripPolicy,
     LruPolicy,
@@ -95,6 +101,76 @@ def test_recency_states_stay_a_permutation():
         for sets in (2, 1):
             simulate(t, CacheGeometry(sets, 4, 64), Checked(), seed=1)
         assert failures == [], name
+
+
+class FixedDraws:
+    """A stand-in generator whose random() always returns x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def test_recency_fills_and_top_hits_keep_the_stack_order():
+    """A fill pops the bottom way only when the way is there: a Leeway
+    dead victim taken from mid-stack is refilled to the top with the
+    other ways in order; a hit on the top way moves nothing; a BIP MRU
+    fill, of a fresh way or of the LRU victim, lands at the top."""
+    pol = LeewayLruPolicy(mode="static-bop")
+    pol.reset(one_set(4), SplitMix64(0))
+    pol.bind(Trace([MemoryAccess(0)]), [0])
+    view = make_view([2, 0, 3, 1])  # way 2 most recently used, way 1 least
+    pol.blocks[0] = [[4, 0, 0], [4, 0, 0], [4, 0, 0], [1, 0, 0]]  # way 3, at depth 3, is dead
+    assert pol.choose_victim(view) == 3 and pol.predicted_dead
+    pol._pending_pld = 4
+    pol.on_insert(view, 3)
+    assert view.state == [3, 2, 0, 1]
+    pol.on_hit(view, 3)
+    assert view.state == [3, 2, 0, 1]
+
+    lru = LruPolicy()
+    lru.on_hit(view, 3)
+    assert view.state == [3, 2, 0, 1]
+    lru.on_hit(view, 0)
+    assert view.state == [0, 3, 2, 1]
+
+    bip = BipPolicy()
+    bip.rng = FixedDraws(0.5)  # at or above BIP_EPSILON: an LRU-end fill
+    bip.on_insert(view, 1)
+    assert view.state == [0, 3, 2, 1]
+    bip.rng = FixedDraws(0.0)  # below it: an MRU fill
+    bip.on_insert(view, 1)
+    assert view.state == [1, 0, 3, 2]
+    view = make_view([0, 1, 2])
+    view.state.append(3)  # the engine appends a fresh way last
+    bip.on_insert(view, 3)
+    assert view.state == [3, 0, 1, 2]
+
+
+def test_a_second_copy_of_the_package_builds_its_own_policies():
+    """Every import inside cachelab is relative, so the package loaded
+    under another name builds every class of a policy, Leeway's and
+    GRASP's included, from its own modules, and runs as the original."""
+    root = os.path.dirname(cachelab.__file__)
+    spec = importlib.util.spec_from_file_location(
+        "cachelab_copy", os.path.join(root, "__init__.py"), submodule_search_locations=[root])
+    sys.modules["cachelab_copy"] = clone = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(clone)
+        policies = importlib.import_module("cachelab_copy.policies")
+        built = {name: policies.make_policy(name) for name in ("leeway-lru", "grasp")}
+        for pol in built.values():
+            assert all(c.__module__.startswith("cachelab_copy.") for c in type(pol).__mro__[:-1])
+        t = generate_pattern(PatternSpec("thrash", k=8, n=40))
+        clone_t = clone.trace.generate_pattern(clone.PatternSpec("thrash", k=8, n=40))
+        for name, pol in built.items():
+            ran = clone.simulate(clone_t, clone.CacheGeometry(2, 4, 64), pol, seed=1)
+            assert ran.misses == simulate(t, CacheGeometry(2, 4, 64), make_policy(name), seed=1).misses
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] == "cachelab_copy"]:
+            del sys.modules[key]
 
 
 def test_lip_keeps_early_blocks_and_evicts_the_newcomer_slot():
