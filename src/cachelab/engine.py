@@ -195,15 +195,15 @@ class SetView:
 
 
 class Policy:
-    """Replacement policy contract.
+    """Replacement policy contract: one setup call and four hooks.
 
-    Each run calls reset, then bind with the trace and the engine's
-    per-access tag buffer, then exactly one of on_hit / decide_insert per
-    access, in trace order.  Hooks get the set's view, whose
-    access_index is the access's position in the trace; a policy that
-    reads a per-access field takes it in bind as a typed buffer (a
-    memoryview over the numpy column, at most 8 bytes per access, never
-    a list) and indexes it by view.access_index.
+    Each run calls reset once, with the geometry, the run's generator,
+    the trace and the engine's per-access tag buffer, then exactly one
+    of on_hit / decide_insert per access, in trace order.  Hooks get the
+    set's view, whose access_index is the access's position in the
+    trace; a policy that reads a per-access field takes it in reset as a
+    typed buffer (a memoryview over the numpy column, at most 8 bytes
+    per access, never a list) and indexes it by view.access_index.
 
     view.state is the policy's list, a value per way or an order of the
     filled ways.  The engine fills ways in order, appending the tag to
@@ -214,20 +214,17 @@ class Policy:
     state[way] (a refilled way holds the evicted block's value); an
     order-keeping one moves the way where the fill belongs.
     choose_victim is called only when an insertion meets a full set and
-    returns a way in 0..ways-1; it sets `predicted_dead` to True when the
-    victim was taken from a predicted-dead set.  The engine looks the
-    hooks up once, after bind, and keeps them as loop locals.
+    returns a way in 0..ways-1 (a dead-block predictor's also logs a
+    victim predicted dead in dead_log, as (access index, set, tag)).
+    The engine looks the hooks up once, after reset, as loop locals.
     """
 
     name = "policy"
-    predicted_dead = False
+    dead_log = ()  # a policy that predicts no dead blocks logs none
 
-    def reset(self, geometry, rng):
+    def reset(self, geometry, rng, trace, tags):
         self.geometry = geometry
         self.rng = rng
-
-    def bind(self, trace, tags):
-        pass
 
     def decide_insert(self, view):
         return True
@@ -312,8 +309,8 @@ class SimReport:
         return d
 
 
-def lru_would_miss(stream, start, tag, ways, stop=None):
-    """True if tag's next reference in stream[start:stop] comes at or
+def lru_would_miss(stream, start, tag, ways):
+    """True if tag's next reference in stream[start:] comes at or
     after `ways` distinct other blocks, or never comes.
 
     This is the dead-eviction correctness rule: an eviction at stream
@@ -323,7 +320,7 @@ def lru_would_miss(stream, start, tag, ways, stop=None):
     iterable of tags.
     """
     seen = set()
-    for t in islice(stream, start, stop):
+    for t in islice(stream, start, None):
         if t == tag:
             return False
         seen.add(t)
@@ -344,29 +341,25 @@ def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
 
 
 def run_policy(policy, geometry, rng, trace, sets, tags):
-    """The cache loop: reset and bind policy, then run it over one set
-    index and one tag per access of trace.
+    """The cache loop: reset policy, then run it over one set index and
+    one tag per access of trace.
 
-    Returns (hit_at, counters, dead_log): one byte per access, 1 on a
-    hit; the hits, misses, bypasses and evictions; and (access index,
-    set, victim tag) per predicted-dead eviction.  Hits are counted from
-    hit_at, and the end state is checked against the counters.
+    Returns (hit_at, counters): one byte per access, 1 on a hit; and the
+    hits, misses, bypasses and evictions.  Hits are counted from hit_at,
+    and the end state is checked against the counters.
     """
     num_sets = geometry.num_sets
     ways = geometry.ways
     views = [SetView(i, ways) for i in range(num_sets)]
     lookup = [dict() for _ in range(num_sets)]
 
-    policy.reset(geometry, rng)
-    policy.bind(trace, tags)
+    policy.reset(geometry, rng, trace, tags)
     on_hit, decide_insert = policy.on_hit, policy.decide_insert
     choose_victim, on_insert = policy.choose_victim, policy.on_insert
     if getattr(decide_insert, "__func__", None) is Policy.decide_insert:
         decide_insert = None  # inserts on every miss, no call needed
-    policy.predicted_dead = False
 
     n = len(tags)
-    dead_log = []
     hit_at = bytearray(n)
     misses = bypasses = evictions = 0
 
@@ -393,11 +386,7 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
             if not 0 <= way < ways:
                 raise RuntimeError("victim way %r outside 0..%d" % (way, ways - 1))
             evictions += 1
-            victim = resident[way]
-            if policy.predicted_dead:
-                policy.predicted_dead = False
-                dead_log.append((index, si, victim))
-            del where[victim]
+            del where[resident[way]]
             resident[way] = tag
         where[tag] = way
         on_insert(view, way)
@@ -412,13 +401,13 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
            for view, where in zip(views, lookup)):
         raise RuntimeError("a set's lookup disagrees with its resident tags")
     counters = dict(hits=hits, misses=misses, bypasses=bypasses, evictions=evictions)
-    return hit_at, counters, dead_log
+    return hit_at, counters
 
 
-def _report(policy, geometry, seed, trace, counters, dead_log):
+def _report(policy, geometry, seed, trace, counters):
     """The SimReport of a run_policy run over trace."""
     return SimReport(policy.name, geometry.num_sets, geometry.ways, geometry.block_bytes, seed,
-                     accesses=len(trace), dead_predicted_evictions=len(dead_log),
+                     accesses=len(trace), dead_predicted_evictions=len(policy.dead_log),
                      total_instructions=trace.total_instructions(),
                      trace_fingerprint=trace.digest(), **counters)
 
@@ -432,18 +421,18 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
     ReuseHint and leave out classes with none; the policy never sees it.
     """
     num_sets = geometry.num_sets
-    ways = geometry.ways
     tag_col = geometry.blocks(trace.addresses)
     set_col = tag_col.astype(np.min_scalar_type(num_sets - 1))
     set_col &= num_sets - 1  # a narrowing cast keeps the low bits
     tag_col >>= geometry.set_bits  # block numbers become tags in place
 
-    hit_at, counters, dead_log = run_policy(
+    hit_at, counters = run_policy(
         policy, geometry, SplitMix64(seed), trace, memoryview(set_col), memoryview(tag_col)
     )
-    report = _report(policy, geometry, seed, trace, counters, dead_log)
-    if dead_log:
-        report.dead_predictions_correct = _score_dead(dead_log, set_col, tag_col, num_sets, ways)
+    report = _report(policy, geometry, seed, trace, counters)
+    if policy.dead_log:
+        report.dead_predictions_correct = _score_dead(policy.dead_log, set_col, tag_col,
+                                                      num_sets, geometry.ways)
     if classify is not None:
         codes = classify(trace.addresses)
         accesses, hits = ([int(np.count_nonzero(c == hint)) for hint in ReuseHint]  # no intp copy

@@ -285,6 +285,8 @@ def random_reorder(graph, granularity_blocks=0, seed=0, prop_bytes=8, block_byte
     granularity n>=1: shuffle runs of n cache blocks' worth of vertices,
     keeping order inside each run.  Either way the run numbers are
     shuffled, a run being one vertex at granularity 0."""
+    if prop_bytes < 1 or block_bytes < 1:
+        raise GraphError("prop_bytes and block_bytes must be at least 1")
     run = granularity_blocks * (block_bytes // prop_bytes) if granularity_blocks else 1
     if run < 1:
         raise GraphError("block_bytes must hold at least one property element")
@@ -330,6 +332,8 @@ def skew_metrics(graph, prop_bytes=8, block_bytes=64, degrees=None):
     per-block average counts hot vertices only over property-array
     cache blocks that contain at least one.
     """
+    if prop_bytes < 1 or block_bytes < 1:
+        raise GraphError("prop_bytes and block_bytes must be at least 1")
     if degrees is None:
         degrees = graph.reuse_degrees()
     degrees = np.asarray(degrees)
@@ -413,6 +417,8 @@ def gen_graph_trace(
     With bake_hints the records carry the region classification that a
     cache of llc_capacity bytes would compute at run time.
     """
+    if prop_bytes < 1 or block_bytes < 1:
+        raise GraphError("prop_bytes and block_bytes must be at least 1")
     v_count = graph.vertex_count
     prop_end = prop_base + v_count * prop_bytes
     abrs = [(prop_base, prop_end)]

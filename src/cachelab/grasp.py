@@ -79,24 +79,20 @@ class GraspPolicy(DrripPolicy):
         self.abrs = tuple(abrs)
         self.variant = variant
         self.name = VARIANTS[variant]
-
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
-        self.region_map = RegionMap(self.abrs, geometry.capacity_bytes) if self.abrs else None
         # insertion RRPV per hinted class, a DEFAULT fill going to the base;
         # "hints" puts high reuse near the eviction point, other hints at it
-        top, hints = self.rrpv_max, self.variant == "hints"
+        top, hints = self.rrpv_max, variant == "hints"
         self.insert_rrpv = {ReuseHint.HIGH: top - 1 if hints else 0, ReuseHint.LOW: top,
                             ReuseHint.MODERATE: top if hints else top - 1}
 
-    def bind(self, trace, tags):
+    def reset(self, geometry, rng, trace, tags):
         """Take each access's reuse class: the region classification when
         regions are declared, which a trace's own valid hints must match,
-        else the trace's hints.  The check comes first, so a rejected
-        trace costs no shadow duel."""
+        else the trace's hints.  The check comes before the base's reset,
+        so a rejected trace costs no shadow duel."""
         hints = trace.hints
-        if self.region_map is not None:
-            by_region = self.region_map.classify(trace.addresses)
+        if self.abrs:
+            by_region = RegionMap(self.abrs, geometry.capacity_bytes).classify(trace.addresses)
             bad = trace.hint_valid & (hints != by_region)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -107,7 +103,7 @@ class GraspPolicy(DrripPolicy):
                 )
             hints = by_region
         self.hints = memoryview(hints)
-        super().bind(trace, tags)
+        super().reset(geometry, rng, trace, tags)
 
     def on_insert(self, view, way):
         rrpv = self.insert_rrpv.get(self.hints[view.access_index])

@@ -43,19 +43,21 @@ SAMPLER_SETS = 64
 
 class LeewayPolicy:
     """Dead-block predicting replacement with per-PC live distances, a
-    mixin ahead of the base class that owns view.state, promotion, the
-    fallback victim, each way's depth and the deepest one, max_depth:
-    `LeewayLruPolicy(LeewayPolicy, LruPolicy)`.  Leeway's own state per
-    (set, way) is the entry [predicted, observed, pc]: the block's
-    predicted live distance, its deepest depth seen at a sampler hit,
-    and its fill signature.  The mode's rules fix its banks, two for
-    "dynamic", else one, each a `stable` and a `streak` dict keyed by
-    PC.  `sampler_bank` maps each sampler set to the bank it trains.
-    Dynamic samplers are `duel`'s leader sets, up to sampler_sets (>= 1)
-    pairs of them, and `duel.miss` gives each miss its bank, voting
-    against a sampler's own; followers run the winner.  A one-set cache
-    and the static modes have no leaders: their samplers, up to
-    sampler_sets of them, train bank 0, which every miss runs.
+    mixin ahead of the base class that owns view.state, promotion and
+    the fallback victim: `LeewayLruPolicy(LeewayPolicy, LruPolicy)`,
+    which, like LeewayNruPolicy, counts each way's depth and max_depth.
+    reset, the one setup call, makes `dead_log`, and choose_victim logs
+    each victim it takes as dead there.  Leeway's own state per (set,
+    way) is the entry [predicted, observed, pc]: the block's predicted
+    live distance, its deepest depth seen at a sampler hit, and its fill
+    signature.  The mode's rules fix its banks, two for "dynamic", else
+    one, each a `stable` and a `streak` dict keyed by PC.
+    `sampler_bank` maps each sampler set to the bank it trains.  Dynamic
+    samplers are `duel`'s leader sets, up to sampler_sets (>= 1) pairs
+    of them, and `duel.miss` gives each miss its bank, voting against a
+    sampler's own; followers run the winner.  A one-set cache and the
+    static modes have no leaders: their samplers, up to sampler_sets of
+    them, train bank 0, which every miss runs.
     """
 
     def __init__(self, mode="dynamic", sampler_sets=SAMPLER_SETS):
@@ -77,8 +79,8 @@ class LeewayPolicy:
         cls.base_hit, cls.base_insert = base.on_hit, base.on_insert
         cls.base_victim = base.choose_victim
 
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
+    def reset(self, geometry, rng, trace, tags):
+        super().reset(geometry, rng, trace, tags)
         self.maxpos = self.max_depth
         self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: a PC's stable distance starts at the ceiling, so
@@ -87,9 +89,8 @@ class LeewayPolicy:
         num_sets, n = geometry.num_sets, self.sampler_cfg
         self.duel = SetDuel(num_sets, n if self.dynamic else 0)  # side 0 BOP, side 1 ROP
         self.sampler_bank = dict(self.duel.kind) or dict.fromkeys(sampler_layout(num_sets, n), BOP)
-
-    def bind(self, trace, tags):
         self.pcs = memoryview(trace.pcs)
+        self.dead_log = []
 
     # -- predictor table ------------------------------------------------
 
@@ -146,7 +147,7 @@ class LeewayPolicy:
                 if depth > blocks[w][0]]
         if dead:
             way = min(dead)[2]
-            self.predicted_dead = True
+            self.dead_log.append((view.access_index, view.set_index, view.tags[way]))
         else:
             way = self.base_victim(view)
         bank_here = self.sampler_bank.get(view.set_index)
@@ -159,6 +160,27 @@ class LeewayPolicy:
 class LeewayLruPolicy(LeewayPolicy, LruPolicy):
     """Leeway over LRU: depths are recency stack positions."""
 
+    max_depth = property(lambda self: self.geometry.ways)  # the deepest depth()
+
+    def depth(self, view, way):
+        """Stack depth of a filled way, 1 for the most recently used."""
+        return view.state.index(way) + 1
+
+    def depths(self, view):
+        """depth() of every way of a full set."""
+        depths = [0] * len(view.state)
+        for d, way in enumerate(view.state, 1):
+            depths[way] = d
+        return depths
+
 
 class LeewayNruPolicy(LeewayPolicy, NruPolicy):
     """Leeway over NRU: depths are NRU classes plus one."""
+
+    max_depth = 2  # the depth of a way at class 1
+
+    def depth(self, view, way):
+        return view.state[way] + 1
+
+    def depths(self, view):
+        return [s + 1 for s in view.state]

@@ -125,19 +125,6 @@ class LruPolicy(Policy):
     def choose_victim(self, view):
         return view.state[-1]
 
-    max_depth = property(lambda self: self.geometry.ways)  # the deepest depth()
-
-    def depth(self, view, way):
-        """Stack depth of a filled way, 1 for the most recently used."""
-        return view.state.index(way) + 1
-
-    def depths(self, view):
-        """depth() of every way of a full set."""
-        depths = [0] * len(view.state)
-        for d, way in enumerate(view.state, 1):
-            depths[way] = d
-        return depths
-
 
 class LipPolicy(LruPolicy):
     """LRU Insertion Policy: a fill stays at the bottom of the stack."""
@@ -165,28 +152,24 @@ class DuelPolicy:
 
     Each fill inserts as the side that SetDuel.miss names, a vote cast
     when a leader set fills.  A cache too small for leader sets duels on
-    shadow sets: bind runs a copy of each side through the engine's own
-    loop (`run_policy`) on a generator forked off the run's at reset,
+    shadow sets: reset runs a copy of each side through the engine's own
+    loop (`run_policy`) on a generator forked off the run's,
     `SetDuel.replay` votes their misses, and each fill inserts as the
     side that governs its access.
     """
 
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
-        self.a.reset(geometry, rng)
-        self.b.reset(geometry, rng)
+    def reset(self, geometry, rng, trace, tags):
+        super().reset(geometry, rng, trace, tags)
+        self.a.reset(geometry, rng, trace, tags)
+        self.b.reset(geometry, rng, trace, tags)
         self.duel = SetDuel(geometry.num_sets)
         self.sides = (self.a.on_insert, self.b.on_insert)
         self.b_won = None  # per access of a shadow duel, whether b governs it
-        if self.duel.shadow:  # one set: the only set index is 0
-            self.shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
-
-    def bind(self, trace, tags):
-        super().bind(trace, tags)
-        if self.duel.shadow:  # no leader sets to vote for
+        if self.duel.shadow:  # one set, the only set index 0, and no leader sets to vote for
+            shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
             self.b_won = self.duel.replay(*(
-                run_policy(copy(p), self.geometry, self.shadow_rng, trace, bytes(len(tags)),
-                           tags)[0] for p in (self.a, self.b)))
+                run_policy(copy(p), geometry, shadow_rng, trace, bytes(len(tags)), tags)[0]
+                for p in (self.a, self.b)))
 
     def on_insert(self, view, way):
         b_won = self.b_won
@@ -247,8 +230,6 @@ class NruPolicy(SrripPolicy):
     and promote to class 0, and evict at class 1 after RRIP's aging, a
     uniform draw from the run's generator when several ways are there."""
 
-    max_depth = 2  # the depth of a way at class 1
-
     def __init__(self):
         super().__init__(1)  # so SRRIP's fill at rrpv_max - 1 is at class 0
         self.name = "nru1"
@@ -258,14 +239,6 @@ class NruPolicy(SrripPolicy):
         if state.count(1) == 1:
             return way
         return self.rng.choice([w for w, s in enumerate(state) if s])
-
-    def depth(self, view, way):
-        """A way's class plus one, the depth Leeway counts live distances
-        in, where 0 means never re-referenced."""
-        return view.state[way] + 1
-
-    def depths(self, view):
-        return [s + 1 for s in view.state]
 
 
 class BrripPolicy(SrripPolicy):
@@ -304,13 +277,11 @@ class ShipMemPolicy(SrripPolicy):
         super().__init__(3)
         self.name = "ship-mem"
 
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
+    def reset(self, geometry, rng, trace, tags):
+        super().reset(geometry, rng, trace, tags)
         self.sampler = set(sampler_layout(geometry.num_sets, SHIP_SAMPLER_SETS))
         self.table = {}
         self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
-
-    def bind(self, trace, tags):
         self.addresses = memoryview(trace.addresses)  # a region per fill, not a column of them
 
     def on_insert(self, view, way):
@@ -362,14 +333,11 @@ class PinPolicy(DrripPolicy):
         self.name = "pin%d" % percent
         self._pin_next = False
 
-    def reset(self, geometry, rng):
-        super().reset(geometry, rng)
+    def reset(self, geometry, rng, trace, tags):
+        super().reset(geometry, rng, trace, tags)
         self.reserved = (geometry.ways * self.percent + 50) // 100
         self.pinned = [0] * geometry.num_sets  # pinned ways per set
-
-    def bind(self, trace, tags):
         self.hints = memoryview(trace.hints)
-        super().bind(trace, tags)
 
     def decide_insert(self, view):
         pinned = self.pinned[view.set_index]

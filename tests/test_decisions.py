@@ -40,8 +40,9 @@ def _record(pol, log):
         return insert
 
     def logged_victim(view):
+        logged = len(pol.dead_log)
         way = choose_victim(view)
-        log.append("v%d%s" % (way, "d" if pol.predicted_dead else ""))
+        log.append("v%d%s" % (way, "d" if len(pol.dead_log) > logged else ""))
         return way
 
     pol.on_hit, pol.decide_insert, pol.choose_victim = logged_hit, logged_decide, logged_victim

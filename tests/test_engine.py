@@ -303,15 +303,15 @@ def test_simulate_rejects_a_victim_outside_the_set(victim):
 
 
 @pytest.mark.parametrize("base, stride", [(1 << 40, 1), (0, 1 << 30)])
-def test_bind_tags_share_one_object_per_dense_value(base, stride):
-    """bind receives the engine's int64 tag buffer (8 B per access, no
+def test_reset_tags_share_one_object_per_dense_value(base, stride):
+    """reset receives the engine's int64 tag buffer (8 B per access, no
     Python int object per access at all), equal to the block tags, dense
     or sparse; so dense tags cost the same memory at any address: a run
     at tag base 2**40 peaks within 10% of one at base 0."""
     seen = {}
 
     class Spy(Policy):
-        def bind(self, trace, tags):
+        def reset(self, geometry, rng, trace, tags):
             seen["itemsize"] = memoryview(tags).itemsize
             seen["tags"] = list(tags)
 

@@ -382,6 +382,17 @@ def test_block_granular_shuffle_keeps_runs_of_eight_together():
     assert shuffled
 
 
+def test_random_reorder_rejects_sizes_below_one_byte():
+    """A property or block size below one byte is refused at every
+    granularity, rather than dividing by zero or shuffling as if the
+    sizes were usable."""
+    for prop_bytes, block_bytes in ((0, 64), (-8, 64), (8, 0), (8, -64)):
+        for granularity in (0, 2):
+            with pytest.raises(GraphError, match="at least 1"):
+                random_reorder(small_csr(), granularity, prop_bytes=prop_bytes,
+                               block_bytes=block_bytes)
+
+
 def test_apply_remap_identity_and_inverse_recover_the_graph():
     g = synth_powerlaw(300, 5, seed=6)
     ident = apply_remap(g, np.arange(300))
@@ -508,6 +519,14 @@ def test_skew_metrics_on_a_uniform_graph_everything_is_hot():
     assert m["hot_edge_coverage"] == 1.0
     assert m["avg_hot_per_block"] == 8.0  # 8-byte elements in 64B blocks
     assert m["hot_footprint_bytes"] == 64 * 8
+
+
+def test_skew_metrics_rejects_sizes_below_one_byte():
+    """A zero property size divided by zero and a negative one gave a
+    negative hot footprint; a block size below one byte is refused too."""
+    for prop_bytes, block_bytes in ((0, 64), (-8, 64), (8, 0), (8, -64)):
+        with pytest.raises(GraphError, match="at least 1"):
+            skew_metrics(small_csr(), prop_bytes=prop_bytes, block_bytes=block_bytes)
 
 
 def test_skew_metrics_bounds_on_a_skewed_graph():
@@ -683,6 +702,14 @@ def test_gen_graph_trace_matches_the_record_at_a_time_walk():
 def test_gen_graph_trace_requires_capacity_for_baked_hints():
     with pytest.raises(GraphError):
         gen_graph_trace(small_csr(), bake_hints=True)
+
+
+def test_gen_graph_trace_rejects_sizes_below_one_byte():
+    """A zero property size would send every gather to one address and a
+    zero block size would divide by zero; neither gives a trace."""
+    for prop_bytes, block_bytes in ((0, 64), (-8, 64), (8, 0), (8, -64)):
+        with pytest.raises(GraphError, match="at least 1"):
+            gen_graph_trace(small_csr(), prop_bytes=prop_bytes, block_bytes=block_bytes)
 
 
 def test_gen_graph_trace_respects_prop_base_offset():

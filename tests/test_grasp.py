@@ -26,7 +26,7 @@ def make_view(states, set_index=0):
 
 def grasp(variant="full", abrs=((0, 1 << 40),)):
     pol = GraspPolicy(abrs=abrs, variant=variant)
-    pol.reset(geom(), SplitMix64(0))
+    pol.reset(geom(), SplitMix64(0), Trace([]), [])
     return pol
 
 
@@ -34,10 +34,10 @@ def hinted(address, hint):
     return MemoryAccess(address, reuse_hint=hint, hint_valid=hint != ReuseHint.DEFAULT)
 
 
-def bind_hints(pol, *hints):
-    """Bind a trace of records at address 0 carrying these hints; hook
-    calls then read hint i at view.access_index i."""
-    pol.bind(Trace([hinted(0, hint) for hint in hints]), [0] * len(hints))
+def reset_on_hints(pol, *hints):
+    """Reset pol on a trace of records at address 0 carrying these hints;
+    hook calls then read hint i at view.access_index i."""
+    pol.reset(geom(), SplitMix64(0), Trace([hinted(0, hint) for hint in hints]), [0] * len(hints))
 
 
 def at(view, index):
@@ -137,23 +137,21 @@ def test_region_map_rejects_bad_and_overlapping_bounds():
 
 
 def test_full_variant_insertion_by_class():
-    pol = grasp("full")
+    pol = grasp("full", abrs=())  # no regions: hints flow straight from the trace
     for hint, expected in (
         (ReuseHint.HIGH, 0),
         (ReuseHint.MODERATE, 6),
         (ReuseHint.LOW, 7),
     ):
-        pol.region_map = None  # hints flow straight from the trace
-        bind_hints(pol, hint)
+        reset_on_hints(pol, hint)
         view = make_view([0] * 4)
         pol.on_insert(view, 0)
         assert view.state[0] == expected, hint
 
 
 def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
-    pol = grasp("hints")
-    pol.region_map = None
-    bind_hints(pol, ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW)
+    pol = grasp("hints", abrs=())
+    reset_on_hints(pol, ReuseHint.HIGH, ReuseHint.MODERATE, ReuseHint.LOW)
     view = make_view([0] * 4)
     pol.on_insert(at(view, 0), 0)
     assert view.state[0] == 6
@@ -166,7 +164,7 @@ def test_hints_variant_keeps_high_blocks_just_short_of_eviction():
 def test_default_class_inserts_like_the_base_policy():
     pol = grasp("full", abrs=())
     a_set = next(s for s, k in pol.duel.kind.items() if k == 0)
-    pol.bind(Trace([MemoryAccess(0)]), [0])
+    pol.reset(geom(), SplitMix64(0), Trace([MemoryAccess(0)]), [0])
     view = make_view([0] * 4, set_index=a_set)
     pol.on_insert(view, 0)
     assert view.state[0] == 6  # the base's static insertion depth
@@ -176,9 +174,8 @@ def test_default_class_inserts_like_the_base_policy():
 
 
 def test_full_variant_promotes_moderate_and_low_by_one_step():
-    pol = grasp("full")
-    pol.region_map = None
-    bind_hints(pol, ReuseHint.LOW, ReuseHint.MODERATE, ReuseHint.LOW, ReuseHint.HIGH)
+    pol = grasp("full", abrs=())
+    reset_on_hints(pol, ReuseHint.LOW, ReuseHint.MODERATE, ReuseHint.LOW, ReuseHint.HIGH)
     view = make_view([7, 3, 0, 5])
     pol.on_hit(at(view, 0), 0)
     assert view.state[0] == 6
@@ -191,9 +188,8 @@ def test_full_variant_promotes_moderate_and_low_by_one_step():
 
 
 def test_moderate_block_needs_repeated_hits_to_reach_the_top():
-    pol = grasp("full")
-    pol.region_map = None
-    bind_hints(pol, ReuseHint.MODERATE)
+    pol = grasp("full", abrs=())
+    reset_on_hints(pol, ReuseHint.MODERATE)
     view = make_view([0] * 4)
     pol.on_insert(view, 0)
     assert view.state[0] == 6
@@ -203,9 +199,8 @@ def test_moderate_block_needs_repeated_hits_to_reach_the_top():
 
 
 def test_insert_only_variant_promotes_like_the_base():
-    pol = grasp("insert-only")
-    pol.region_map = None
-    bind_hints(pol, ReuseHint.LOW)
+    pol = grasp("insert-only", abrs=())
+    reset_on_hints(pol, ReuseHint.LOW)
     view = make_view([7])
     pol.on_hit(view, 0)
     assert view.state[0] == 0
@@ -245,7 +240,7 @@ def test_baked_hints_must_agree_with_the_region_map():
     pol = grasp("full", abrs=((0, 1 << 30),))
     # address 0 is high-reuse by region, but the record claims low
     with pytest.raises(GraspConfigError):
-        pol.bind(Trace([hinted(0, ReuseHint.LOW)]), [0])
+        reset_on_hints(pol, ReuseHint.LOW)
     # simulate names the first disagreeing address; 0x40 is high-reuse too
     t = Trace([hinted(0, ReuseHint.HIGH), hinted(0x40, ReuseHint.MODERATE),
                hinted(0x80, ReuseHint.LOW)])

@@ -6,13 +6,14 @@ import pytest
 from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.graphs import apply_remap, dbg_reorder, gen_graph_trace, synth_powerlaw
 from cachelab.leeway import BOP, ROP, LeewayLruPolicy, LeewayNruPolicy, LeewayPolicy
-from cachelab.policies import RandomPolicy, make_policy
+from cachelab.policies import POLICY_NAMES, RandomPolicy, make_policy
 from cachelab.trace import MemoryAccess, PatternSpec, Trace, generate_pattern
 
 
-def leeway(mode="static-bop", base=LeewayLruPolicy, sets=1, ways=4, **kw):
+def leeway(mode="static-bop", base=LeewayLruPolicy, sets=1, ways=4, trace=Trace([]), **kw):
+    """A policy reset on trace; hooks called by hand read its PCs."""
     pol = base(mode=mode, **kw)
-    pol.reset(CacheGeometry(sets, ways, 64), SplitMix64(0))
+    pol.reset(CacheGeometry(sets, ways, 64), SplitMix64(0), trace, [0] * len(trace))
     return pol
 
 
@@ -30,6 +31,9 @@ def make_view(pol, blocks, set_index=0):
 
 def block_trace(ids, pc=0):
     return Trace([MemoryAccess(64 * b, pc_signature=pc) for b in ids])
+
+
+PC7 = Trace([MemoryAccess(0, pc_signature=7)])  # one access, from PC 7
 
 
 # -- predictor table ----------------------------------------------------------
@@ -110,9 +114,8 @@ def test_dead_block_wins_over_the_base_victim():
     view = make_view(pol, [
         (3, 0, 99), (2, 3, 99), (1, 3, 99), (0, 3, 99),
     ])
-    pol.predicted_dead = False
     assert pol.choose_victim(view) == 0
-    assert pol.predicted_dead
+    assert pol.dead_log == [(0, 0, 0)]  # logged dead: access 0, set 0, way 0's tag
 
 
 def test_dead_tie_breaks_on_lowest_predicted_then_deepest():
@@ -135,9 +138,8 @@ def test_no_dead_block_falls_back_to_base_lru_depth():
     view = make_view(pol, [
         (1, 9, 99), (3, 9, 99), (0, 9, 99), (2, 9, 99),
     ])
-    pol.predicted_dead = False
     assert pol.choose_victim(view) == 1  # deepest position
-    assert not pol.predicted_dead
+    assert pol.dead_log == []
 
 
 def test_victim_feedback_trains_the_predictor():
@@ -191,10 +193,9 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
 
 
 def test_insert_places_the_block_on_top_and_renumbers():
-    pol = leeway("static-bop", ways=4)
+    pol = leeway("static-bop", ways=4, trace=PC7)
     view = make_view(pol, [(0, 9, 1), (1, 9, 2), (2, 9, 3), (0, 9, 4)])
     pol._pending_pld = 2
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     pol.on_insert(view, 3)
     pld, _, pc = pol.blocks[0][3]
     assert (pol.depth(view, 3), pld, pc) == (1, 2, 7)
@@ -202,10 +203,9 @@ def test_insert_places_the_block_on_top_and_renumbers():
 
 
 def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
-    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
+    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1, trace=PC7)
     pol.stable[BOP][7] = 0
     pol.duel.psel = pol.duel.mid - 1  # PSEL below its midpoint: BOP governs followers
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     follower = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert not pol.decide_insert(follower)
     # a sampler set sometimes lets one through to keep learning
@@ -216,10 +216,9 @@ def test_follower_bypasses_zero_distance_pcs_and_samplers_retrain():
 
 
 def test_positive_stable_distance_inserts_with_that_prediction():
-    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
+    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1, trace=PC7)
     pol.stable[BOP][7] = 3
     pol.duel.psel = pol.duel.mid - 1  # PSEL below its midpoint: BOP governs followers
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
     view = make_view(pol, [(0, 9, 9)] * 4, set_index=1)
     assert pol.decide_insert(view)
     assert pol._pending_pld == 3
@@ -236,12 +235,47 @@ def test_bypasses_show_up_in_the_report():
     assert r.misses == 20
 
 
+# -- dead log ------------------------------------------------------------------
+
+
+def test_dead_log_names_each_evicted_victim_and_only_leeway_keeps_one():
+    """On a small pull trace (a DBG-ordered power-law graph's gathers),
+    each leeway-lru dead_log entry (i, s, tag) names a tag resident in
+    set s before access i and gone after it, the log is as long as the
+    report's dead_predicted_evictions, and every name outside Leeway
+    ends its run with the empty dead_log."""
+    g = synth_powerlaw(300, 6, seed=3)
+    trace, abrs = gen_graph_trace(apply_remap(g, dbg_reorder(g)))
+    geom = CacheGeometry(4, 4, 64)
+    pol = LeewayLruPolicy()
+    before, after = {}, {}
+    decide_insert, on_insert = pol.decide_insert, pol.on_insert
+
+    def logged_decide(view):  # a victim is taken only on a miss that inserts
+        before[view.access_index] = (view.set_index, list(view.tags))
+        return decide_insert(view)
+
+    def logged_insert(view, way):  # the engine has put the incoming tag in
+        after[view.access_index] = list(view.tags)
+        on_insert(view, way)
+
+    pol.decide_insert, pol.on_insert = logged_decide, logged_insert
+    report = simulate(trace, geom, pol, seed=1)
+    assert len(pol.dead_log) == report.dead_predicted_evictions > 0
+    for i, s, tag in pol.dead_log:
+        assert before[i][0] == s and tag in before[i][1] and tag not in after[i], (i, s, tag)
+    for name in POLICY_NAMES:
+        if name != "opt" and not name.startswith("leeway"):
+            other = make_policy(name, abrs=abrs)
+            assert simulate(trace, geom, other, seed=1).dead_predicted_evictions == 0, name
+            assert other.dead_log == (), name
+
+
 # -- dueling -------------------------------------------------------------------
 
 
 def test_sampler_misses_vote_on_psel_and_followers_read_the_winner():
-    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1)
-    pol.bind(Trace([MemoryAccess(0, pc_signature=7)]), [0])
+    pol = leeway("dynamic", sets=4, ways=4, sampler_sets=1, trace=PC7)
     bop_sampler, rop_sampler, follower = (
         make_view(pol, [(0, 9, 9)] * 4, set_index=s) for s in (0, 2, 1))
     mid = pol.duel.mid
@@ -266,7 +300,7 @@ def test_static_mode_samples_every_set_up_to_the_budget():
     pol = leeway("static-bop", sets=4, ways=4)
     assert pol.sampler_bank == {0: 0, 1: 0, 2: 0, 3: 0}
     pol = LeewayLruPolicy(mode="static-bop", sampler_sets=2)
-    pol.reset(CacheGeometry(8, 4, 64), SplitMix64(0))
+    pol.reset(CacheGeometry(8, 4, 64), SplitMix64(0), Trace([]), [])
     assert pol.sampler_bank == {0: 0, 4: 0}
 
 

@@ -9,8 +9,11 @@ import sys
 import pytest
 
 import cachelab
+from cachelab import policies
 from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.grasp import GraspConfigError
 from cachelab.leeway import LeewayLruPolicy
+from cachelab.opt import opt_oracle
 from cachelab.policies import (
     POLICY_NAMES,
     BipPolicy,
@@ -37,6 +40,9 @@ def make_view(states, set_index=0):
 
 def one_set(ways):
     return CacheGeometry(1, ways, 64)
+
+
+EMPTY = Trace([])  # a policy reset on no accesses, for hooks called by hand
 
 
 def block_trace(ids, block=64, hints=None, pcs=None):
@@ -75,7 +81,7 @@ def test_recency_states_stay_a_permutation():
     """view.state is a permutation of the filled ways, so their stack
     depths are a permutation of 1..n, and depths() agrees with depth()
     on a full set; on two leader sets and on one shadow-duelling set."""
-    stack = LruPolicy()
+    stack = LeewayLruPolicy()  # whose depths are stack positions
     rng = random.Random(17)
     t = Trace([MemoryAccess(64 * rng.randrange(9)) for _ in range(800)])
     for name in ("lru", "lip", "bip", "dip"):
@@ -119,11 +125,10 @@ def test_recency_fills_and_top_hits_keep_the_stack_order():
     other ways in order; a hit on the top way moves nothing; a BIP MRU
     fill, of a fresh way or of the LRU victim, lands at the top."""
     pol = LeewayLruPolicy(mode="static-bop")
-    pol.reset(one_set(4), SplitMix64(0))
-    pol.bind(Trace([MemoryAccess(0)]), [0])
+    pol.reset(one_set(4), SplitMix64(0), Trace([MemoryAccess(0)]), [0])
     view = make_view([2, 0, 3, 1])  # way 2 most recently used, way 1 least
     pol.blocks[0] = [[4, 0, 0], [4, 0, 0], [4, 0, 0], [1, 0, 0]]  # way 3, at depth 3, is dead
-    assert pol.choose_victim(view) == 3 and pol.predicted_dead
+    assert pol.choose_victim(view) == 3 and pol.dead_log == [(0, 0, 3)]
     pol._pending_pld = 4
     pol.on_insert(view, 3)
     assert view.state == [3, 2, 0, 1]
@@ -308,7 +313,7 @@ def test_set_duel_leader_miss_votes_against_its_own_side():
 
 def test_nru_inserts_and_promotes_to_class_zero():
     pol = NruPolicy()
-    pol.reset(one_set(4), SplitMix64(0))
+    pol.reset(one_set(4), SplitMix64(0), EMPTY, [])
     view = make_view([1, 1, 1, 1])
     pol.on_insert(view, 2)
     assert view.state[2] == 0
@@ -319,7 +324,7 @@ def test_nru_inserts_and_promotes_to_class_zero():
 
 def test_nru_evicts_only_from_the_maximum_class():
     pol = NruPolicy()
-    pol.reset(one_set(4), SplitMix64(5))
+    pol.reset(one_set(4), SplitMix64(5), EMPTY, [])
     for _ in range(100):
         view = make_view([1, 0, 1, 0])
         assert pol.choose_victim(view) in (0, 2)
@@ -329,7 +334,7 @@ def test_nru_evicts_only_from_the_maximum_class():
 
 def test_nru_ages_everyone_when_no_block_is_at_the_maximum():
     pol = NruPolicy()
-    pol.reset(one_set(3), SplitMix64(9))
+    pol.reset(one_set(3), SplitMix64(9), EMPTY, [])
     victims = set()
     for _ in range(30):
         view = make_view([0, 0, 0])
@@ -341,7 +346,7 @@ def test_nru_ages_everyone_when_no_block_is_at_the_maximum():
 def test_nru_tie_break_is_reproducible_per_seed():
     def picks(seed):
         pol = NruPolicy()
-        pol.reset(one_set(4), SplitMix64(seed))
+        pol.reset(one_set(4), SplitMix64(seed), EMPTY, [])
         return [pol.choose_victim(make_view([1, 1, 1, 1])) for _ in range(20)]
 
     assert picks(4) == picks(4)
@@ -374,7 +379,7 @@ def test_rrip_victim_ages_until_a_block_reaches_max():
 
 def test_brrip_inserts_mostly_at_max():
     pol = BrripPolicy(m=3)
-    pol.reset(one_set(4), SplitMix64(2))
+    pol.reset(one_set(4), SplitMix64(2), EMPTY, [])
     states = []
     view = make_view([0, 0, 0, 0])
     for _ in range(3200):
@@ -388,7 +393,7 @@ def test_brrip_inserts_mostly_at_max():
 def test_drrip_leaders_insert_their_own_constituency():
     geom = CacheGeometry(128, 4, 64)
     pol = DrripPolicy(m=3)
-    pol.reset(geom, SplitMix64(0))
+    pol.reset(geom, SplitMix64(0), EMPTY, [])
     a_set, b_set = leaders(pol.duel)
     follower = next(s for s in range(128) if s not in pol.duel.kind)
 
@@ -419,7 +424,7 @@ def test_drrip_leaders_insert_their_own_constituency():
 def test_drrip_leader_miss_votes_against_its_side():
     geom = CacheGeometry(128, 4, 64)
     pol = DrripPolicy(m=3)
-    pol.reset(geom, SplitMix64(0))
+    pol.reset(geom, SplitMix64(0), EMPTY, [])
     a_set, _ = leaders(pol.duel)
     before = pol.duel.psel
     view = make_view([0, 0, 0, 0], set_index=a_set)
@@ -490,14 +495,14 @@ def test_pin_reserves_the_stated_share_of_ways():
     """ways x percent / 100 ways, a half rounded up: pin25 reserves one
     of two ways and pin50 the one way of a 1-way cache."""
     pol = PinPolicy(50)
-    pol.reset(CacheGeometry(4, 16, 64), SplitMix64(0))
+    pol.reset(CacheGeometry(4, 16, 64), SplitMix64(0), EMPTY, [])
     assert pol.reserved == 8
     for percent, ways, expected in (
             (25, 16, 4), (75, 16, 12), (100, 16, 16), (25, 2, 1), (25, 6, 2), (25, 10, 3),
             (25, 14, 4), (25, 3, 1), (25, 5, 1), (50, 1, 1), (50, 3, 2), (50, 5, 3),
             (50, 13, 7), (75, 2, 2), (75, 6, 5), (75, 14, 11), (100, 1, 1)):
         p = PinPolicy(percent)
-        p.reset(CacheGeometry(4, ways, 64), SplitMix64(0))
+        p.reset(CacheGeometry(4, ways, 64), SplitMix64(0), EMPTY, [])
         assert p.reserved == expected, (percent, ways)
 
 
@@ -534,8 +539,7 @@ def pin_way_zero(states):
     """A pin25 policy on one set with these RRPVs, after a High-Reuse
     fill of way 0 has pinned it."""
     pol = PinPolicy(25)
-    pol.reset(one_set(len(states)), SplitMix64(0))
-    pol.bind(block_trace([0], hints=[ReuseHint.HIGH]), [0])
+    pol.reset(one_set(len(states)), SplitMix64(0), block_trace([0], hints=[ReuseHint.HIGH]), [0])
     view = make_view(states)
     assert pol.decide_insert(view)
     pol.on_insert(view, 0)
@@ -564,7 +568,7 @@ def test_a_hit_on_a_pinned_way_leaves_it_pinned():
 
 def test_pin_zero_reserves_nothing():
     pol = PinPolicy(0)
-    pol.reset(one_set(4), SplitMix64(0))
+    pol.reset(one_set(4), SplitMix64(0), EMPTY, [])
     assert pol.reserved == 0
     with pytest.raises(ValueError):
         PinPolicy(101)
@@ -592,3 +596,31 @@ def test_every_registry_name_builds_and_reports_its_own_name():
 def test_registry_has_no_duplicates():
     assert len(POLICY_NAMES) == len(set(POLICY_NAMES))
     assert "opt" in POLICY_NAMES
+
+
+def test_every_policy_runs_on_an_empty_and_a_one_access_trace():
+    """The one reset call copes with no access and with one, on a single
+    one-way set and on 256 sets of 16 ways: every registry name, the
+    offline oracle included, misses once per access and evicts nothing."""
+    for trace in (Trace([]), Trace([MemoryAccess(0x1240, pc_signature=3)])):
+        for geom in (CacheGeometry(1, 1, 64), CacheGeometry(256, 16, 64)):
+            for name in POLICY_NAMES:
+                r = (opt_oracle(trace, geom) if name == "opt"
+                     else simulate(trace, geom, make_policy(name), seed=1))
+                assert (r.accesses, r.hits, r.misses, r.bypasses, r.evictions) == (
+                    len(trace), 0, len(trace), 0, 0), (name, len(trace), geom)
+
+
+def test_grasp_rejects_a_disagreeing_hint_before_any_shadow_run(monkeypatch):
+    """On one set the duel's sides run as shadows inside reset; GRASP
+    checks the trace's baked hints against its regions first, so a
+    rejected trace starts no shadow run, while an agreeing one does."""
+    def no_shadow_run(*args):
+        raise AssertionError("a shadow run_policy call")
+
+    monkeypatch.setattr(policies, "run_policy", no_shadow_run)
+    abrs = [(0, 1 << 20)]  # address 0 leads the region: High-Reuse
+    with pytest.raises(GraspConfigError, match="LOW disagrees"):
+        simulate(block_trace([0], hints=[ReuseHint.LOW]), one_set(4), make_policy("grasp", abrs))
+    with pytest.raises(AssertionError, match="shadow run_policy"):
+        simulate(block_trace([0], hints=[ReuseHint.HIGH]), one_set(4), make_policy("grasp", abrs))

@@ -487,9 +487,10 @@ def engine_log(name, blocks, num_sets, ways, seed=0, high=None, pcs=None, policy
         return insert
 
     def victim(view):
+        logged = len(policy.dead_log)
         way = choose_victim(view)
         block = view.tags[way] * num_sets + view.set_index
-        evicted.append((DEAD, block) if policy.predicted_dead else block)
+        evicted.append((DEAD, block) if len(policy.dead_log) > logged else block)
         return way
 
     def insert(view, way):
@@ -652,8 +653,8 @@ def _check_leeway_psel(case, base, run_seed):
             return super().__getitem__(bank)
 
     class Logged(BASES[base]):
-        def reset(self, geometry, rng):
-            super().reset(geometry, rng)
+        def reset(self, geometry, rng, trace, tags):
+            super().reset(geometry, rng, trace, tags)
             self.stable = LastBank(self.stable)
 
         def decide_insert(self, view):
