@@ -181,17 +181,16 @@ def _block_links(blocks, none, dtype, back=False):
 
 
 class SetView:
-    """What a policy sees of one set: its resident tags and the policy's
-    state, one entry per filled way, and the access being handled."""
+    """The one record of a set the trace touches: its resident tags, the
+    policy's state and the policy's own record of each block (`meta`,
+    None until it writes one), one entry per filled way; its tag -> way
+    map `where`; and the access being handled."""
 
-    __slots__ = ("tags", "state", "set_index", "ways", "access_index")
+    __slots__ = ("tags", "state", "where", "meta", "set_index", "ways", "access_index")
 
     def __init__(self, set_index, ways):
-        self.tags = []
-        self.state = []
-        self.set_index = set_index
-        self.ways = ways
-        self.access_index = 0
+        self.tags, self.state, self.where, self.meta = [], [], {}, []
+        self.set_index, self.ways, self.access_index = set_index, ways, 0
 
 
 class Policy:
@@ -206,13 +205,14 @@ class Policy:
     per access, never a list) and indexes it by view.access_index.
 
     view.state is the policy's list, a value per way or an order of the
-    filled ways.  The engine fills ways in order, appending the tag to
-    view.tags and the way number to view.state, so a way is filled
-    exactly when way < len(view.state) and a fresh way is last in an
-    order; a victim's way is refilled in place, view.state as
+    filled ways, and view.meta[way] its own record of the way's block, if
+    it keeps one.  The engine fills ways in order, appending the tag to
+    view.tags, the way number to view.state and None to view.meta, so a
+    way is filled exactly when way < len(view.state) and a fresh way is
+    last in an order; a victim's way is refilled in place, view.state as
     choose_victim left it.  A per-way policy's on_insert overwrites
-    state[way] (a refilled way holds the evicted block's value); an
-    order-keeping one moves the way where the fill belongs.
+    state[way] and meta[way] (a refilled way holds the evicted block's);
+    an order-keeping one moves the way where the fill belongs.
     choose_victim is called only when an insertion meets a full set and
     returns a way in 0..ways-1 (a dead-block predictor's also logs a
     victim predicted dead in dead_log, as (access index, set, tag)).
@@ -348,10 +348,8 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     hits, misses, bypasses and evictions.  Hits are counted from hit_at,
     and the end state is checked against the counters.
     """
-    num_sets = geometry.num_sets
     ways = geometry.ways
-    views = [SetView(i, ways) for i in range(num_sets)]
-    lookup = [dict() for _ in range(num_sets)]
+    views = {}  # set index -> SetView, built on the set's first access
 
     policy.reset(geometry, rng, trace, tags)
     on_hit, decide_insert = policy.on_hit, policy.decide_insert
@@ -364,9 +362,12 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     misses = bypasses = evictions = 0
 
     for index, si, tag in zip(count(), sets, tags):
-        view = views[si]
+        try:
+            view = views[si]
+        except KeyError:  # a plain dict: a subclass's __missing__ slows every lookup
+            view = views[si] = SetView(si, ways)
         view.access_index = index
-        where = lookup[si]
+        where = view.where
         way = where.get(tag)
         if way is not None:
             hit_at[index] = 1
@@ -381,6 +382,7 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
         if way < ways:
             resident.append(tag)
             view.state.append(way)
+            view.meta.append(None)
         else:
             way = choose_victim(view)
             if not 0 <= way < ways:
@@ -391,15 +393,15 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
         where[tag] = way
         on_insert(view, way)
 
-    hits, resident = hit_at.count(1), sum(len(view.tags) for view in views)
+    hits, resident = hit_at.count(1), sum(len(view.tags) for view in views.values())
     if hits + misses != n:
         raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
     if resident + evictions != misses - bypasses:
         raise RuntimeError("%d resident + %d evicted blocks != %d filled"
                            % (resident, evictions, misses - bypasses))
-    if any(where != {tag: way for way, tag in enumerate(view.tags)}
-           for view, where in zip(views, lookup)):
-        raise RuntimeError("a set's lookup disagrees with its resident tags")
+    if any(view.where != {tag: way for way, tag in enumerate(view.tags)}
+           for view in views.values()):
+        raise RuntimeError("a set's tag map disagrees with its resident tags")
     counters = dict(hits=hits, misses=misses, bypasses=bypasses, evictions=evictions)
     return hit_at, counters
 

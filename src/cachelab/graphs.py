@@ -287,10 +287,13 @@ def random_reorder(graph, granularity_blocks=0, seed=0, prop_bytes=8, block_byte
     shuffled, a run being one vertex at granularity 0."""
     if prop_bytes < 1 or block_bytes < 1:
         raise GraphError("prop_bytes and block_bytes must be at least 1")
+    if granularity_blocks < 0:
+        raise GraphError("granularity_blocks must be at least 0")
     run = granularity_blocks * (block_bytes // prop_bytes) if granularity_blocks else 1
     if run < 1:
         raise GraphError("block_bytes must hold at least one property element")
     v_count = graph.vertex_count
+    run = min(run, max(v_count, 1))  # a run past the last vertex shuffles as one
     runs = list(range(-(-v_count // run)))
     random.Random(seed).shuffle(runs)
     order = (np.array(runs, dtype=np.int64)[:, None] * run + np.arange(run)).ravel()
@@ -342,7 +345,7 @@ def skew_metrics(graph, prop_bytes=8, block_bytes=64, degrees=None):
     avg = degrees.mean() if v_count else 0.0
     hot = degrees >= avg if v_count else np.zeros(0, dtype=bool)
     hot_count = int(hot.sum())
-    per_block = max(1, block_bytes // prop_bytes)
+    per_block = max(1, min(block_bytes // prop_bytes, v_count))  # a wider block holds them all
     n_blocks = (v_count + per_block - 1) // per_block
     hot_per_block = np.zeros(n_blocks, dtype=np.int64)
     if v_count:
@@ -419,6 +422,8 @@ def gen_graph_trace(
     """
     if prop_bytes < 1 or block_bytes < 1:
         raise GraphError("prop_bytes and block_bytes must be at least 1")
+    if prop_base < 0:
+        raise GraphError("prop_base must be at least 0")
     v_count = graph.vertex_count
     prop_end = prop_base + v_count * prop_bytes
     abrs = [(prop_base, prop_end)]
@@ -426,8 +431,8 @@ def gen_graph_trace(
     if bake_hints:
         from .grasp import RegionMap
 
-        if llc_capacity is None:
-            raise GraphError("bake_hints needs llc_capacity")
+        if llc_capacity is None or llc_capacity < 1:
+            raise GraphError("bake_hints needs llc_capacity of at least 1")
         region_map = RegionMap(abrs, llc_capacity)
 
     def align_up(x):

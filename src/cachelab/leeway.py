@@ -47,11 +47,11 @@ class LeewayPolicy:
     the fallback victim: `LeewayLruPolicy(LeewayPolicy, LruPolicy)`,
     which, like LeewayNruPolicy, counts each way's depth and max_depth.
     reset, the one setup call, makes `dead_log`, and choose_victim logs
-    each victim it takes as dead there.  Leeway's own state per (set,
-    way) is the entry [predicted, observed, pc]: the block's predicted
-    live distance, its deepest depth seen at a sampler hit, and its fill
-    signature.  The mode's rules fix its banks, two for "dynamic", else
-    one, each a `stable` and a `streak` dict keyed by PC.
+    each victim it takes as dead there.  Leeway's own record per way,
+    view.meta[way], is the entry [predicted, observed, pc]: the block's
+    predicted live distance, its deepest depth seen at a sampler hit, and
+    its fill signature.  The mode's rules fix its banks, two for
+    "dynamic", else one, each a `stable` and a `streak` dict keyed by PC.
     `sampler_bank` maps each sampler set to the bank it trains.  Dynamic
     samplers are `duel`'s leader sets, up to sampler_sets (>= 1) pairs
     of them, and `duel.miss` gives each miss its bank, voting against a
@@ -82,7 +82,6 @@ class LeewayPolicy:
     def reset(self, geometry, rng, trace, tags):
         super().reset(geometry, rng, trace, tags)
         self.maxpos = self.max_depth
-        self.blocks = [[None] * geometry.ways for _ in range(geometry.num_sets)]
         # predictor table: a PC's stable distance starts at the ceiling, so
         # an untrained PC is never bypassed and never flags blocks dead
         self.stable, self.streak = [{} for _ in self.vtt], [{} for _ in self.vtt]
@@ -124,12 +123,12 @@ class LeewayPolicy:
         return True
 
     def on_insert(self, view, way):
-        self.blocks[view.set_index][way] = [self._pending_pld, 0, self.pcs[view.access_index]]
+        view.meta[way] = [self._pending_pld, 0, self.pcs[view.access_index]]
         self.base_insert(view, way)
 
     def on_hit(self, view, way):
         sampler = view.set_index in self.sampler_bank
-        entry = self.blocks[view.set_index][way]
+        entry = view.meta[way]
         # observed never exceeds predicted and no depth exceeds maxpos, so
         # an entry already at maxpos has nothing left to raise
         if (entry[1] if sampler else entry[0]) < self.maxpos:
@@ -141,10 +140,10 @@ class LeewayPolicy:
         self.base_hit(view, way)
 
     def choose_victim(self, view):
-        blocks = self.blocks[view.set_index]
+        meta = view.meta
         # min predicted distance first, then deepest, then lowest way
-        dead = [(blocks[w][0], -depth, w) for w, depth in enumerate(self.depths(view))
-                if depth > blocks[w][0]]
+        dead = [(meta[w][0], -depth, w) for w, depth in enumerate(self.depths(view))
+                if depth > meta[w][0]]
         if dead:
             way = min(dead)[2]
             self.dead_log.append((view.access_index, view.set_index, view.tags[way]))
@@ -152,7 +151,7 @@ class LeewayPolicy:
             way = self.base_victim(view)
         bank_here = self.sampler_bank.get(view.set_index)
         if bank_here is not None:
-            _, observed, pc = blocks[way]
+            _, observed, pc = meta[way]
             self._ldpt_update(bank_here, pc, observed)
         return way
 

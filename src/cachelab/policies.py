@@ -37,6 +37,7 @@ SHIP_COUNTER_MAX = 7  # 3-bit region counters
 SHIP_COUNTER_INIT = 1
 SHIP_SAMPLER_SETS = 64
 PINNED = float("-inf")  # a pinned way's RRPV: aging leaves it below every other
+HIGH = ReuseHint.HIGH  # read once: each read off the Enum class costs about 0.1 us
 
 
 def sampler_layout(num_sets, count):
@@ -265,10 +266,10 @@ class DrripPolicy(DuelPolicy, SrripPolicy):
 class ShipMemPolicy(SrripPolicy):
     """3-bit RRIP steered by per-memory-region reuse counters (SHiP-MEM).
 
-    Addresses map to 16 KiB regions; each region has a 3-bit saturating
-    counter, starting at 1, trained by 64 sampler sets: a sampler hit
-    sets the block's outcome bit and increments the region counter,
-    evicting a sampler block that was never re-referenced decrements it.
+    Addresses map to 16 KiB regions, each with a 3-bit saturating counter
+    starting at 1.  64 sampler sets train them, keeping [outcome, region]
+    in view.meta[way]: a hit sets the outcome bit and increments the
+    region's counter, evicting a block never re-referenced decrements it.
     Blocks from regions whose counter has decayed to zero are inserted at
     the distant re-reference point, everything else one step closer.
     """
@@ -281,7 +282,6 @@ class ShipMemPolicy(SrripPolicy):
         super().reset(geometry, rng, trace, tags)
         self.sampler = set(sampler_layout(geometry.num_sets, SHIP_SAMPLER_SETS))
         self.table = {}
-        self.meta = {}  # (set, way) -> [outcome, region], sampler blocks only
         self.addresses = memoryview(trace.addresses)  # a region per fill, not a column of them
 
     def on_insert(self, view, way):
@@ -289,14 +289,12 @@ class ShipMemPolicy(SrripPolicy):
         counter = self.table.get(region, SHIP_COUNTER_INIT)
         view.state[way] = self.rrpv_max if counter == 0 else self.rrpv_max - 1
         if view.set_index in self.sampler:
-            self.meta[(view.set_index, way)] = [0, region]
+            view.meta[way] = [0, region]
 
     def on_hit(self, view, way):
         view.state[way] = 0
         if view.set_index in self.sampler:
-            entry = self.meta.get((view.set_index, way))
-            if entry is not None:
-                entry[0] = 1
+            view.meta[way][0] = 1
             region = self.addresses[view.access_index] // SHIP_REGION_BYTES
             counter = self.table.get(region, SHIP_COUNTER_INIT)
             if counter < SHIP_COUNTER_MAX:
@@ -305,11 +303,11 @@ class ShipMemPolicy(SrripPolicy):
     def choose_victim(self, view):
         way = super().choose_victim(view)
         if view.set_index in self.sampler:
-            entry = self.meta.pop((view.set_index, way), None)
-            if entry is not None and entry[0] == 0:
-                counter = self.table.get(entry[1], SHIP_COUNTER_INIT)
+            outcome, region = view.meta[way]  # on_insert overwrites it next
+            if outcome == 0:
+                counter = self.table.get(region, SHIP_COUNTER_INIT)
                 if counter > 0:
-                    self.table[entry[1]] = counter - 1
+                    self.table[region] = counter - 1
         return way
 
 
@@ -320,9 +318,9 @@ class PinPolicy(DrripPolicy):
 
     A pinned way holds the RRPV PINNED, below every other, so SRRIP's
     victim scan never takes it and its aging never lifts it to rrpv_max,
-    and a hit leaves it there: a way stays pinned for the rest of the
-    run.  When every way of a set is pinned, further insertions are
-    bypassed; a bypassed miss in a leader set still votes.
+    and a hit leaves it there: a set's pins are its PINNED ways for the
+    rest of the run.  When every way of a set is pinned, further
+    insertions are bypassed; a bypassed miss in a leader set still votes.
     """
 
     def __init__(self, percent):
@@ -331,27 +329,24 @@ class PinPolicy(DrripPolicy):
         super().__init__(m=3)
         self.percent = percent
         self.name = "pin%d" % percent
-        self._pin_next = False
 
     def reset(self, geometry, rng, trace, tags):
         super().reset(geometry, rng, trace, tags)
         self.reserved = (geometry.ways * self.percent + 50) // 100
-        self.pinned = [0] * geometry.num_sets  # pinned ways per set
         self.hints = memoryview(trace.hints)
 
     def decide_insert(self, view):
-        pinned = self.pinned[view.set_index]
-        self._pin_next = self.hints[view.access_index] == ReuseHint.HIGH and pinned < self.reserved
-        if pinned < view.ways:  # the reservation is at most every way
+        # only a reservation of every way can pin them all
+        if self.reserved < view.ways or view.state.count(PINNED) < view.ways:
             return True
         self.duel.miss(view.set_index)  # a bypassed leader miss votes too
         return False
 
     def on_insert(self, view, way):
         super().on_insert(view, way)
-        if self._pin_next:
-            view.state[way] = PINNED
-            self.pinned[view.set_index] += 1
+        state = view.state
+        if self.hints[view.access_index] == HIGH and state.count(PINNED) < self.reserved:
+            state[way] = PINNED
 
     def on_hit(self, view, way):
         if view.state[way] > 0:  # a pinned way keeps PINNED

@@ -232,8 +232,8 @@ class PatternSpec:
             raise ValueError("unknown pattern kind: %r" % (self.kind,))
         if self.k < 1 or self.n < 1:
             raise ValueError("pattern requires k >= 1 and n >= 1")
-        if self.stride < 1:
-            raise ValueError("pattern stride must be >= 1")
+        if not 1 <= self.stride < 1 << 64:
+            raise ValueError("pattern stride must be in 1..2**64-1")
         if not 0 <= self.base_address <= self.base_address + (self.k - 1) * self.stride < 1 << 64:
             raise ValueError("pattern addresses out of u64 range")
         if not 0 <= self.pc_signature <= PC_SIGNATURE_MAX:

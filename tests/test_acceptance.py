@@ -100,7 +100,7 @@ def test_ac01_live_distance_replay():
 
             def choose_victim(self, view):
                 way = super().choose_victim(view)
-                _, observed, _ = self.blocks[view.set_index][way]
+                _, observed, _ = view.meta[way]
                 self.evictions.append((view.tags[way], observed))
                 return way
 

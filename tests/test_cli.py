@@ -1,21 +1,25 @@
 """Command line front end: argument parsing, subcommands, config files."""
 
 import contextlib
+import io
 import json
 import os
 import threading
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cachelab import cli
 from cachelab import graphs as graphmod
 from cachelab.cli import CliError, main, parse_abr, parse_pattern
 from cachelab.engine import CacheGeometry, simulate
+from cachelab.graphs import GraphError
 from cachelab.grasp import RegionMap
 from cachelab.metrics import compare_reports
 from cachelab.policies import make_policy
-from cachelab.trace import PatternSpec, read_trace, write_trace
+from cachelab.trace import PatternSpec, TraceError, read_trace, write_trace
 
 
 def run(capsys, *argv):
@@ -529,3 +533,77 @@ def test_reorder_and_stats_read_graphs_from_pipes(tmp_path, capsys, first):
         expected = run(capsys, "stats", "--graph", str(source))
         with piped(source.read_bytes(), first) as path:
             assert run(capsys, "stats", "--graph", path) == expected
+
+
+# zero, negative and large values; small ones stay at or under 2**10 and
+# large ones at or over 2**62, so a size made of two of them (an rcb run,
+# a pattern's address span) is small or too large to allocate at all
+VALUES = st.one_of(st.sampled_from([0, 1, 2, 3, 8, 64, 1024]), st.integers(2**62, 2**70),
+                   st.sampled_from([-1, -64]), st.integers(-(2**70), -1))
+SETS = st.one_of(st.just(1 << 16), VALUES.filter(lambda v: v <= 1 << 16))
+PATTERN = {"k": 4, "n": 2, "stride": 64, "base": 0, "pc": 0}
+GEOMETRY = {"sets": 4, "ways": 4, "block": 64}
+COMMANDS = [  # (argv head, integer flags at working values), rcb's N as "kind"
+    (["simulate"], dict(GEOMETRY, seed=1, **PATTERN)),
+    (["opt"], dict(GEOMETRY, seed=1, **PATTERN)),
+    (["stats"], dict(GEOMETRY, **PATTERN)),
+    (["gen-trace"], dict(PATTERN)),
+    (["gen-trace", "--bake-hints"], {"prop-bytes": 8, "prop-base": 0, "block": 64,
+                                     "llc-capacity": 4096}),
+    (["reorder"], {"kind": 2, "prop-bytes": 8, "block": 64, "seed": 1}),
+    (["stats"], {"prop-bytes": 8, "block": 64}),
+]
+
+
+@st.composite
+def integer_flag_argvs(draw, graph, out):
+    """A command with one or two of its integer flags or pattern fields
+    drawn from VALUES (--sets at most 2**16) and the rest at working
+    values; a pattern's k * n stays at most 256."""
+    head, flags = draw(st.sampled_from(COMMANDS))
+    for name in draw(st.sets(st.sampled_from(sorted(flags)), min_size=1, max_size=2)):
+        flags = dict(flags, **{name: draw(SETS if name == "sets" else VALUES)})
+    if "k" in flags:
+        assume(flags["k"] < 1 or flags["n"] < 1 or flags["k"] * flags["n"] <= 256)
+        pattern = "%s:" % draw(st.sampled_from(["thrash", "recency", "stream"])) + ",".join(
+            "%s=%d" % (key, flags.pop(key)) for key in PATTERN)
+        head = head + ["--gen" if head != ["gen-trace"] else "--pattern", pattern]
+    if head[0] == "reorder":
+        head = head + [graph, "--kind", "rcb%d" % flags.pop("kind")]
+    elif "prop-bytes" in flags:
+        head = head + ["--graph", graph]
+    if head[0] == "simulate":
+        head = head + ["--policy", draw(st.sampled_from(["lru", "leeway-lru", "pin25", "ship-mem"]))]
+    return head + ["--out", out] + ["--%s=%d" % item for item in sorted(flags.items())]
+
+
+def test_integer_flags_run_or_fail_by_name(tmp_path, monkeypatch):
+    """Zero, negative and large values of every integer flag, over a
+    3-vertex graph and short patterns, either run (exit 0) or exit 2 with
+    one `error:` line; under CACHELAB_DEBUG=1 the error is the program's
+    own ValueError, TraceError or GraphError, never numpy's OverflowError
+    or an IndexError or TypeError from an unchecked size."""
+    graph, out = str(tmp_path / "g.csr"), str(tmp_path / "out")
+    graphmod.write_csr(graphmod.CsrGraph([0, 2, 3, 4], [1, 2, 0, 1]), graph)
+
+    @example(["gen-trace", "--graph", graph, "--out", out, "--prop-base=-64"])
+    @example(["reorder", graph, "--out", out, "--kind", "rcb-1"])
+    @example(["gen-trace", "--graph", graph, "--out", out, "--bake-hints", "--llc-capacity=0"])
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(integer_flag_argvs(graph, out))
+    def check(argv):
+        monkeypatch.delenv("CACHELAB_DEBUG", raising=False)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if code == 0:
+            return
+        assert code == 2 and len(stderr.getvalue().splitlines()) == 1, (argv, stderr.getvalue())
+        assert stderr.getvalue().startswith("error: "), argv
+        monkeypatch.setenv("CACHELAB_DEBUG", "1")
+        with pytest.raises(Exception) as error, contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        assert isinstance(error.value, (ValueError, TraceError, GraphError)), (argv, error.value)
+        assert not isinstance(error.value, (OverflowError, IndexError, TypeError)), argv
+
+    check()

@@ -158,7 +158,7 @@ def run(case):
 CHECK_MESSAGES = {
     "short": "hits + misses 3 != 4 accesses",
     "drop": "0 resident + 0 evicted blocks != 3 filled",
-    "flip": "a set's lookup disagrees with its resident tags",
+    "flip": "a set's tag map disagrees with its resident tags",
 }
 
 
@@ -166,7 +166,7 @@ def test_end_of_run_checks_fire_with_and_without_python_O():
     """Each end-of-run check of run_policy catches its fault: a set
     column shorter than the tags (hits + misses), a policy that takes
     back a fill (resident blocks + evictions), one that rewrites a
-    resident tag (lookup against view.tags); also under python -O."""
+    resident tag (view.where against view.tags); also under python -O."""
     space = {}
     exec(ENGINE_CHECKS, space)
     assert {case: space["run"](case) for case in CHECK_MESSAGES} == CHECK_MESSAGES

@@ -393,6 +393,16 @@ def test_random_reorder_rejects_sizes_below_one_byte():
                                block_bytes=block_bytes)
 
 
+def test_random_reorder_names_a_negative_granularity():
+    """A negative granularity is refused by its own name, not blamed on
+    block_bytes, whatever the property and block sizes."""
+    for prop_bytes, block_bytes in ((8, 64), (64, 8)):
+        for granularity in (-1, -4):
+            with pytest.raises(GraphError, match="granularity_blocks must be at least 0"):
+                random_reorder(small_csr(), granularity, prop_bytes=prop_bytes,
+                               block_bytes=block_bytes)
+
+
 def test_apply_remap_identity_and_inverse_recover_the_graph():
     g = synth_powerlaw(300, 5, seed=6)
     ident = apply_remap(g, np.arange(300))
@@ -527,6 +537,17 @@ def test_skew_metrics_rejects_sizes_below_one_byte():
     for prop_bytes, block_bytes in ((0, 64), (-8, 64), (8, 0), (8, -64)):
         with pytest.raises(GraphError, match="at least 1"):
             skew_metrics(small_csr(), prop_bytes=prop_bytes, block_bytes=block_bytes)
+
+
+def test_blocks_wider_than_the_property_array_count_as_one_block():
+    """A block or an rcb run past the last vertex holds every vertex, as
+    one as wide as the array does, however far past the int64 range."""
+    g = synth_powerlaw(300, 5, seed=6)
+    for prop_bytes, block_bytes in ((8, 1 << 70), (1, 1 << 64)):
+        assert skew_metrics(g, prop_bytes, block_bytes) == skew_metrics(g, prop_bytes,
+                                                                        300 * prop_bytes)
+    for granularity in (38, 1 << 70):
+        assert list(random_reorder(g, granularity, seed=2)) == list(range(300))
 
 
 def test_skew_metrics_bounds_on_a_skewed_graph():
@@ -702,6 +723,23 @@ def test_gen_graph_trace_matches_the_record_at_a_time_walk():
 def test_gen_graph_trace_requires_capacity_for_baked_hints():
     with pytest.raises(GraphError):
         gen_graph_trace(small_csr(), bake_hints=True)
+
+
+def test_gen_graph_trace_rejects_a_capacity_below_one_byte_for_baked_hints():
+    """A cache of no bytes has empty High and Moderate chunks, so every
+    property access would bake as Low-Reuse; it is refused instead."""
+    for capacity in (0, -1, -(1 << 20)):
+        with pytest.raises(GraphError, match="llc_capacity of at least 1"):
+            gen_graph_trace(small_csr(), bake_hints=True, llc_capacity=capacity)
+    assert gen_graph_trace(small_csr(), llc_capacity=0)[1] == [(0, 24)]  # unread without hints
+
+
+def test_gen_graph_trace_rejects_a_negative_prop_base():
+    """A property array cannot start below address 0: the option is
+    named, not left to numpy's out-of-bounds message."""
+    for base in (-64, -1):
+        with pytest.raises(GraphError, match="prop_base must be at least 0"):
+            gen_graph_trace(small_csr(), prop_base=base)
 
 
 def test_gen_graph_trace_rejects_sizes_below_one_byte():

@@ -23,7 +23,7 @@ def make_view(pol, blocks, set_index=0):
     view = SetView(set_index, len(blocks))
     for way, (pos, pld, pc) in enumerate(blocks):
         view.tags.append(way)
-        pol.blocks[set_index][way] = [pld, 0, pc]
+        view.meta.append([pld, 0, pc])
     # the recency stack: ways most recently used first, ties by way
     view.state[:] = sorted(range(len(blocks)), key=lambda way: blocks[way][0])
     return view
@@ -147,7 +147,7 @@ def test_victim_feedback_trains_the_predictor():
     view = make_view(pol, [
         (3, 9, 11), (2, 9, 99), (1, 9, 99), (0, 9, 99),
     ])
-    pol.blocks[0][0][1] = 2  # observed live distance of way 0
+    view.meta[0][1] = 2  # observed live distance of way 0
     pol.choose_victim(view)
     # observed live distance 2 under a fresh ceiling of 4: one
     # observation is enough in the lowering direction
@@ -183,7 +183,7 @@ def test_hit_updates_observed_distance_in_sampler_sets_only():
             set_index=set_index,
         )
         pol.on_hit(view, 0)
-        pld, ld, _ = pol.blocks[set_index][0]
+        pld, ld, _ = view.meta[0]
         assert ld == expect_ld  # live distance trains on samplers only
         assert pld == 3  # per-block predicted distance grows everywhere
         assert pol.depth(view, 0) == 1  # promoted to the top of the stack
@@ -197,7 +197,7 @@ def test_insert_places_the_block_on_top_and_renumbers():
     view = make_view(pol, [(0, 9, 1), (1, 9, 2), (2, 9, 3), (0, 9, 4)])
     pol._pending_pld = 2
     pol.on_insert(view, 3)
-    pld, _, pc = pol.blocks[0][3]
+    pld, _, pc = view.meta[3]
     assert (pol.depth(view, 3), pld, pc) == (1, 2, 7)
     assert sorted(pol.depths(view)) == [1, 2, 3, 4]
 

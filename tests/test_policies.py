@@ -15,6 +15,7 @@ from cachelab.grasp import GraspConfigError
 from cachelab.leeway import LeewayLruPolicy
 from cachelab.opt import opt_oracle
 from cachelab.policies import (
+    PINNED,
     POLICY_NAMES,
     BipPolicy,
     BrripPolicy,
@@ -127,7 +128,7 @@ def test_recency_fills_and_top_hits_keep_the_stack_order():
     pol = LeewayLruPolicy(mode="static-bop")
     pol.reset(one_set(4), SplitMix64(0), Trace([MemoryAccess(0)]), [0])
     view = make_view([2, 0, 3, 1])  # way 2 most recently used, way 1 least
-    pol.blocks[0] = [[4, 0, 0], [4, 0, 0], [4, 0, 0], [1, 0, 0]]  # way 3, at depth 3, is dead
+    view.meta[:] = [[4, 0, 0], [4, 0, 0], [4, 0, 0], [1, 0, 0]]  # way 3, at depth 3, is dead
     assert pol.choose_victim(view) == 3 and pol.dead_log == [(0, 0, 3)]
     pol._pending_pld = 4
     pol.on_insert(view, 3)
@@ -543,7 +544,7 @@ def pin_way_zero(states):
     view = make_view(states)
     assert pol.decide_insert(view)
     pol.on_insert(view, 0)
-    assert pol.pinned == [1]
+    assert view.state.count(PINNED) == 1
     return pol, view
 
 

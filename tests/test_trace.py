@@ -121,6 +121,8 @@ def test_pattern_validation():
         PatternSpec("thrash", k=1, n=0)
     with pytest.raises(ValueError):
         PatternSpec("thrash", k=1, stride=0)
+    with pytest.raises(ValueError, match="stride"):  # one address, but no u64 stride
+        PatternSpec("thrash", k=1, stride=1 << 64)
 
 
 def test_trace_file_length_is_16_plus_16n(tmp_path):
