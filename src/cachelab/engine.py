@@ -1,6 +1,6 @@
 """Set-associative cache engine: geometry, simulation loop, run reports.
 
-The engine owns set/way state and miss/eviction accounting; replacement
+The engine owns set/way state and one outcome byte per access; replacement
 behavior is delegated to a Policy object through four hooks (insertion
 decision, victim choice, fill, hit).  Every source of randomness in a
 run comes from one seeded splitmix64 generator, so identical
@@ -104,6 +104,7 @@ class CacheGeometry:
         return self.num_sets.bit_length() - 1
 
 
+HIT, BYPASS, EVICT = 1, 2, 3  # run_policy's outcome codes; 0 is a fill of a free way
 SLICE = 1 << 14  # entries per step of a post-pass loop, so its temporaries stay this long
 
 
@@ -198,7 +199,8 @@ class Policy:
 
     Each run calls reset once, with the geometry, the run's generator,
     the trace and the engine's per-access tag buffer, then exactly one
-    of on_hit / decide_insert per access, in trace order.  Hooks get the
+    of on_hit / decide_insert per access, in trace order; run_policy
+    records each access's outcome in one byte.  Hooks get the
     set's view, whose access_index is the access's position in the
     trace; a policy that reads a per-access field takes it in reset as a
     typed buffer (a memoryview over the numpy column, at most 8 bytes
@@ -344,9 +346,9 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     """The cache loop: reset policy, then run it over one set index and
     one tag per access of trace.
 
-    Returns (hit_at, counters): one byte per access, 1 on a hit; and the
-    hits, misses, bypasses and evictions.  Hits are counted from hit_at,
-    and the end state is checked against the counters.
+    Returns the outcome column, one byte per access: 0 for a fill of a
+    free way, HIT, BYPASS, or EVICT for a fill that evicted.  The loop
+    keeps no counter (_report counts the column) and checks the end state.
     """
     ways = geometry.ways
     views = {}  # set index -> SetView, built on the set's first access
@@ -357,9 +359,8 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
     if getattr(decide_insert, "__func__", None) is Policy.decide_insert:
         decide_insert = None  # inserts on every miss, no call needed
 
-    n = len(tags)
-    hit_at = bytearray(n)
-    misses = bypasses = evictions = 0
+    outcome = bytearray(len(tags))
+    hit, bypass, evict = HIT, BYPASS, EVICT  # a module-global read per access is slower
 
     for index, si, tag in zip(count(), sets, tags):
         try:
@@ -370,12 +371,11 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
         where = view.where
         way = where.get(tag)
         if way is not None:
-            hit_at[index] = 1
+            outcome[index] = hit
             on_hit(view, way)
             continue
-        misses += 1
         if decide_insert is not None and not decide_insert(view):
-            bypasses += 1
+            outcome[index] = bypass
             continue
         resident = view.tags
         way = len(resident)
@@ -387,31 +387,31 @@ def run_policy(policy, geometry, rng, trace, sets, tags):
             way = choose_victim(view)
             if not 0 <= way < ways:
                 raise RuntimeError("victim way %r outside 0..%d" % (way, ways - 1))
-            evictions += 1
+            outcome[index] = evict
             del where[resident[way]]
             resident[way] = tag
         where[tag] = way
         on_insert(view, way)
 
-    hits, resident = hit_at.count(1), sum(len(view.tags) for view in views.values())
-    if hits + misses != n:
-        raise RuntimeError("hits + misses %d != %d accesses" % (hits + misses, n))
-    if resident + evictions != misses - bypasses:
-        raise RuntimeError("%d resident + %d evicted blocks != %d filled"
-                           % (resident, evictions, misses - bypasses))
+    fills, resident = outcome.count(0), sum(len(view.tags) for view in views.values())
+    if fills != resident:  # also an access the loop never reached: its byte reads as a fill
+        raise RuntimeError("%d fills of a free way != %d resident blocks" % (fills, resident))
     if any(view.where != {tag: way for way, tag in enumerate(view.tags)}
            for view in views.values()):
         raise RuntimeError("a set's tag map disagrees with its resident tags")
-    counters = dict(hits=hits, misses=misses, bypasses=bypasses, evictions=evictions)
-    return hit_at, counters
+    return outcome
 
 
-def _report(policy, geometry, seed, trace, counters):
-    """The SimReport of a run_policy run over trace."""
+def _report(policy, geometry, seed, trace, outcome):
+    """The SimReport of a run_policy outcome column over trace; an access
+    the column leaves out (one of OPT's set-local repeats) is a hit."""
+    misses = len(outcome) - outcome.count(HIT)
     return SimReport(policy.name, geometry.num_sets, geometry.ways, geometry.block_bytes, seed,
-                     accesses=len(trace), dead_predicted_evictions=len(policy.dead_log),
+                     accesses=len(trace), hits=len(trace) - misses, misses=misses,
+                     bypasses=outcome.count(BYPASS), evictions=outcome.count(EVICT),
+                     dead_predicted_evictions=len(policy.dead_log),
                      total_instructions=trace.total_instructions(),
-                     trace_fingerprint=trace.digest(), **counters)
+                     trace_fingerprint=trace.digest())
 
 
 def simulate(trace, geometry, policy, seed=0, classify=None):
@@ -428,17 +428,16 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
     set_col &= num_sets - 1  # a narrowing cast keeps the low bits
     tag_col >>= geometry.set_bits  # block numbers become tags in place
 
-    hit_at, counters = run_policy(
-        policy, geometry, SplitMix64(seed), trace, memoryview(set_col), memoryview(tag_col)
-    )
-    report = _report(policy, geometry, seed, trace, counters)
+    outcome = run_policy(policy, geometry, SplitMix64(seed), trace,
+                         memoryview(set_col), memoryview(tag_col))
+    report = _report(policy, geometry, seed, trace, outcome)
     if policy.dead_log:
         report.dead_predictions_correct = _score_dead(policy.dead_log, set_col, tag_col,
                                                       num_sets, geometry.ways)
     if classify is not None:
         codes = classify(trace.addresses)
         accesses, hits = ([int(np.count_nonzero(c == hint)) for hint in ReuseHint]  # no intp copy
-                          for c in (codes, codes[np.frombuffer(hit_at, dtype=bool)]))
+                          for c in (codes, codes[np.frombuffer(outcome, dtype=np.uint8) == HIT]))
         report.hint_class_accesses = {ReuseHint(c): n for c, n in enumerate(accesses) if n}
         report.hint_class_hits = {ReuseHint(c): n for c, n in enumerate(hits) if n}
     return report

@@ -409,7 +409,8 @@ def gen_graph_trace(
 
     Per vertex v (in id order): one access to its vertex-array entry,
     one access per edge-array cache block its neighbor range touches,
-    one property read per neighbor, then one write to v's slot in a
+    less a first block the previous range read (each is read once), one
+    property read per neighbor, then one write to v's slot in a
     separate output array.  A property element is therefore touched
     exactly as many times per iteration as its vertex appears in
     neighbor lists.  Returns (trace, region_bounds) where region_bounds
@@ -417,11 +418,14 @@ def gen_graph_trace(
     region; the vertex, edge and output arrays sit above it in address
     space and are plain streaming traffic.
 
-    With bake_hints the records carry the region classification that a
-    cache of llc_capacity bytes would compute at run time.
+    block_bytes is a power of two >= 8, so a block holds whole 8-byte
+    edges.  With bake_hints the records carry the region classification
+    that a cache of llc_capacity bytes would compute at run time.
     """
     if prop_bytes < 1 or block_bytes < 1:
         raise GraphError("prop_bytes and block_bytes must be at least 1")
+    if block_bytes & (block_bytes - 1) or block_bytes < 8:  # a block holds whole edges
+        raise GraphError("block_bytes must be a power of two >= 8")
     if prop_base < 0:
         raise GraphError("prop_base must be at least 0")
     v_count = graph.vertex_count
@@ -444,24 +448,13 @@ def gen_graph_trace(
     if out_base + prop_bytes * v_count > 1 << 64:
         raise GraphError("graph trace addresses overflow u64")
 
-    # per vertex: its vertex entry, edge blocks, gathers, output write.  A
-    # non-empty neighbor range's edge blocks, counted from edge_base, are its
-    # blocks less the first one when the previous non-empty range ended in it
+    # per vertex: its vertex entry, edge blocks, gathers, output write.  Edge
+    # block k is read by the vertex whose range holds its first edge, so
+    # ceil(offsets[v] / edges per block) edge blocks come before vertex v's
     offsets = graph.offsets
-    nonempty = np.flatnonzero(np.diff(offsets))
-    start = 8 * offsets[nonempty] // block_bytes
-    count = (8 * offsets[nonempty + 1] - 8) // block_bytes + 1  # one past the last block
-    start[1:] += start[1:] == count[:-1] - 1
-    count -= start
-    seg = np.zeros(v_count + 1, dtype=np.int64)  # edge blocks before each vertex
-    seg[nonempty + 1] = count
-    np.cumsum(seg, out=seg)
-    # the k-th edge block sits k past a per-vertex shift, in the edge
-    # array and in the records (after 2v entries and writes, offsets[v] gathers)
-    k = np.arange(seg[-1])
-    edge_block = np.repeat(start - seg[nonempty], count) + k
-    edge_at = np.repeat(2 * nonempty + offsets[nonempty] + 1, count) + k
-    del nonempty, start, count, k
+    seg = -(-offsets // (block_bytes // 8))
+    edge_block = np.arange(seg[-1])  # record 2v + 1 + offsets[v] + k holds block k, v its reader
+    edge_at = np.repeat(np.arange(1, 2 * v_count, 2) + offsets[:-1], np.diff(seg)) + edge_block
     seg += offsets
     seg += np.arange(0, 2 * v_count + 1, 2)  # seg[v]: v's first record
 

@@ -68,6 +68,5 @@ class OptPolicy(Policy):
 def opt_oracle(trace, geometry, allow_bypass=False, seed=0):
     """Simulate the optimal policy and return its SimReport."""
     policy = OptPolicy(trace, geometry, allow_bypass)
-    counters = run_policy(policy, geometry, SplitMix64(seed), trace, policy.sets, policy.tags)[1]
-    counters["hits"] += len(trace) - len(policy.tags)  # the runs' repeats
-    return _report(policy, geometry, seed, trace, counters)
+    outcome = run_policy(policy, geometry, SplitMix64(seed), trace, policy.sets, policy.tags)
+    return _report(policy, geometry, seed, trace, outcome)  # the runs' repeats count as hits

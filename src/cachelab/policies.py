@@ -26,7 +26,7 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 from copy import copy
 from functools import partial
 
-from .engine import Policy, SplitMix64, run_policy
+from .engine import HIT, Policy, SplitMix64, run_policy
 from .trace import ReuseHint
 
 BIP_EPSILON = 1.0 / 32.0
@@ -67,14 +67,15 @@ class SetDuel:
         self.shadow = n < 1
         self.kind = {} if self.shadow else dict(zip(sampler_layout(num_sets, 2 * n), (0, 1) * n))
 
-    def replay(self, a_hits, b_hits):
-        """Vote each miss of two shadow runs, a's then b's per access, and
-        return per access whether b governs after its votes; on locals."""
-        psel, top, mid, b_won = self.psel, self.psel_max, self.mid, bytearray()
-        for a_hit, b_hit in zip(a_hits, b_hits):
-            if not a_hit and psel < top:
+    def replay(self, a_outcome, b_outcome):
+        """Vote each miss (a code but HIT) of two shadow runs' outcome
+        columns, a's then b's per access, and return per access whether b
+        governs after its votes; on locals."""
+        psel, top, mid, hit, b_won = self.psel, self.psel_max, self.mid, HIT, bytearray()
+        for a, b in zip(a_outcome, b_outcome):
+            if a != hit and psel < top:
                 psel += 1
-            if not b_hit and psel:
+            if b != hit and psel:
                 psel -= 1
             b_won.append(psel >= mid)
         self.psel = psel
@@ -169,7 +170,7 @@ class DuelPolicy:
         if self.duel.shadow:  # one set, the only set index 0, and no leader sets to vote for
             shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
             self.b_won = self.duel.replay(*(
-                run_policy(copy(p), geometry, shadow_rng, trace, bytes(len(tags)), tags)[0]
+                run_policy(copy(p), geometry, shadow_rng, trace, bytes(len(tags)), tags)
                 for p in (self.a, self.b)))
 
     def on_insert(self, view, way):

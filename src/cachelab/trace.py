@@ -202,9 +202,11 @@ class Trace:
 
 
 def fold_pc(pc):
-    """Fold an arbitrary-width PC into a 14-bit signature (xor of 14-bit slices)."""
+    """Fold a PC >= 0 of any width into a 14-bit signature (xor of 14-bit slices)."""
     sig = 0
     pc = int(pc)
+    if pc < 0:  # shifting right never brings a negative int to 0
+        raise ValueError("pc must be >= 0, got %d" % pc)
     while pc:
         sig ^= pc & PC_SIGNATURE_MAX
         pc >>= PC_SIGNATURE_BITS

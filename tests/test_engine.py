@@ -156,17 +156,18 @@ def run(case):
 """
 
 CHECK_MESSAGES = {
-    "short": "hits + misses 3 != 4 accesses",
-    "drop": "0 resident + 0 evicted blocks != 3 filled",
+    "short": "3 fills of a free way != 2 resident blocks",
+    "drop": "3 fills of a free way != 0 resident blocks",
     "flip": "a set's tag map disagrees with its resident tags",
 }
 
 
 def test_end_of_run_checks_fire_with_and_without_python_O():
     """Each end-of-run check of run_policy catches its fault: a set
-    column shorter than the tags (hits + misses), a policy that takes
-    back a fill (resident blocks + evictions), one that rewrites a
-    resident tag (view.where against view.tags); also under python -O."""
+    column shorter than the tags, whose unreached access reads as a fill,
+    and a policy that takes back a fill (both: fills of a free way against
+    resident blocks), one that rewrites a resident tag (view.where against
+    view.tags); also under python -O."""
     space = {}
     exec(ENGINE_CHECKS, space)
     assert {case: space["run"](case) for case in CHECK_MESSAGES} == CHECK_MESSAGES
@@ -182,6 +183,45 @@ def test_end_of_run_checks_fire_with_and_without_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert json.loads(out) == [1, CHECK_MESSAGES]
+
+
+class BypassesAccess3(Policy):
+    """Bypasses the access at position 3 and evicts way 0 from a full set."""
+
+    def decide_insert(self, view):
+        return view.access_index != 3
+
+    def choose_victim(self, view):
+        return 0
+
+
+def test_run_policy_returns_one_outcome_byte_per_access():
+    """On one 2-way set, blocks 0 0 1 2 3 give a fill of a free way, a
+    hit, a second free fill, a bypass and an evicting fill; the report's
+    counters are those bytes counted."""
+    blocks = [0, 0, 1, 2, 3]
+    trace, g = Trace([MemoryAccess(64 * b) for b in blocks]), CacheGeometry(1, 2, 64)
+    outcome = engine.run_policy(BypassesAccess3(), g, SplitMix64(0), trace, bytes(len(blocks)),
+                                memoryview(np.array(blocks, dtype=np.int64)))
+    assert (engine.HIT, engine.BYPASS, engine.EVICT) == (1, 2, 3)
+    assert outcome == bytearray([0, engine.HIT, 0, engine.BYPASS, engine.EVICT])
+    r = simulate(trace, g, BypassesAccess3())
+    assert (r.accesses, r.hits, r.misses, r.bypasses, r.evictions) == (5, 1, 4, 1, 1)
+
+
+def test_opt_counts_its_set_local_repeats_as_hits():
+    """OPT simulates one head per run of repeats; every access its outcome
+    column leaves out is a hit: blocks 0 0 1 1 1 2 0 0 on one 2-way set
+    have heads 0 1 2 0, of which only the last hits (2 evicts 1)."""
+    from cachelab.opt import OptPolicy, opt_oracle
+
+    trace = Trace([MemoryAccess(64 * b) for b in [0, 0, 1, 1, 1, 2, 0, 0]])
+    g = CacheGeometry(1, 2, 64)
+    assert len(OptPolicy(trace, g).tags) == 4
+    for allow_bypass in (False, True):
+        r = opt_oracle(trace, g, allow_bypass)
+        assert r.hits == r.accesses - r.misses
+        assert (r.accesses, r.hits, r.misses, r.bypasses, r.evictions) == (8, 5, 3, 0, 1)
 
 
 def test_geometry_validation():

@@ -750,6 +750,16 @@ def test_gen_graph_trace_rejects_sizes_below_one_byte():
             gen_graph_trace(small_csr(), prop_bytes=prop_bytes, block_bytes=block_bytes)
 
 
+def test_gen_graph_trace_rejects_blocks_that_split_an_edge():
+    """A block size that is not a power of two >= 8 (one no cache accepts)
+    split an edge across blocks, and the edge blocks it spilled into went
+    unread: 3-regular ranges of 24 bytes over 4-byte blocks gave 100
+    records, not 110."""
+    for block_bytes in (4, 2, 1, 12, 24, 96):
+        with pytest.raises(GraphError, match="power of two >= 8"):
+            gen_graph_trace(synth_uniform(10, 3, seed=1), block_bytes=block_bytes)
+
+
 def test_gen_graph_trace_respects_prop_base_offset():
     g = small_csr()
     trace, abrs = gen_graph_trace(g, prop_base=4096)

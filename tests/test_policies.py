@@ -10,7 +10,7 @@ import pytest
 
 import cachelab
 from cachelab import policies
-from cachelab.engine import CacheGeometry, SetView, SplitMix64, simulate
+from cachelab.engine import BYPASS, EVICT, HIT, CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.grasp import GraspConfigError
 from cachelab.leeway import LeewayLruPolicy
 from cachelab.opt import opt_oracle
@@ -254,27 +254,29 @@ def test_set_duel_replay_matches_the_per_access_votes(seed):
     """replay walks PSEL on locals; it must give the winner after every
     access and the final psel that leader misses give one access at a
     time.  Each run starts PSEL next to one end of its 0..1023 range,
-    in turn, so the vectors' runs hit both ends."""
+    in turn, so the vectors' runs hit both ends.  The vectors are outcome
+    columns: a miss is any code but HIT (a free fill, a bypass or an
+    evicting fill), so a vote that read the bytes as bools would differ."""
     rng, seen = random.Random(seed), set()
     for run in range(40):
         n = rng.randrange(1, 600)
         a_miss, b_miss = rng.random(), rng.random()
-        a_hits = bytes(rng.random() >= a_miss for _ in range(n))
-        b_hits = bytes(rng.random() >= b_miss for _ in range(n))
+        a_out, b_out = (bytes(rng.choice((0, BYPASS, EVICT)) if rng.random() < miss else HIT
+                              for _ in range(n)) for miss in (a_miss, b_miss))
         start = 1 if run % 2 else SetDuel.psel_max - 1
         votes = SetDuel(2)  # set 0 leads for a, set 1 for b
         votes.psel = start
         expected = bytearray()
-        for a_hit, b_hit in zip(a_hits, b_hits):
-            if not a_hit:
+        for a, b in zip(a_out, b_out):
+            if a != HIT:
                 votes.miss(0)
-            if not b_hit:
+            if b != HIT:
                 votes.miss(1)
             expected.append(votes.winner() == 1)
             seen.add(votes.psel)
         duel = SetDuel(1)
         duel.psel = start
-        assert duel.replay(a_hits, b_hits) == expected
+        assert duel.replay(a_out, b_out) == expected
         assert duel.psel == votes.psel
     assert {0, SetDuel.psel_max} <= seen
 

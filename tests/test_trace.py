@@ -30,6 +30,13 @@ def test_fold_pc_narrow_values_pass_through():
     assert fold_pc(0x3FFF) == 0x3FFF
 
 
+def test_fold_pc_rejects_a_negative_pc():
+    """Shifting a negative int right never reaches 0, so the fold never ended."""
+    for pc in (-1, -(1 << 40)):
+        with pytest.raises(ValueError, match="pc must be >= 0"):
+            fold_pc(pc)
+
+
 def test_fold_pc_xors_14_bit_slices():
     # 0x7FFF = 0b111_1111_1111_1111: low slice 0x3FFF, next slice 0b1
     assert fold_pc(0x7FFF) == (0x3FFF ^ 0x1)
