@@ -16,10 +16,10 @@ import sys
 
 from . import graphs as graphmod
 from . import metrics
-from .engine import CacheGeometry, filter_trace, simulate
+from .engine import CacheGeometry, _report, filter_trace, simulate
 from .grasp import RegionMap
 from .opt import opt_oracle
-from .policies import POLICY_NAMES, make_policy
+from .policies import POLICY_NAMES, DuelPolicy, SetDuel, make_policy
 from .trace import PatternSpec, generate_pattern, read_trace, write_trace
 
 
@@ -159,7 +159,21 @@ def cmd_compare(args):
     baseline = args.baseline.lower()
     if baseline not in names:
         names.insert(0, baseline)
-    reports = [_run_policy(n, trace, geometry, args, abrs) for n in names]
+    policies = [None if n == "opt" else make_policy(n, abrs=abrs) for n in names]  # all checked
+    # one-set duels run first, and the rows of the static side a duel ran
+    # in full (`kept`) are built from that column, which goes with the duel
+    shadow, reports = SetDuel(geometry.num_sets).shadow, [None] * len(names)
+    for i in sorted(range(len(names)),
+                    key=lambda i: not (shadow and isinstance(policies[i], DuelPolicy))):
+        policy, policies[i] = policies[i], None  # each policy dropped once its report is built
+        if reports[i] is None:
+            reports[i] = (_run_policy("opt", trace, geometry, args, abrs) if policy is None
+                          else simulate(trace, geometry, policy, seed=args.seed))
+        key = (getattr(policy, "kept", None) or (None,))[0]
+        for j, row in enumerate(policies):
+            if row is not None and (type(row), row.name) == key:
+                reports[j] = _report(row, geometry, args.seed, trace, policy.kept[1])
+                policies[j] = None
     return _emit(args, COMPARE_COLUMNS, metrics.compare_reports(reports, baseline=baseline))
 
 

@@ -58,6 +58,10 @@ class SplitMix64:
         self._pos = pos + 1
         return x
 
+    @property
+    def drawn(self):  # whether any draw has been taken yet
+        return self._pos > 0
+
     def randrange(self, n):
         """Uniform integer in [0, n)."""
         return self.next_u64() % n

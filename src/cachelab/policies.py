@@ -157,7 +157,10 @@ class DuelPolicy:
     shadow sets: reset runs a copy of each side through the engine's own
     loop (`run_policy`) on a generator forked off the run's,
     `SetDuel.replay` votes their misses, and each fill inserts as the
-    side that governs its access.
+    side that governs its access.  When side a, run first on the fresh
+    fork, draws nothing from it and logs no dead eviction (LRU and SRRIP
+    never do), `kept` is ((its class, its name), its outcome column),
+    which a run of a's own would return byte for byte; else None.
     """
 
     def reset(self, geometry, rng, trace, tags):
@@ -166,12 +169,15 @@ class DuelPolicy:
         self.b.reset(geometry, rng, trace, tags)
         self.duel = SetDuel(geometry.num_sets)
         self.sides = (self.a.on_insert, self.b.on_insert)
-        self.b_won = None  # per access of a shadow duel, whether b governs it
+        self.b_won = self.kept = None  # b_won: per access of a shadow duel, whether b governs it
         if self.duel.shadow:  # one set, the only set index 0, and no leader sets to vote for
             shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
-            self.b_won = self.duel.replay(*(
-                run_policy(copy(p), geometry, shadow_rng, trace, bytes(len(tags)), tags)
-                for p in (self.a, self.b)))
+            a, b = copy(self.a), copy(self.b)
+            a_outcome = run_policy(a, geometry, shadow_rng, trace, bytes(len(tags)), tags)
+            if not (shadow_rng.drawn or a.dead_log):  # a run of a's own decides the same
+                self.kept = (type(a), a.name), a_outcome
+            self.b_won = self.duel.replay(
+                a_outcome, run_policy(b, geometry, shadow_rng, trace, bytes(len(tags)), tags))
 
     def on_insert(self, view, way):
         b_won = self.b_won

@@ -1,25 +1,28 @@
 """Command line front end: argument parsing, subcommands, config files."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cachelab import cli
+from cachelab import cli, engine, opt, policies
 from cachelab import graphs as graphmod
 from cachelab.cli import CliError, main, parse_abr, parse_pattern
-from cachelab.engine import CacheGeometry, simulate
+from cachelab.engine import CacheGeometry, run_policy, simulate
 from cachelab.graphs import GraphError
 from cachelab.grasp import RegionMap
 from cachelab.metrics import compare_reports
-from cachelab.policies import make_policy
-from cachelab.trace import PatternSpec, TraceError, read_trace, write_trace
+from cachelab.opt import opt_oracle
+from cachelab.policies import BipPolicy, DuelPolicy, LruPolicy, make_policy
+from cachelab.trace import PatternSpec, TraceError, generate_pattern, read_trace, write_trace
 
 
 def run(capsys, *argv):
@@ -185,6 +188,117 @@ def test_policy_names_are_any_case_in_compare_and_for_opt(capsys):
     code, out, err = run(capsys, "simulate", "--policy", "OPT", *source)
     assert (code, err) == (0, "")
     assert out == run(capsys, "simulate", "--policy", "opt", *source)[1]
+
+
+def counted_runs(monkeypatch):
+    """Count cache-loop runs per policy class: run_policy as simulate,
+    the shadow duel and OPT each call it."""
+    runs = Counter()
+
+    def counted(policy, *args):
+        runs[type(policy).__name__] += 1
+        return run_policy(policy, *args)
+
+    for module in (engine, policies, opt):
+        monkeypatch.setattr(module, "run_policy", counted)
+    return runs
+
+
+def expected_compare(capsys, names, baseline, geometry, seed, trace):
+    """compare's CSV and JSON output built from one report per name, each
+    run on its own, in list order."""
+    reports = [opt_oracle(trace, geometry, seed=seed) if n == "opt"
+               else simulate(trace, geometry, make_policy(n), seed=seed) for n in names]
+    rows = compare_reports(reports, baseline=baseline)
+    args = argparse.Namespace(format="csv", out=None)
+    cli._emit(args, cli.COMPARE_COLUMNS, rows)
+    return capsys.readouterr().out, rows
+
+
+def test_one_set_compare_runs_a_duels_static_side_once(capsys, monkeypatch):
+    """On one set dip and drrip3 run LRU and SRRIP-3 in full as shadows,
+    so the lru and srrip3 rows are those columns' reports: the table is
+    that of separate runs, the inserted baseline and a repeated name
+    included, with two fewer LRU runs and one fewer SRRIP run.  pin25 and
+    grasp each still run their own SRRIP shadow.  On two sets no duel
+    shadows and every name runs once, as before."""
+    listed = ["lru", "bip", "dip", "srrip3", "brrip3", "drrip3", "pin25", "grasp", "opt", "lru"]
+    names, pattern = ["lip"] + listed, "thrash:k=32,n=64"
+    trace = generate_pattern(parse_pattern(pattern))
+    for sets, shared in ((1, {"LruPolicy": 2, "SrripPolicy": 1}), (2, {})):
+        geometry = CacheGeometry(sets, 16, 64)
+        csv_out, rows = expected_compare(capsys, names, "lip", geometry, 5, trace)
+        runs = counted_runs(monkeypatch)
+        argv = ["compare", "--policies", ",".join(listed), "--baseline", "lip", "--gen", pattern,
+                "--sets", str(sets), "--ways", "16", "--seed", "5"]
+        assert run(capsys, *argv) == (0, csv_out, "")
+        alone = Counter({"LipPolicy": 1, "BipPolicy": 1, "DipPolicy": 1, "BrripPolicy": 1,
+                         "DrripPolicy": 1, "PinPolicy": 1, "GraspPolicy": 1, "OptPolicy": 1,
+                         "LruPolicy": 2, "SrripPolicy": 1})  # every row run on its own
+        if sets == 1:  # each duel's two shadows, less the rows they serve
+            alone.update({"LruPolicy": 1, "BipPolicy": 1, "SrripPolicy": 3, "BrripPolicy": 3})
+        assert runs == alone - Counter(shared)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out), err) == (0, rows, "")
+        monkeypatch.undo()
+
+
+class DeadLoggingLru(LruPolicy):
+    """LRU that logs every victim as predicted dead and draws nothing."""
+
+    name = "dead-lru"
+
+    def reset(self, geometry, rng, trace, tags):
+        super().reset(geometry, rng, trace, tags)
+        self.dead_log = []
+
+    def choose_victim(self, view):
+        way = super().choose_victim(view)
+        self.dead_log.append((view.access_index, view.set_index, view.tags[way]))
+        return way
+
+
+class BipFirstDuel(DuelPolicy, LruPolicy):
+    name = "bip-first"
+
+    def __init__(self):
+        self.a, self.b = BipPolicy(), LruPolicy()
+
+
+class DeadFirstDuel(DuelPolicy, LruPolicy):
+    name = "dead-first"
+
+    def __init__(self):
+        self.a, self.b = DeadLoggingLru(), BipPolicy()
+
+
+def test_a_static_side_that_drew_or_logged_a_dead_eviction_is_run_again(capsys, monkeypatch):
+    """A shadow side a that draws from the forked generator, or logs a
+    dead eviction, keeps no column, so its own row is run."""
+    trace, geometry = generate_pattern(parse_pattern("thrash:k=32,n=64")), CacheGeometry(1, 16, 64)
+    for duel, side in ((BipFirstDuel, BipPolicy), (DeadFirstDuel, DeadLoggingLru)):
+        policy = duel()
+        simulate(trace, geometry, policy, seed=2)
+        assert policy.kept is None
+        monkeypatch.setitem(policies._CONSTRUCTORS, duel.name, duel)
+        monkeypatch.setitem(policies._CONSTRUCTORS, side.name, side)
+        names = [duel.name, side.name]
+        csv_out = expected_compare(capsys, names, side.name, geometry, 2, trace)[0]
+        runs = counted_runs(monkeypatch)
+        assert run(capsys, "compare", "--policies", ",".join(names), "--baseline", side.name,
+                   "--gen", "thrash:k=32,n=64", "--sets", "1", "--ways", "16",
+                   "--seed", "2") == (0, csv_out, "")
+        assert runs[side.__name__] == 2  # its shadow and its row
+        monkeypatch.undo()
+    assert "dead-lru,2048,0.0000,1.000000," in csv_out  # every eviction predicted dead
+
+
+def test_compare_checks_every_name_before_it_runs_a_policy(capsys, monkeypatch):
+    runs = counted_runs(monkeypatch)
+    code, out, err = run(capsys, "compare", "--policies", "lru,dip,srrip3,drrip3,typo",
+                         "--gen", "thrash:k=32,n=64", "--sets", "1", "--ways", "16")
+    assert (code, out, err) == (2, "", "error: unknown policy name: 'typo'\n")
+    assert not runs
 
 
 def test_compare_rows_equal_tabled_reports_that_count_hint_classes(tmp_path, capsys,

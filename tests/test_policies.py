@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cachelab
-from cachelab import policies
+from cachelab import engine, policies
 from cachelab.engine import BYPASS, EVICT, HIT, CacheGeometry, SetView, SplitMix64, simulate
 from cachelab.grasp import GraspConfigError
 from cachelab.leeway import LeewayLruPolicy
@@ -201,6 +201,25 @@ def test_dip_single_set_duels_with_shadow_directories():
     t = generate_pattern(PatternSpec("thrash", k=5, n=400))
     dip = simulate(t, one_set(4), make_policy("dip"), seed=3)
     assert dip.hits > 0  # converged to the bimodal side
+
+
+def test_a_shadow_duel_keeps_its_static_side_run_as_that_side_reports_it():
+    """A one-set duel keeps side a's shadow column, with a's class and
+    name: the report _report builds from it is the one a run of a's own
+    gives, at any seed.  A duel on leader sets runs no shadow and keeps
+    nothing."""
+    t = generate_pattern(PatternSpec("thrash", k=24, n=50))
+    for name, side in (("dip", LruPolicy), ("drrip2", SrripPolicy), ("drrip3", SrripPolicy),
+                       ("pin25", SrripPolicy), ("grasp", SrripPolicy)):
+        duel = make_policy(name)
+        simulate(t, one_set(16), duel, seed=4)
+        (cls, side_name), column = duel.kept
+        static = make_policy(side_name)
+        assert (cls, type(static)) == (side, side)
+        assert engine._report(static, one_set(16), 9, t, column) == simulate(
+            t, one_set(16), make_policy(side_name), seed=9)
+        simulate(t, CacheGeometry(2, 16, 64), duel, seed=4)
+        assert duel.kept is None
 
 
 def test_a_reused_policy_reports_as_a_fresh_one():
