@@ -19,7 +19,7 @@ from . import metrics
 from .engine import CacheGeometry, _report, filter_trace, simulate
 from .grasp import RegionMap
 from .opt import opt_oracle
-from .policies import POLICY_NAMES, DuelPolicy, SetDuel, make_policy
+from .policies import POLICY_NAMES, DuelPolicy, make_policy
 from .trace import PatternSpec, generate_pattern, read_trace, write_trace
 
 
@@ -160,19 +160,18 @@ def cmd_compare(args):
     if baseline not in names:
         names.insert(0, baseline)
     policies = [None if n == "opt" else make_policy(n, abrs=abrs) for n in names]  # all checked
-    # one-set duels run first, and the rows of the static side a duel ran
+    # duels run first, and the rows of the static side a one-set duel ran
     # in full (`kept`) are built from that column, which goes with the duel
-    shadow, reports = SetDuel(geometry.num_sets).shadow, [None] * len(names)
-    for i in sorted(range(len(names)),
-                    key=lambda i: not (shadow and isinstance(policies[i], DuelPolicy))):
+    reports = [None] * len(names)
+    for i in sorted(range(len(names)), key=lambda i: not isinstance(policies[i], DuelPolicy)):
         policy, policies[i] = policies[i], None  # each policy dropped once its report is built
         if reports[i] is None:
             reports[i] = (_run_policy("opt", trace, geometry, args, abrs) if policy is None
                           else simulate(trace, geometry, policy, seed=args.seed))
-        key = (getattr(policy, "kept", None) or (None,))[0]
-        for j, row in enumerate(policies):
-            if row is not None and (type(row), row.name) == key:
-                reports[j] = _report(row, geometry, args.seed, trace, policy.kept[1])
+        kept = getattr(policy, "kept", None)
+        for j, row in enumerate(policies if kept is not None else ()):
+            if type(row) is type(policy.a) and row.name == policy.a.name:
+                reports[j] = _report(row, geometry, args.seed, trace, kept)
                 policies[j] = None
     return _emit(args, COMPARE_COLUMNS, metrics.compare_reports(reports, baseline=baseline))
 
@@ -183,6 +182,8 @@ def cmd_gen_trace(args):
     if bool(args.pattern) == bool(args.graph):
         raise CliError("need exactly one of --pattern or --graph")
     if args.pattern:
+        if args.bake_hints or args.llc_capacity is not None or args.abr_out is not None:
+            raise CliError("--bake-hints, --llc-capacity and --abr-out need --graph")
         trace = generate_pattern(parse_pattern(args.pattern))
         write_trace(trace, args.out)
         return 0
@@ -347,6 +348,9 @@ def main(argv=None):
         written = []
         for key, value in defaults.items():
             name = flags[key].option_strings[-1]
+            if isinstance(value, list) and not isinstance(flags[key], argparse._AppendAction):
+                print("error: config key %s takes one value, not a list" % key, file=sys.stderr)
+                return 2
             for v in value if isinstance(value, list) else [value]:
                 if flags[key].nargs == 0 and isinstance(v, bool):  # a switch: written or not
                     written += [name] if v else []

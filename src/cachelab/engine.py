@@ -10,7 +10,7 @@ run comes from one seeded splitmix64 generator, so identical
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count, islice, pairwise
 
 import numpy as np
 
@@ -112,18 +112,22 @@ HIT, BYPASS, EVICT = 1, 2, 3  # run_policy's outcome codes; 0 is a fill of a fre
 SLICE = 1 << 14  # entries per step of a post-pass loop, so its temporaries stay this long
 
 
-def _set_order(sets, num_sets):
+def _set_order(sets):
     """Positions of a set index column grouped set by set, stably, as int32
-    (int64 past 2**31), and each set's end.  A counting sort, SLICE entries
-    at a time: a slice's positions go to their set's running start plus
-    their rank in the slice's stable argsort, so no temporary is as long
-    as the column (a whole-column argsort or bincount holds an intp one)."""
-    n = len(sets)
+    (int64 past 2**31), the sets it holds in ascending order, and each one's
+    end.  One stable sort of a copy of the column (a radix pass for uint8 or
+    uint16) gives the sets and where each begins; then, SLICE entries at a
+    time, a slice's positions go to their set's running start plus their
+    rank in the slice's stable argsort.  Beside the order, no array as long
+    as the column is wider than it, and none is as long as the set count."""
+    n, ranked = len(sets), np.sort(sets, kind="stable")
+    new = np.empty(n, dtype=bool)  # new[k]: ranked[k] is its set's first
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    ids, starts = ranked[new], new.nonzero()[0]  # each set's start: the entries of lower sets
+    del ranked, new  # freed before the order is made, so the peak is the order's
     order = np.empty(n, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-    ids, ramp = np.arange(num_sets, dtype=sets.dtype), np.arange(min(SLICE, n), dtype=order.dtype)
-    starts = np.zeros(num_sets, dtype=np.int64)  # each set's start: the entries of lower sets
-    for s in range(0, n, SLICE):
-        starts += np.searchsorted(np.sort(sets[s:s + SLICE], kind="stable"), ids)
+    ramp = np.arange(min(SLICE, n), dtype=order.dtype)
     for s in range(0, n, SLICE):
         part = sets[s:s + SLICE]
         rank = part.argsort(kind="stable")
@@ -136,7 +140,7 @@ def _set_order(sets, num_sets):
         order[dest] = rank
         starts += count
         del rank, dest  # no slice temporary outlives its step
-    return order, starts  # each start has moved to its set's end
+    return order, ids, starts  # each start has moved to its set's end
 
 
 def _set_runs(geometry, addresses):
@@ -149,7 +153,7 @@ def _set_runs(geometry, addresses):
     sets = np.empty(n, dtype=np.min_scalar_type(mask))
     for s in range(0, n, SLICE):
         sets[s:s + SLICE] = geometry.blocks(addresses[s:s + SLICE]) & mask
-    order = _set_order(sets, geometry.num_sets)[0]
+    order = _set_order(sets)[0]
     del sets
     edge = np.empty(n + 1, dtype=bool)  # edge[k]: a run ends at k - 1, one starts at k
     edge[0] = edge[-1] = True
@@ -335,14 +339,15 @@ def lru_would_miss(stream, start, tag, ways):
     return True
 
 
-def _score_dead(dead_log, set_col, tag_col, num_sets, ways):
+def _score_dead(dead_log, set_col, tag_col, ways):
     """Count the correct entries of dead_log, (access index, set, victim
     tag) per predicted-dead eviction, against each set's tag stream: the
     set's positions in _set_order from the eviction on, read as tags."""
-    order, ends = _set_order(set_col, num_sets)
-    position, tags, ends = memoryview(order), memoryview(tag_col), [0] + ends.tolist()
-    rows = [bisect_left(position, index, ends[si], ends[si + 1]) for index, si, _ in dead_log]
-    return sum(lru_would_miss(map(tags.__getitem__, position[row:ends[si + 1]]), 0, vtag, ways)
+    order, ids, ends = _set_order(set_col)
+    position, tags, ends = memoryview(order), memoryview(tag_col), ends.tolist()
+    span = dict(zip(ids.tolist(), zip([0] + ends, ends)))  # each set's start and end
+    rows = [bisect_left(position, index, *span[si]) for index, si, _ in dead_log]
+    return sum(lru_would_miss(map(tags.__getitem__, position[row:span[si][1]]), 0, vtag, ways)
                for row, (_, si, vtag) in zip(rows, dead_log))
 
 
@@ -426,7 +431,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
     used purely for per-class access and hit counts, which are keyed by
     ReuseHint and leave out classes with none; the policy never sees it.
     """
-    num_sets = geometry.num_sets
+    num_sets, ways = geometry.num_sets, geometry.ways
     tag_col = geometry.blocks(trace.addresses)
     set_col = tag_col.astype(np.min_scalar_type(num_sets - 1))
     set_col &= num_sets - 1  # a narrowing cast keeps the low bits
@@ -436,8 +441,7 @@ def simulate(trace, geometry, policy, seed=0, classify=None):
                          memoryview(set_col), memoryview(tag_col))
     report = _report(policy, geometry, seed, trace, outcome)
     if policy.dead_log:
-        report.dead_predictions_correct = _score_dead(policy.dead_log, set_col, tag_col,
-                                                      num_sets, geometry.ways)
+        report.dead_predictions_correct = _score_dead(policy.dead_log, set_col, tag_col, ways)
     if classify is not None:
         codes = classify(trace.addresses)
         accesses, hits = ([int(np.count_nonzero(c == hint)) for hint in ReuseHint]  # no intp copy
@@ -452,21 +456,23 @@ def filter_trace(trace, num_sets, ways, block_bytes=64):
 
     Models the private-cache levels in front of the LLC: only front
     misses reach the simulated cache, each carrying the instruction
-    counts of the hits dropped since the previous kept record.  Returns
-    a new Trace.
+    counts of the hits dropped since the previous kept record.  Sets
+    never interact, so each touched set's accesses are walked in
+    _set_order through its own OrderedDict LRU.  Returns a new Trace.
     """
-    front_geom = CacheGeometry(num_sets, ways, block_bytes)
-    front = [OrderedDict() for _ in range(num_sets)]
-    miss = bytearray(len(trace))
-    for index, blk in enumerate(memoryview(front_geom.blocks(trace.addresses))):
-        tags = front[blk % num_sets]
-        if blk in tags:
-            tags.move_to_end(blk)
-            continue
-        tags[blk] = True
-        if len(tags) > ways:
-            tags.popitem(last=False)
-        miss[index] = 1
+    blocks = CacheGeometry(num_sets, ways, block_bytes).blocks(trace.addresses)
+    order, _, ends = _set_order((blocks & (num_sets - 1)).astype(np.min_scalar_type(num_sets - 1)))
+    position, grouped, miss = memoryview(order), memoryview(blocks[order]), bytearray(len(trace))
+    for start, end in pairwise([0] + ends.tolist()):
+        tags = OrderedDict()
+        for index, blk in zip(position[start:end], grouped[start:end]):
+            if blk in tags:
+                tags.move_to_end(blk)
+                continue
+            tags[blk] = True
+            if len(tags) > ways:
+                tags.popitem(last=False)
+            miss[index] = 1
     kept = np.flatnonzero(miss)
     records = trace.records[kept]
     ran = np.cumsum(trace.records["inst_delta"], dtype=np.uint64)[kept]

@@ -23,7 +23,6 @@ insertions keep a hittable subset.  AC-5 checks both sides of this on a
 32-block loop in one 16-way set.
 """
 
-from copy import copy
 from functools import partial
 
 from .engine import HIT, Policy, SplitMix64, run_policy
@@ -154,30 +153,30 @@ class DuelPolicy:
 
     Each fill inserts as the side that SetDuel.miss names, a vote cast
     when a leader set fills.  A cache too small for leader sets duels on
-    shadow sets: reset runs a copy of each side through the engine's own
-    loop (`run_policy`) on a generator forked off the run's,
-    `SetDuel.replay` votes their misses, and each fill inserts as the
-    side that governs its access.  When side a, run first on the fresh
-    fork, draws nothing from it and logs no dead eviction (LRU and SRRIP
-    never do), `kept` is ((its class, its name), its outcome column),
-    which a run of a's own would return byte for byte; else None.
+    shadow sets: reset runs each side through the engine's own loop
+    (`run_policy`) on a generator forked off the run's, `SetDuel.replay`
+    votes their misses, each fill inserts as the side that governs its
+    access, and both sides are then reset onto the run's generator.
+    When side a, run first on the fresh fork, draws nothing from it and
+    logs no dead eviction (LRU and SRRIP never do), `kept` is its outcome
+    column, which a run of a policy of a's class and name would return
+    byte for byte; else None.
     """
 
     def reset(self, geometry, rng, trace, tags):
         super().reset(geometry, rng, trace, tags)
-        self.a.reset(geometry, rng, trace, tags)
-        self.b.reset(geometry, rng, trace, tags)
         self.duel = SetDuel(geometry.num_sets)
         self.sides = (self.a.on_insert, self.b.on_insert)
         self.b_won = self.kept = None  # b_won: per access of a shadow duel, whether b governs it
         if self.duel.shadow:  # one set, the only set index 0, and no leader sets to vote for
             shadow_rng = SplitMix64(rng.next_u64() ^ 0x9E3779B97F4A7C15)
-            a, b = copy(self.a), copy(self.b)
-            a_outcome = run_policy(a, geometry, shadow_rng, trace, bytes(len(tags)), tags)
-            if not (shadow_rng.drawn or a.dead_log):  # a run of a's own decides the same
-                self.kept = (type(a), a.name), a_outcome
+            a_outcome = run_policy(self.a, geometry, shadow_rng, trace, bytes(len(tags)), tags)
+            if not (shadow_rng.drawn or self.a.dead_log):  # a run of a's own decides the same
+                self.kept = a_outcome
             self.b_won = self.duel.replay(
-                a_outcome, run_policy(b, geometry, shadow_rng, trace, bytes(len(tags)), tags))
+                a_outcome, run_policy(self.b, geometry, shadow_rng, trace, bytes(len(tags)), tags))
+        self.a.reset(geometry, rng, trace, tags)
+        self.b.reset(geometry, rng, trace, tags)
 
     def on_insert(self, view, way):
         b_won = self.b_won

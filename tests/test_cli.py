@@ -346,6 +346,19 @@ def test_gen_trace_writes_the_binary_format(tmp_path, capsys):
     assert [r.address for r in read_trace(out_file)][:3] == [0, 64, 128]
 
 
+def test_gen_trace_refuses_graph_only_flags_with_a_pattern(tmp_path, capsys):
+    """Hint baking and region bounds come from a graph: with --pattern,
+    --bake-hints, --llc-capacity and --abr-out are refused by name, not
+    silently ignored, and nothing is written."""
+    out_file, abr_file = tmp_path / "p.bin", tmp_path / "p.abr"
+    argv = ["gen-trace", "--pattern", "thrash:k=4,n=2", "--out", str(out_file)]
+    for extra in (["--bake-hints"], ["--llc-capacity", "0"], ["--abr-out", str(abr_file)],
+                  ["--bake-hints", "--llc-capacity", "0", "--abr-out", str(abr_file)]):
+        assert run(capsys, *argv, *extra) == (
+            2, "", "error: --bake-hints, --llc-capacity and --abr-out need --graph\n")
+        assert not out_file.exists() and not abr_file.exists()
+
+
 def test_gen_trace_from_graph_reports_the_hinted_region(tmp_path, capsys):
     csr = tmp_path / "g.csr"
     graphmod.write_csr(graphmod.synth_uniform(64, 3, seed=1), csr)
@@ -493,6 +506,22 @@ def test_config_keys_must_name_flags_of_the_subcommand(tmp_path, capsys):
     assert (code, err) == (0, "")
 
 
+def test_config_list_only_for_a_repeatable_flag(tmp_path, capsys):
+    """A JSON list is the flag repeated, so it is taken only for --abr:
+    a list for a one-value flag is refused with one error: line naming
+    the key, where argparse would keep its last item."""
+    cfg = tmp_path / "cfg.json"
+    base = ["compare", "--gen", "thrash:k=8,n=4", "--sets", "1", "--ways", "4"]
+    for key, value in (("policies", ["srrip2", "dip"]), ("seed", [1, 2]), ("seed", [1])):
+        cfg.write_text(json.dumps({key: value}))
+        extra = [] if key == "policies" else ["--policies", "bip"]
+        assert run(capsys, *base, *extra, "--config", str(cfg)) == (
+            2, "", "error: config key %s takes one value, not a list\n" % key)
+    cfg.write_text(json.dumps({"abr": ["0:64", "128:256"], "policies": "grasp"}))
+    assert run(capsys, *base, "--config", str(cfg)) == run(
+        capsys, *base, "--policies", "grasp", "--abr", "0:64", "--abr", "128:256")
+
+
 def test_config_values_go_through_their_flags_checks(tmp_path, capsys):
     """A config value is taken exactly as the same value written as its
     flag: {"format": "xml"} and {"ways": 4.5} fail as --format xml and
@@ -525,6 +554,26 @@ def test_config_values_go_through_their_flags_checks(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["opt", "--config", str(cfg), "--gen", "stream:k=1"])
     assert exit_.value.code == 2
+
+
+def test_a_cache_of_2_to_the_40_sets_holds_state_for_the_sets_touched(capsys):
+    """At --sets 2**40 nothing is sized by the set count: simulate,
+    compare (leeway-lru and opt included), opt --bypass and stats run
+    a 4-block loop whose blocks sit 2**30 sets apart, and each block
+    misses once; a front filter of 2**40 sets keeps just those misses."""
+    source = ("--gen", "thrash:k=4,n=3,stride=%d" % (64 << 30), "--sets", str(1 << 40),
+              "--ways", "2")
+    for argv, hits in ((("simulate", "--policy", "leeway-lru"), 8),
+                       (("simulate", "--policy", "drrip3"), 8), (("opt", "--bypass"), 8),
+                       (("simulate", "--policy", "lru", "--filter", "%d:1" % (1 << 40)), 0)):
+        code, out, err = run(capsys, *argv, *source, "--format", "json")
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["misses"], json.loads(out)["hits"]) == (4, hits), argv
+    code, out, err = run(capsys, "compare", "--policies", "leeway-lru,drrip3,opt", *source)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["lru", "4"], ["leeway-lru", "4"], ["drrip3", "4"], ["opt", "4"]]
+    assert run(capsys, "stats", *source) == (0, "distance,count\n1,8\ninf,4\n", "")
 
 
 def test_simulate_with_hinted_regions_reports_per_class_stats(capsys):

@@ -443,35 +443,39 @@ def test_lru_would_miss_rule():
 
 @st.composite
 def set_columns(draw):
-    """Up to 80 set indices on 1, 2, 256 or 2**16 sets, in the narrow
-    column a trace's set bits take (uint8, or uint16 at 2**16 sets),
-    drawn from a few sets so that runs and repeats span slices, and a
-    slice of 2 to 5 entries."""
-    num_sets = draw(st.sampled_from([1, 2, 256, 1 << 16]))
+    """Up to 80 set indices on 1, 2, 256, 2**16, 2**32 or 2**40 sets, in
+    the narrow column a trace's set bits take (uint8, uint16 at 2**16
+    sets, uint32 at 2**32, uint64 at 2**40), drawn from a few sets so that
+    runs and repeats span slices, and a slice of 2 to 5 entries."""
+    num_sets = draw(st.sampled_from([1, 2, 256, 1 << 16, 1 << 32, 1 << 40]))
     pool = draw(st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=5))
     sets = draw(st.lists(st.sampled_from(pool + [0, num_sets - 1]), max_size=80))
-    return np.array(sets, dtype=np.min_scalar_type(num_sets - 1)), num_sets, draw(st.integers(2, 5))
+    return np.array(sets, dtype=np.min_scalar_type(num_sets - 1)), draw(st.integers(2, 5))
 
 
 @seed(20261021)
 @settings(max_examples=200, deadline=None, database=None)
-@example((np.zeros(0, dtype=np.uint8), 1, 2))
-@example((np.zeros(0, dtype=np.uint16), 1 << 16, 3))
+@example((np.zeros(0, dtype=np.uint8), 2))
+@example((np.zeros(0, dtype=np.uint16), 3))
+@example((np.array([2**40 - 1, 0, 2**40 - 1], dtype=np.uint64), 2))
 @given(set_columns())
 def _check_set_order(case):
-    sets, num_sets, size = case
+    sets, size = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "SLICE", size)
-        order, ends = engine._set_order(sets, num_sets)
-    assert order.dtype == np.int32
+        order, ids, ends = engine._set_order(sets)
+    held, counts = np.unique(sets, return_counts=True)
+    assert order.dtype == np.int32 and ids.dtype == sets.dtype
     assert order.tolist() == np.argsort(sets, kind="stable").tolist()
-    assert ends.tolist() == np.cumsum(np.bincount(sets, minlength=num_sets)).tolist()
+    assert ids.tolist() == held.tolist()
+    assert ends.tolist() == np.cumsum(counts).tolist()
 
 
 def test_set_order_is_a_stable_argsort_across_slice_boundaries():
     """The counting sort taken 2 to 5 entries at a time gives numpy's
-    stable argsort and each set's end, on empty columns, one set, and
-    uint8 and uint16 columns up to 2**16 sets."""
+    stable argsort, the sets the column holds and each one's end, on
+    empty columns, one set, and uint8 to uint64 columns up to 2**40
+    sets."""
     t0 = time.perf_counter()
     _check_set_order()
     elapsed = time.perf_counter() - t0
@@ -480,18 +484,20 @@ def test_set_order_is_a_stable_argsort_across_slice_boundaries():
 
 @seed(20261022)
 @settings(max_examples=100, deadline=None, database=None)
-@given(st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(2, 5), st.integers(0, 2**32))
+@given(st.sampled_from([1, 2, 4, 1 << 40]), st.integers(1, 4), st.integers(2, 5),
+       st.integers(0, 2**32))
 def _check_dead_scoring(num_sets, ways, size, draws):
     rnd = random.Random(draws)
     n = rnd.randint(1, 120)
-    sets = np.array([rnd.randrange(num_sets) for _ in range(n)], dtype=np.uint8)
+    pool = [rnd.randrange(num_sets) for _ in range(4)]  # at most four sets, anywhere
+    sets = np.array([rnd.choice(pool) for _ in range(n)], dtype=np.min_scalar_type(num_sets - 1))
     tags = np.array([rnd.randrange(6) for _ in range(n)], dtype=np.int64)
     dead_log = sorted((i, int(sets[i]), rnd.randrange(7)) for i in rnd.sample(range(n), min(n, 8)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "SLICE", size)
-        correct = engine._score_dead(dead_log, sets, tags, num_sets, ways)
-    streams = [[(i, t) for i, (s, t) in enumerate(zip(sets.tolist(), tags.tolist())) if s == si]
-               for si in range(num_sets)]
+        correct = engine._score_dead(dead_log, sets, tags, ways)
+    streams = {si: [(i, t) for i, (s, t) in enumerate(zip(sets.tolist(), tags.tolist())) if s == si]
+               for si in pool}
     assert correct == sum(lru_would_miss([t for i, t in streams[si] if i >= index], 0, vtag, ways)
                           for index, si, vtag in dead_log)
 
@@ -499,7 +505,8 @@ def _check_dead_scoring(num_sets, ways, size, draws):
 def test_dead_scoring_scans_each_set_from_the_eviction():
     """Dead-eviction scoring, which reads tags through the set order,
     counts what lru_would_miss gives on each set's own tag list from the
-    evicting access on, with the order built 2 to 5 entries at a time."""
+    evicting access on, with the order built 2 to 5 entries at a time, on
+    up to four sets of 1 to 2**40."""
     t0 = time.perf_counter()
     _check_dead_scoring()
     elapsed = time.perf_counter() - t0

@@ -22,8 +22,8 @@ import weakref
 import numpy as np
 import pytest
 
-from cachelab import metrics
-from cachelab.engine import CacheGeometry, SplitMix64, _set_runs, simulate
+from cachelab import engine, metrics
+from cachelab.engine import CacheGeometry, SplitMix64, _set_runs, filter_trace, simulate
 from cachelab.graphs import (apply_remap, dbg_reorder, gen_graph_trace, read_csr, synth_powerlaw,
                              synth_uniform, write_csr)
 from cachelab.opt import opt_oracle
@@ -90,7 +90,8 @@ def test_a_run_holds_state_for_the_sets_it_touches_not_for_every_set(name):
     for lru and 0.5 MB for leeway-lru, whose first run imports its module
     (numpy 2.4 / CPython 3.11), where a SetView and a dict built for
     every set, a Leeway list and a pin count per set took 19.5 to 32.1 MB.
-    opt_oracle's 2.2 MB is its set grouping's per-set arrays."""
+    opt_oracle holds 0.007 MB, where its set grouping's per-set arrays
+    took 2.2 MB."""
     trace, geometry = generate_pattern(PatternSpec("thrash", 4, 2)), CacheGeometry(1 << 16, 16)
     trace.digest(), trace.total_instructions()  # computed once per trace, not per run
     if name == "opt":
@@ -98,6 +99,27 @@ def test_a_run_holds_state_for_the_sets_it_touches_not_for_every_set(name):
     else:
         peak = traced_peak(lambda: simulate(trace, geometry, make_policy(name)))
     assert peak < 4e6, "%s peaks at %.1f MB at 2**16 sets, over 4" % (name, peak / 1e6)
+
+
+def test_post_passes_and_the_front_filter_hold_nothing_per_untouched_set():
+    """At 2**20 sets an 8-access loop over 4 blocks touches 4 sets, and
+    OPT, the stack walk and dead-eviction scoring group the set column
+    with no array as long as the set count, and a front filter of 2**16
+    sets builds an LRU for the 4 sets it touches: each measured 0.006 to
+    0.007 MB (numpy 2.4 / CPython 3.11), where a counting sort's per-set
+    arrays took 37.8 MB and an OrderedDict per front set 9.0 MB."""
+    trace, geometry = generate_pattern(PatternSpec("thrash", 4, 2)), CacheGeometry(1 << 20, 16)
+    trace.digest(), trace.total_instructions()  # computed once per trace, not per run
+    blocks = geometry.blocks(trace.addresses)
+    sets, tags = (blocks & (geometry.num_sets - 1)).astype(np.uint32), blocks >> geometry.set_bits
+    calls = {"opt_oracle": lambda: opt_oracle(trace, geometry),
+             "reuse_distance_distribution":
+                 lambda: metrics.reuse_distance_distribution(trace, geometry),
+             "_score_dead": lambda: engine._score_dead([(0, 0, 0), (4, 0, 0)], sets, tags, 16),
+             "filter_trace": lambda: filter_trace(trace, 1 << 16, 8)}
+    for name, call in calls.items():
+        peak = traced_peak(call)
+        assert peak < 1e6, "%s peaks at %.1f MB, over 1" % (name, peak / 1e6)
 
 
 def traced_peak(call):

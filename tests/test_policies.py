@@ -204,8 +204,8 @@ def test_dip_single_set_duels_with_shadow_directories():
 
 
 def test_a_shadow_duel_keeps_its_static_side_run_as_that_side_reports_it():
-    """A one-set duel keeps side a's shadow column, with a's class and
-    name: the report _report builds from it is the one a run of a's own
+    """A one-set duel keeps side a's shadow column: the report _report
+    builds from it is the one a run of a policy of a's class and name
     gives, at any seed.  A duel on leader sets runs no shadow and keeps
     nothing."""
     t = generate_pattern(PatternSpec("thrash", k=24, n=50))
@@ -213,11 +213,10 @@ def test_a_shadow_duel_keeps_its_static_side_run_as_that_side_reports_it():
                        ("pin25", SrripPolicy), ("grasp", SrripPolicy)):
         duel = make_policy(name)
         simulate(t, one_set(16), duel, seed=4)
-        (cls, side_name), column = duel.kept
-        static = make_policy(side_name)
-        assert (cls, type(static)) == (side, side)
-        assert engine._report(static, one_set(16), 9, t, column) == simulate(
-            t, one_set(16), make_policy(side_name), seed=9)
+        static = make_policy(duel.a.name)
+        assert type(duel.a) is type(static) is side
+        assert engine._report(static, one_set(16), 9, t, duel.kept) == simulate(
+            t, one_set(16), make_policy(duel.a.name), seed=9)
         simulate(t, CacheGeometry(2, 16, 64), duel, seed=4)
         assert duel.kept is None
 
